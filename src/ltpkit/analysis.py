@@ -11,46 +11,100 @@ frequency-coupling (mirror) terms at multiples of the fundamental.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .errors import SingularAtFrequency, UsageError
-from .spectral import BlockToeplitz
+from .model import SystemModel
+from .spectral import BlockToeplitz, build_nblk, build_toeplitz
 
 
-@dataclass
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.flags.writeable = False
+    return matrix
+
+
+@dataclass(eq=False)
 class HssMatrices:
-    """Assembled harmonic state-space operators at a periodic trajectory."""
+    """Harmonic state-space of a periodic orbit.
 
-    a_op: BlockToeplitz
-    b_op: BlockToeplitz
-    c_op: BlockToeplitz
-    d_op: BlockToeplitz
-    nblk: np.ndarray
+    Holds the orbit samples (t, x(t), u(t)) on the one-period grid and the
+    model.  Each block-Toeplitz operator and each dense form is built on first
+    read, at most once per object; the dense forms are read-only.
+    """
+
+    model: SystemModel
+    times: np.ndarray
+    states: np.ndarray   # (M, n)
+    inputs: np.ndarray   # (M, m)
     n_harmonics: int
     omega1: float
-    state_labels: tuple = ()
-
-    @property
-    def dim(self) -> int:
-        return self.nblk.shape[0]
 
     @property
     def n_states(self) -> int:
-        return self.a_op.block_shape[0]
+        return self.model.n_states
 
     @property
     def n_inputs(self) -> int:
-        return self.b_op.block_shape[1]
+        return self.model.n_inputs
 
     @property
     def n_outputs(self) -> int:
-        return self.c_op.block_shape[0]
+        return self.model.n_outputs
+
+    @property
+    def dim(self) -> int:
+        return (2 * self.n_harmonics + 1) * self.n_states
+
+    def _toeplitz(self, jacobian) -> BlockToeplitz:
+        return build_toeplitz(jacobian(self.times, self.states, self.inputs),
+                              self.n_harmonics)
+
+    @cached_property
+    def a_op(self) -> BlockToeplitz:
+        return self._toeplitz(self.model.jac_state)
+
+    @cached_property
+    def b_op(self) -> BlockToeplitz:
+        return self._toeplitz(self.model.jac_input)
+
+    @cached_property
+    def c_op(self) -> BlockToeplitz:
+        return self._toeplitz(self.model.out_jac_state)
+
+    @cached_property
+    def d_op(self) -> BlockToeplitz:
+        return self._toeplitz(self.model.out_jac_input)
+
+    @cached_property
+    def nblk(self) -> np.ndarray:
+        """Diagonal of N_blk (see :func:`ltpkit.spectral.build_nblk`)."""
+        return build_nblk(self.n_states, self.n_harmonics, self.omega1)
+
+    @cached_property
+    def _stability(self) -> np.ndarray:
+        lhs = self.a_op.full()
+        idx = np.arange(lhs.shape[0])
+        lhs[idx, idx] -= self.nblk
+        return _read_only(lhs)
+
+    @cached_property
+    def b_full(self) -> np.ndarray:
+        return _read_only(self.b_op.full())
+
+    @cached_property
+    def c_full(self) -> np.ndarray:
+        return _read_only(self.c_op.full())
+
+    @cached_property
+    def d_full(self) -> np.ndarray:
+        return _read_only(self.d_op.full())
 
     def stability_matrix(self) -> np.ndarray:
         """A_toeplitz - N_blk, whose eigenvalues decide small-signal stability."""
-        return self.a_op.full() - self.nblk
+        return self._stability
 
 
 @dataclass
@@ -159,8 +213,8 @@ def harmonic_transfer_function(
     lhs = -hss.stability_matrix()
     idx = np.arange(lhs.shape[0])
     lhs[idx, idx] += s
-    sol = scipy.linalg.solve(lhs, hss.b_op.full(), check_finite=False)
-    return hss.c_op.full() @ sol + hss.d_op.full()
+    sol = scipy.linalg.solve(lhs, hss.b_full, check_finite=False)
+    return hss.c_full @ sol + hss.d_full
 
 
 def htf_block(h: np.ndarray, k: int, l: int, n_outputs: int, n_inputs: int,

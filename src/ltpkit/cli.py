@@ -5,14 +5,16 @@ time-domain verification modules and emit plot-ready CSV/JSON artifacts.
 All CSV output uses 17-significant-digit round-trip formatting and fixed
 iteration orders, so identical configs produce byte-identical files.
 
-Exit codes: 0 success; 1 config/usage errors; 2 non-convergence (solve/eig/
-impedance, or a sweep with no converged cell); 3 verification tolerance
-failures.
+Exit codes: 0 success; 1 config/usage errors; 2 solver failure (no
+convergence, singular iteration matrix or diverged trajectory in solve/eig/
+impedance/verify, or a sweep with no converged cell); 3 verification
+tolerance failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,22 +23,14 @@ import numpy as np
 
 from .analysis import frequency_scan, hss_eigenvalues, mode_set, weakest_mode
 from .cases import case_builder
-from .errors import MaxIterationsExceeded, UsageError
+from .errors import (DivergedTrajectory, MaxIterationsExceeded,
+                     SingularIterationMatrix, UsageError)
 from .oracle import compare_waveforms, growth_rate_fit, integrate, \
     kicked_response, last_period
 from .solver import SolverConfig, solve_pss
 from .spectral import spectrum_to_samples
 from .sweep import SweepAxis, SweepSpec, extract_region, run_sweep
 
-_SOLVER_DEFAULTS = {
-    "n_harmonics": 4,
-    "period": 0.02,
-    "step": 5e-5,
-    "tolerance": 1e-3,
-    "max_iterations": 50,
-    "damping": 1.0,
-    "cond_limit": 1e12,
-}
 # The built-in models stack each complex signal with its conjugate, so the
 # frequency-coupling (mirror) terms live in the cross-sector entries: probing
 # input 0 (voltage) and recording output 1 (conjugate current) puts the
@@ -166,7 +160,8 @@ def resolve_config(command: str, args) -> dict:
         except ValueError:
             raise UsageError(f"--set value for {key!r} is not numeric: {value!r}") from None
 
-    solver = _merge("solver", _SOLVER_DEFAULTS, file_cfg.get("solver"))
+    solver_defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    solver = _merge("solver", solver_defaults, file_cfg.get("solver"))
     analysis = _merge("analysis", _ANALYSIS_DEFAULTS, file_cfg.get("analysis"))
     analysis["frequencies_hz"] = _resolve_grid(
         "analysis frequencies_hz", analysis["frequencies_hz"], 60)
@@ -282,25 +277,55 @@ def _write_json(path: Path, payload: dict):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_solve(config: dict, out: Path, workers: int) -> int:
+_SOLVER_ERRORS = (MaxIterationsExceeded, SingularIterationMatrix,
+                  DivergedTrajectory)
+_SCAN_HEADER = ("f_hz", "diag_re", "diag_im", "mirror_plus_re",
+                "mirror_plus_im", "mirror_minus_re", "mirror_minus_im",
+                "singular")
+
+
+def _solve(config: dict, write_partial):
+    """Build the configured model and solve its periodic steady state.
+
+    Returns ``(model, solver_cfg, result)``.  On a solver failure
+    ``write_partial(exc, model, solver_cfg)`` writes the command's partial
+    artifacts, the error goes to stderr and ``result`` is None; the command
+    then exits 2.
+    """
     model = _builder_for(config["case"])(config["set"])[config["variant"]]
     solver_cfg = SolverConfig(**config["solver"])
-    labels = _labels(model)
-    report = {"case": config["case"], "variant": config["variant"]}
     try:
-        result = solve_pss(model, solver_cfg)
-    except MaxIterationsExceeded as exc:
-        grid = solver_cfg.grid()
-        _write_spectrum(out / "pss_spectrum.csv", labels, exc.last_spectrum)
-        waveforms = spectrum_to_samples(exc.last_spectrum.coeffs, grid.n_samples)
-        _write_waveforms(out / "pss_waveforms.csv", grid.times, waveforms, labels)
-        report.update(converged=False, iterations=len(exc.residual_history),
-                      residual_history=exc.residual_history,
+        return model, solver_cfg, solve_pss(model, solver_cfg)
+    except _SOLVER_ERRORS as exc:
+        write_partial(exc, model, solver_cfg)
+        print(f"error: {exc}", file=sys.stderr)
+        return model, solver_cfg, None
+
+
+def _iterations(exc) -> int | None:
+    """Newton steps recorded before a solver failure (None if not recorded)."""
+    history = getattr(exc, "residual_history", None)
+    return None if history is None else len(history)
+
+
+def cmd_solve(config: dict, out: Path, workers: int) -> int:
+    report = {"case": config["case"], "variant": config["variant"]}
+
+    def partial(exc, model, solver_cfg):
+        if isinstance(exc, MaxIterationsExceeded):
+            labels, grid = _labels(model), solver_cfg.grid()
+            _write_spectrum(out / "pss_spectrum.csv", labels, exc.last_spectrum)
+            waveforms = spectrum_to_samples(exc.last_spectrum.coeffs, grid.n_samples)
+            _write_waveforms(out / "pss_waveforms.csv", grid.times, waveforms, labels)
+        report.update(converged=False, iterations=_iterations(exc),
+                      residual_history=getattr(exc, "residual_history", None),
                       tolerance=solver_cfg.tolerance, elapsed_s=None)
         _write_json(out / "run_report.json", report)
-        print(f"no convergence in {len(exc.residual_history)} iterations",
-              file=sys.stderr)
+
+    model, solver_cfg, result = _solve(config, partial)
+    if result is None:
         return 2
+    labels = _labels(model)
     _write_spectrum(out / "pss_spectrum.csv", labels, result.spectrum)
     _write_waveforms(out / "pss_waveforms.csv", result.times, result.waveforms, labels)
     report.update(converged=True, iterations=result.iterations,
@@ -311,19 +336,15 @@ def cmd_solve(config: dict, out: Path, workers: int) -> int:
 
 
 def cmd_eig(config: dict, out: Path, workers: int) -> int:
-    model = _builder_for(config["case"])(config["set"])[config["variant"]]
-    solver_cfg = SolverConfig(**config["solver"])
-    try:
-        result = solve_pss(model, solver_cfg)
-    except MaxIterationsExceeded as exc:
+    def partial(exc, model, solver_cfg):
         _write_csv(out / "eigenvalues.csv", ("re", "im"), [])
-        print(f"no convergence in {len(exc.residual_history)} iterations",
-              file=sys.stderr)
+
+    _, _, result = _solve(config, partial)
+    if result is None:
         return 2
-    eigenvalues = hss_eigenvalues(result.hss)
     modes = mode_set(result.hss, marginal_band=config["analysis"]["marginal_band"])
     _write_csv(out / "eigenvalues.csv", ("re", "im"),
-               [(v.real, v.imag) for v in eigenvalues])
+               [(v.real, v.imag) for v in modes.eigenvalues])
     weakest = modes.weakest
     print(f"weakest: {_fmt(weakest.real)} {_fmt(weakest.imag)} "
           f"verdict: {modes.classification}")
@@ -372,17 +393,11 @@ def cmd_sweep(config: dict, out: Path, workers: int) -> int:
 
 
 def cmd_impedance(config: dict, out: Path, workers: int) -> int:
-    model = _builder_for(config["case"])(config["set"])[config["variant"]]
-    solver_cfg = SolverConfig(**config["solver"])
-    try:
-        result = solve_pss(model, solver_cfg)
-    except MaxIterationsExceeded as exc:
-        _write_csv(out / "scan.csv",
-                   ("f_hz", "diag_re", "diag_im", "mirror_plus_re",
-                    "mirror_plus_im", "mirror_minus_re", "mirror_minus_im",
-                    "singular"), [])
-        print(f"no convergence in {len(exc.residual_history)} iterations",
-              file=sys.stderr)
+    def partial(exc, model, solver_cfg):
+        _write_csv(out / "scan.csv", _SCAN_HEADER, [])
+
+    _, _, result = _solve(config, partial)
+    if result is None:
         return 2
     scan = frequency_scan(result.hss, config["analysis"]["frequencies_hz"],
                           output_index=config["analysis"]["output_index"],
@@ -394,26 +409,21 @@ def cmd_impedance(config: dict, out: Path, workers: int) -> int:
                      scan.mirror_plus[idx].real, scan.mirror_plus[idx].imag,
                      scan.mirror_minus[idx].real, scan.mirror_minus[idx].imag,
                      bool(scan.singular[idx])))
-    _write_csv(out / "scan.csv",
-               ("f_hz", "diag_re", "diag_im", "mirror_plus_re",
-                "mirror_plus_im", "mirror_minus_re", "mirror_minus_im",
-                "singular"), rows)
+    _write_csv(out / "scan.csv", _SCAN_HEADER, rows)
     return 0
 
 
 def cmd_verify(config: dict, out: Path, workers: int) -> int:
-    model = _builder_for(config["case"])(config["set"])[config["variant"]]
-    solver_cfg = SolverConfig(**config["solver"])
     oracle_cfg = config["oracle"]
     report = {"case": config["case"], "variant": config["variant"],
               "tolerance_rms": oracle_cfg["tolerance_rms"]}
-    try:
-        result = solve_pss(model, solver_cfg)
-    except MaxIterationsExceeded as exc:
-        report.update(converged=False, iterations=len(exc.residual_history))
+
+    def partial(exc, model, solver_cfg):
+        report.update(converged=False, iterations=_iterations(exc))
         _write_json(out / "verify_report.json", report)
-        print(f"no convergence in {len(exc.residual_history)} iterations",
-              file=sys.stderr)
+
+    model, _, result = _solve(config, partial)
+    if result is None:
         return 2
     labels = _labels(model)
     period = model.period

@@ -266,19 +266,3 @@ def kicked_response(model: SystemModel, x0, probe: dict, t_end: float,
         step=step, period=model.period, model_name=model.name,
         state_labels=model.state_labels, diverged=leg2.diverged)
 
-
-def write_csv(traj: Trajectory, path: str):
-    """Write a trajectory as CSV: ``t`` column then ``<state>_re, <state>_im``."""
-    labels = traj.state_labels or tuple(
-        f"x{i}" for i in range(traj.states.shape[1]))
-    header = ["t"]
-    for lab in labels:
-        header += [f"{lab}_re", f"{lab}_im"]
-    cols = [traj.times]
-    for i in range(traj.states.shape[1]):
-        cols += [traj.states[:, i].real, traj.states[:, i].imag]
-    data = np.column_stack(cols)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in data:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

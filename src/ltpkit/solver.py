@@ -14,7 +14,7 @@ involved; the input waveform is sampled once and held fixed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack, lu_factor, lu_solve
@@ -28,7 +28,6 @@ from .errors import (
 )
 from .model import SystemModel
 from .spectral import (
-    BlockToeplitz,
     HarmonicGrid,
     SpectralVector,
     build_nblk,
@@ -63,21 +62,10 @@ class SolverConfig:
 
 
 @dataclass
-class StepSnapshot:
-    """Operators assembled for one Newton step (state part only)."""
-
-    a_op: BlockToeplitz
-    f_spectrum: np.ndarray  # (2N+1, n)
-    nblk_diag: np.ndarray   # stacked diagonal of N_blk
-    cond_estimate: float
-
-
-@dataclass
 class SolverResult:
     spectrum: SpectralVector
     waveforms: np.ndarray          # (M, n) reconstructed states over one period
     times: np.ndarray
-    outputs: np.ndarray            # (M, p)
     iterations: int
     residual_history: list
     converged: bool
@@ -86,17 +74,9 @@ class SolverResult:
     elapsed_s: float = 0.0
 
 
-def residual_norm(delta: SpectralVector | np.ndarray, scales: np.ndarray | None = None) -> float:
+def residual_norm(delta: SpectralVector, scales: np.ndarray | None = None) -> float:
     """∞-norm of a spectral update, states divided by their per-unit scales."""
-    if isinstance(delta, SpectralVector):
-        coeffs = delta.coeffs
-    else:
-        coeffs = np.asarray(delta)
-        if coeffs.ndim == 1:
-            if scales is not None:
-                coeffs = coeffs.reshape(-1, scales.size)
-            else:
-                return float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
+    coeffs = delta.coeffs
     if scales is not None:
         coeffs = coeffs / scales
     return float(np.max(np.abs(coeffs)))
@@ -119,46 +99,35 @@ def initial_guess(model: SystemModel, config: SolverConfig) -> SpectralVector:
     return guess
 
 
-def _nblk_diag(n_harmonics: int, n_states: int, omega1: float) -> np.ndarray:
-    ks = np.arange(-n_harmonics, n_harmonics + 1)
-    return np.repeat(1j * ks * omega1, n_states)
-
-
 def _evaluate(model, grid, x_spec, u_samples):
     t = grid.times
     x_t = spectrum_to_samples(x_spec.coeffs, grid.n_samples)
     f_t = model.dynamics(t, x_t, u_samples)
     if not np.all(np.isfinite(f_t)):
         raise DivergedTrajectory("non-finite dynamics along reconstructed trajectory")
-    a_t = model.jac_state(t, x_t, u_samples)
-    return x_t, f_t, a_t
+    return x_t, f_t
 
 
 def newton_step(
     model: SystemModel,
     x_spec: SpectralVector,
     grid: HarmonicGrid,
-    config: SolverConfig | None = None,
-    u_samples: np.ndarray | None = None,
+    config: SolverConfig,
+    u_samples: np.ndarray,
 ):
-    """One Newton update.
+    """One Newton update with the input sampled on ``grid`` as ``u_samples``.
 
-    Returns ``(delta, step_norm, snapshot)`` where ``delta`` solves
+    Returns ``(delta, step_norm)`` where ``delta`` solves
     (N_blk - A) delta = F - N_blk X at the supplied iterate.
     """
-    if config is None:
-        config = SolverConfig(n_harmonics=x_spec.n_harmonics, period=grid.period,
-                              step=grid.step)
-    if u_samples is None:
-        u_samples = np.asarray(model.input_fn(grid.times), dtype=complex)
     n = model.n_states
     big_n = x_spec.n_harmonics
 
-    _, f_t, a_t = _evaluate(model, grid, x_spec, u_samples)
+    x_t, f_t = _evaluate(model, grid, x_spec, u_samples)
     f_spec = samples_to_spectrum(f_t, big_n)
-    a_op = build_toeplitz(a_t, big_n)
+    a_op = build_toeplitz(model.jac_state(grid.times, x_t, u_samples), big_n)
 
-    nvec = _nblk_diag(big_n, n, grid.omega1)
+    nvec = build_nblk(n, big_n, grid.omega1)
     lhs = -a_op.full()
     idx = np.arange(lhs.shape[0])
     lhs[idx, idx] += nvec
@@ -173,27 +142,7 @@ def newton_step(
 
     delta_vec = lu_solve((lu, piv), rhs, check_finite=False)
     delta = SpectralVector.from_stacked(delta_vec, big_n, n)
-    norm = residual_norm(delta, model.state_scales)
-    return delta, norm, StepSnapshot(a_op, f_spec, nvec, cond_est)
-
-
-def _assemble_hss(model, grid, x_spec, u_samples, n_harmonics) -> HssMatrices:
-    t = grid.times
-    x_t = spectrum_to_samples(x_spec.coeffs, grid.n_samples)
-    a_t = model.jac_state(t, x_t, u_samples)
-    b_t = model.jac_input(t, x_t, u_samples)
-    c_t = model.out_jac_state(t, x_t, u_samples)
-    d_t = model.out_jac_input(t, x_t, u_samples)
-    return HssMatrices(
-        a_op=build_toeplitz(a_t, n_harmonics),
-        b_op=build_toeplitz(b_t, n_harmonics),
-        c_op=build_toeplitz(c_t, n_harmonics),
-        d_op=build_toeplitz(d_t, n_harmonics),
-        nblk=build_nblk(model.n_states, n_harmonics, grid.omega1),
-        n_harmonics=n_harmonics,
-        omega1=grid.omega1,
-        state_labels=tuple(model.state_labels),
-    )
+    return delta, residual_norm(delta, model.state_scales)
 
 
 def solve_pss(
@@ -242,7 +191,7 @@ def solve_pss(
     if x.n_harmonics != config.n_harmonics or x.n_states != model.n_states:
         raise UsageError("initial spectrum shape does not match model/config")
 
-    delta, norm, _ = newton_step(model, x, grid, config, u_samples)
+    delta, norm = newton_step(model, x, grid, config, u_samples)
     history = [norm]
     converged = norm <= config.tolerance
 
@@ -251,7 +200,7 @@ def solve_pss(
         halvings = 0
         while True:
             trial = SpectralVector(x.coeffs + lam * delta.coeffs, x.n_harmonics)
-            delta_t, norm_t, _ = newton_step(model, trial, grid, config, u_samples)
+            delta_t, norm_t = newton_step(model, trial, grid, config, u_samples)
             if norm_t <= history[-1] or halvings >= 4:
                 break
             lam *= 0.5
@@ -263,20 +212,18 @@ def solve_pss(
     if not converged:
         raise MaxIterationsExceeded(history, config.tolerance, last_spectrum=x)
 
-    # apply the final (sub-tolerance) correction and evaluate the HSS there
+    # apply the final (sub-tolerance) correction; the HSS linearizes there
     x = SpectralVector(x.coeffs + delta.coeffs, x.n_harmonics)
-    hss = _assemble_hss(model, grid, x, u_samples, config.n_harmonics)
     waveforms = spectrum_to_samples(x.coeffs, grid.n_samples)
-    outputs = np.asarray(model.output(grid.times, waveforms, u_samples), dtype=complex)
     return SolverResult(
         spectrum=x,
         waveforms=waveforms,
         times=grid.times,
-        outputs=outputs,
         iterations=len(history),
         residual_history=history,
         converged=True,
-        hss=hss,
+        hss=HssMatrices(model, grid.times, waveforms, u_samples,
+                        config.n_harmonics, grid.omega1),
         grid=grid,
         elapsed_s=time.perf_counter() - t0,
     )
@@ -296,9 +243,8 @@ def pss_residual(
     """
     if u_samples is None:
         u_samples = np.asarray(model.input_fn(grid.times), dtype=complex)
-    _, f_t, _ = _evaluate(model, grid, x_spec, u_samples)
+    _, f_t = _evaluate(model, grid, x_spec, u_samples)
     f_spec = samples_to_spectrum(f_t, x_spec.n_harmonics)
-    nvec = _nblk_diag(x_spec.n_harmonics, model.n_states, grid.omega1)
-    nx = nvec * x_spec.stacked()
+    nx = build_nblk(model.n_states, x_spec.n_harmonics, grid.omega1) * x_spec.stacked()
     defect = float(np.max(np.abs(nx - f_spec.reshape(-1))))
     return defect, float(np.max(np.abs(nx)))

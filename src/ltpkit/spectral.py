@@ -199,7 +199,8 @@ def build_toeplitz(matrix_samples: np.ndarray, n_harmonics: int) -> BlockToeplit
 
 
 def build_nblk(n_states: int, n_harmonics: int, omega1: float) -> np.ndarray:
-    """Block-diagonal frequency-shift operator: k-th block jkω₁·I_n, k = -N..N."""
+    """Diagonal of the frequency-shift operator N_blk: jkω₁ for each of the
+    n states of harmonic k, k = -N..N, laid out like ``SpectralVector.stacked``.
+    """
     ks = np.arange(-n_harmonics, n_harmonics + 1)
-    diag = np.repeat(1j * ks * omega1, n_states)
-    return np.diag(diag)
+    return np.repeat(1j * ks * omega1, n_states)

@@ -1,10 +1,14 @@
 """HSS eigenvalue analysis, stability classification, harmonic transfer scans."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from ltpkit import (
+    BlockToeplitz,
     SingularAtFrequency,
     SolverConfig,
     UsageError,
@@ -227,3 +231,50 @@ class TestFrequencyScan:
         assert abs(htf_block(h, -2, 0, 2, 2, 4)[1, 0]) > 0.1
         assert abs(htf_block(h, +2, 0, 2, 2, 4)[0, 1]) > 0.1
         assert abs(htf_block(h, -2, 0, 2, 2, 4)[0, 0]) < 1e-10
+
+
+def _counted(model, counts):
+    """Copy of ``model`` whose Jacobian callables count their calls."""
+    def wrap(name):
+        fn = getattr(model, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    names = ("jac_state", "jac_input", "out_jac_state", "out_jac_input")
+    return dataclasses.replace(model, **{name: wrap(name) for name in names})
+
+
+class TestLazyOperators:
+    def test_stability_reads_no_input_or_output_operator(self):
+        def unused(*args):
+            raise AssertionError("stability analysis read an input/output operator")
+
+        model = dataclasses.replace(
+            build_case1()["closed_loop"], jac_input=unused, out_jac_state=unused,
+            out_jac_input=unused, output=unused)
+        modes = mode_set(solve_pss(model).hss)
+        assert modes.classification == "Stable"
+        assert modes.eigenvalues.size == 54
+
+    def test_scan_builds_each_operator_once(self, monkeypatch):
+        counts = Counter()
+        model = _counted(build_case1()["open_loop"], counts)
+        hss = solve_pss(model).hss
+        counts.clear()
+        full_calls = Counter()
+        full = BlockToeplitz.full
+
+        def counted_full(op):
+            full_calls[id(op)] += 1
+            return full(op)
+
+        monkeypatch.setattr(BlockToeplitz, "full", counted_full)
+        scan = frequency_scan(hss, np.geomspace(1.0, 2500.0, 50))
+        assert not scan.singular.any()
+        assert counts == {"jac_state": 1, "jac_input": 1,
+                          "out_jac_state": 1, "out_jac_input": 1}
+        assert len(full_calls) == 4
+        assert set(full_calls.values()) == {1}

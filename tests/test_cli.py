@@ -1,10 +1,12 @@
 """Command-line interface: artifacts, exit codes, config resolution."""
 
+import dataclasses
 import json
 import re
 
 import pytest
 
+from ltpkit import SolverConfig
 from ltpkit.cli import main
 
 
@@ -209,6 +211,22 @@ class TestVerify:
         assert rc == 0
 
 
+class TestSolverFailure:
+    PARTIAL = {"solve": "run_report.json", "eig": "eigenvalues.csv",
+               "impedance": "scan.csv", "verify": "verify_report.json"}
+
+    @pytest.mark.parametrize("command", sorted(PARTIAL))
+    def test_singular_iteration_matrix_exits_2(self, command, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solver": {"cond_limit": 1}}))
+        out = tmp_path / "out"
+        rc = main([command, "--case", "case1", "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "singular" in capsys.readouterr().err
+        assert (out / self.PARTIAL[command]).exists()
+
+
 class TestConfigHandling:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -239,6 +257,7 @@ class TestConfigHandling:
         assert config["case"] == "case2"
         assert config["set"]["alpha_c"] == 170.0
         assert config["solver"]["n_harmonics"] == 4
+        assert config["solver"] == dataclasses.asdict(SolverConfig())
 
         # feeding the dump back must resolve to the identical config
         cfg = tmp_path / "resolved.json"

@@ -180,16 +180,21 @@ class TestBlockToeplitz:
 
 class TestNblk:
     def test_minimal_case(self):
-        n = build_nblk(1, 1, OM1)
-        assert np.allclose(np.diag(n), [-1j * OM1, 0.0, 1j * OM1])
+        d = build_nblk(1, 1, OM1)
+        assert np.allclose(d, [-1j * OM1, 0.0, 1j * OM1])
 
     def test_dimensions_match_benchmarks(self):
-        assert build_nblk(6, 4, OM1).shape == (54, 54)
-        assert build_nblk(18, 4, OM1).shape == (162, 162)
+        assert build_nblk(6, 4, OM1).shape == (54,)
+        assert build_nblk(18, 4, OM1).shape == (162,)
 
     def test_purely_imaginary_multiples(self):
-        n = build_nblk(3, 2, OM1)
-        d = np.diag(n)
+        d = build_nblk(3, 2, OM1)
         assert np.max(np.abs(d.real)) == 0.0
         ratios = d.imag / OM1
         assert np.allclose(ratios, np.round(ratios), atol=1e-12)
+
+    def test_harmonic_major_layout(self):
+        # entry (k+N)*n + i belongs to harmonic k, as in SpectralVector.stacked
+        d = build_nblk(3, 2, OM1)
+        assert np.allclose(d.reshape(5, 3).imag / OM1,
+                           np.repeat(np.arange(-2, 3), 3).reshape(5, 3), atol=1e-12)
