@@ -23,8 +23,7 @@ import numpy as np
 
 from .analysis import frequency_scan, hss_eigenvalues, mode_set, weakest_mode
 from .cases import case_builder
-from .errors import (DivergedTrajectory, MaxIterationsExceeded,
-                     SingularIterationMatrix, UsageError)
+from .errors import SOLVER_ERRORS, MaxIterationsExceeded, UsageError
 from .oracle import compare_waveforms, growth_rate_fit, integrate, \
     kicked_response, last_period
 from .solver import SolverConfig, solve_pss
@@ -277,8 +276,6 @@ def _write_json(path: Path, payload: dict):
 # ---------------------------------------------------------------------------
 # subcommands
 
-_SOLVER_ERRORS = (MaxIterationsExceeded, SingularIterationMatrix,
-                  DivergedTrajectory)
 _SCAN_HEADER = ("f_hz", "diag_re", "diag_im", "mirror_plus_re",
                 "mirror_plus_im", "mirror_minus_re", "mirror_minus_im",
                 "singular")
@@ -296,16 +293,10 @@ def _solve(config: dict, write_partial):
     solver_cfg = SolverConfig(**config["solver"])
     try:
         return model, solver_cfg, solve_pss(model, solver_cfg)
-    except _SOLVER_ERRORS as exc:
+    except SOLVER_ERRORS as exc:
         write_partial(exc, model, solver_cfg)
         print(f"error: {exc}", file=sys.stderr)
         return model, solver_cfg, None
-
-
-def _iterations(exc) -> int | None:
-    """Newton steps recorded before a solver failure (None if not recorded)."""
-    history = getattr(exc, "residual_history", None)
-    return None if history is None else len(history)
 
 
 def cmd_solve(config: dict, out: Path, workers: int) -> int:
@@ -317,8 +308,8 @@ def cmd_solve(config: dict, out: Path, workers: int) -> int:
             _write_spectrum(out / "pss_spectrum.csv", labels, exc.last_spectrum)
             waveforms = spectrum_to_samples(exc.last_spectrum.coeffs, grid.n_samples)
             _write_waveforms(out / "pss_waveforms.csv", grid.times, waveforms, labels)
-        report.update(converged=False, iterations=_iterations(exc),
-                      residual_history=getattr(exc, "residual_history", None),
+        report.update(converged=False, iterations=len(exc.residual_history),
+                      residual_history=exc.residual_history,
                       tolerance=solver_cfg.tolerance, elapsed_s=None)
         _write_json(out / "run_report.json", report)
 
@@ -419,7 +410,7 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
               "tolerance_rms": oracle_cfg["tolerance_rms"]}
 
     def partial(exc, model, solver_cfg):
-        report.update(converged=False, iterations=_iterations(exc))
+        report.update(converged=False, iterations=len(exc.residual_history))
         _write_json(out / "verify_report.json", report)
 
     model, _, result = _solve(config, partial)

@@ -11,19 +11,32 @@ class SingularIterationMatrix(RuntimeError):
     """Newton iteration matrix numerically singular.
 
     Carries the 1-norm condition estimate that tripped the guard.
+    :func:`ltpkit.solver.solve_pss` sets ``iteration`` (1-based index of the
+    Newton step that failed) and ``residual_history`` (step norms of the
+    steps completed before it).
     """
 
-    def __init__(self, cond: float, iteration: int | None = None):
+    iteration: int | None = None
+    residual_history: list | None = None
+
+    def __init__(self, cond: float):
+        super().__init__(cond)
         self.cond = cond
-        self.iteration = iteration
-        where = f" at iteration {iteration}" if iteration is not None else ""
-        super().__init__(
-            f"iteration matrix numerically singular{where} (cond ~ {cond:.3e})"
-        )
+
+    def __str__(self) -> str:
+        where = f" at iteration {self.iteration}" if self.iteration is not None else ""
+        return (f"iteration matrix numerically singular{where} "
+                f"(cond ~ {self.cond:.3e})")
 
 
 class DivergedTrajectory(RuntimeError):
-    """Non-finite values encountered while evaluating a trajectory."""
+    """Non-finite values encountered while evaluating a trajectory.
+
+    When raised by :func:`ltpkit.solver.solve_pss`, ``residual_history``
+    holds the step norms of the Newton steps completed before the failure.
+    """
+
+    residual_history: list | None = None
 
 
 class MaxIterationsExceeded(RuntimeError):
@@ -42,6 +55,10 @@ class MaxIterationsExceeded(RuntimeError):
             f"no convergence in {len(self.residual_history)} iterations "
             f"(last step norm {tail:.3e}, tolerance {tolerance:.1e})"
         )
+
+
+# every failure of a Newton solve; each carries ``residual_history``
+SOLVER_ERRORS = (MaxIterationsExceeded, SingularIterationMatrix, DivergedTrajectory)
 
 
 class SingularAtFrequency(RuntimeError):

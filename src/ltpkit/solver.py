@@ -166,7 +166,8 @@ def solve_pss(
     MaxIterationsExceeded
         carrying the recorded step norms, when tolerance is not met.
     SingularIterationMatrix, DivergedTrajectory
-        on numerical breakdown.
+        on numerical breakdown, carrying the step norms recorded before it
+        (``residual_history``).
 
     Notes
     -----
@@ -191,23 +192,30 @@ def solve_pss(
     if x.n_harmonics != config.n_harmonics or x.n_states != model.n_states:
         raise UsageError("initial spectrum shape does not match model/config")
 
-    delta, norm = newton_step(model, x, grid, config, u_samples)
-    history = [norm]
-    converged = norm <= config.tolerance
-
-    while not converged and len(history) < config.max_iterations:
-        lam = config.damping
-        halvings = 0
-        while True:
-            trial = SpectralVector(x.coeffs + lam * delta.coeffs, x.n_harmonics)
-            delta_t, norm_t = newton_step(model, trial, grid, config, u_samples)
-            if norm_t <= history[-1] or halvings >= 4:
-                break
-            lam *= 0.5
-            halvings += 1
-        x, delta, norm = trial, delta_t, norm_t
+    history = []
+    try:
+        delta, norm = newton_step(model, x, grid, config, u_samples)
         history.append(norm)
         converged = norm <= config.tolerance
+
+        while not converged and len(history) < config.max_iterations:
+            lam = config.damping
+            halvings = 0
+            while True:
+                trial = SpectralVector(x.coeffs + lam * delta.coeffs, x.n_harmonics)
+                delta_t, norm_t = newton_step(model, trial, grid, config, u_samples)
+                if norm_t <= history[-1] or halvings >= 4:
+                    break
+                lam *= 0.5
+                halvings += 1
+            x, delta, norm = trial, delta_t, norm_t
+            history.append(norm)
+            converged = norm <= config.tolerance
+    except (SingularIterationMatrix, DivergedTrajectory) as exc:
+        exc.residual_history = list(history)
+        if isinstance(exc, SingularIterationMatrix):
+            exc.iteration = len(history) + 1
+        raise
 
     if not converged:
         raise MaxIterationsExceeded(history, config.tolerance, last_spectrum=x)

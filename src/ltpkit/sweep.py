@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import hss_eigenvalues, weakest_mode
-from .errors import (DivergedTrajectory, MaxIterationsExceeded,
-                     SingularIterationMatrix, UsageError)
+from .errors import SOLVER_ERRORS, UsageError
 from .solver import SolverConfig, solve_pss
 from .spectral import SpectralVector
 
@@ -78,10 +77,8 @@ def _solve_cell(case_builder, spec: SweepSpec, value1: float, value2: float,
     model = case_builder(overrides)[spec.variant]
     try:
         result = solve_pss(model, spec.solver_config, initial=initial)
-    except MaxIterationsExceeded as exc:
+    except SOLVER_ERRORS as exc:
         return np.nan, np.nan, False, len(exc.residual_history), None
-    except (SingularIterationMatrix, DivergedTrajectory):
-        return np.nan, np.nan, False, 0, None
     weakest = weakest_mode(hss_eigenvalues(result.hss), omega1=result.hss.omega1,
                            n_harmonics=result.hss.n_harmonics)
     return weakest.real, weakest.imag, True, result.iterations, result.spectrum

@@ -1,5 +1,7 @@
 """Shared fixtures: solved benchmark systems (session-scoped, solves are ~1 s)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,18 @@ def conjugate_consistent_state(model, rng, scale=0.3):
         if k not in paired:
             x[k] = complex(x[k].real)
     return x
+
+
+def diverging_after(model, steps):
+    """Copy of ``model`` whose dynamics turn non-finite after ``steps`` calls."""
+    calls = [0]
+
+    def dynamics(t, x, u):
+        calls[0] += 1
+        f = model.dynamics(t, x, u)
+        return f if calls[0] <= steps else np.full_like(f, np.nan)
+
+    return dataclasses.replace(model, dynamics=dynamics)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltpkit import (
     BlockToeplitz,
@@ -13,6 +15,7 @@ from ltpkit import (
     SolverConfig,
     UsageError,
     build_case1,
+    build_case2,
     classify_stability,
     frequency_scan,
     harmonic_transfer_function,
@@ -189,12 +192,31 @@ class TestFrequencyScan:
         assert np.max(np.abs(scan.mirror_minus)) < 1e-13
         assert np.max(np.abs(scan.diag)) > 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_singular_frequency_flagged_not_fatal(self):
         hss = lti_hss([[2j * np.pi * 37.0]], n_harmonics=2)
         scan = frequency_scan(hss, [36.0, 37.0, 38.0])
         assert list(scan.singular) == [False, True, False]
         assert np.isnan(scan.diag[1].real)
         assert np.isfinite(scan.diag[0]) and np.isfinite(scan.diag[2])
+
+    @pytest.mark.parametrize("builder", [build_case1, build_case2])
+    def test_matches_full_matrix_htf(self, builder):
+        params = {"u_gbeta_mag": 0.75, "k_sym_c": 1.4}
+        hss = solve_pss(builder(params)["open_loop"]).hss
+        freqs = np.geomspace(1.0, 2500.0, 20)
+        p, m, n = hss.n_outputs, hss.n_inputs, hss.n_harmonics
+        full = [harmonic_transfer_function(hss, 2j * np.pi * f) for f in freqs]
+        for output_index, input_index in [(0, 0), (1, 0)]:
+            scan = frequency_scan(hss, freqs, output_index, input_index)
+            assert not scan.singular.any()
+            col = n * m + input_index
+            for idx, h in enumerate(full):
+                expect = [htf_block(h, k, 0, p, m, n)[output_index, input_index]
+                          for k in (0, +2, -2)]
+                got = [scan.diag[idx], scan.mirror_plus[idx], scan.mirror_minus[idx]]
+                scale = 1.0 + np.max(np.abs(h[:, col]))
+                assert np.max(np.abs(np.subtract(got, expect))) <= 1e-9 * scale
 
     def test_index_validation(self):
         hss = lti_hss([[-1.0]], n_harmonics=2)
@@ -231,6 +253,41 @@ class TestFrequencyScan:
         assert abs(htf_block(h, -2, 0, 2, 2, 4)[1, 0]) > 0.1
         assert abs(htf_block(h, +2, 0, 2, 2, 4)[0, 1]) > 0.1
         assert abs(htf_block(h, -2, 0, 2, 2, 4)[0, 0]) < 1e-10
+
+
+@st.composite
+def stable_lti_scans(draw):
+    """Random stable LTI system, truncation order, index pair and probes."""
+    n = draw(st.integers(1, 4))
+    parts = st.floats(-100.0, 100.0, allow_nan=False)
+    a = (np.array(draw(st.lists(parts, min_size=n * n, max_size=n * n)))
+         + 1j * np.array(draw(st.lists(parts, min_size=n * n, max_size=n * n))))
+    a = a.reshape(n, n)
+    # shift the spectrum left of Re = -margin: every probe j2πf on the
+    # imaginary axis then stays at least margin away from each HSS eigenvalue
+    margin = draw(st.floats(1.0, 50.0))
+    a -= (np.max(np.linalg.eigvals(a).real) + margin) * np.eye(n)
+    freqs = draw(st.lists(st.floats(-3000.0, 3000.0), min_size=1, max_size=8))
+    return (a, draw(st.integers(2, 3)), draw(st.integers(0, n - 1)),
+            draw(st.integers(0, n - 1)), freqs)
+
+
+class TestScanProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(stable_lti_scans())
+    def test_lti_scan_is_resolvent_entry(self, case):
+        a, n_harmonics, output_index, input_index, freqs = case
+        scan = frequency_scan(lti_hss(a, n_harmonics=n_harmonics), freqs,
+                              output_index, input_index)
+        assert not scan.singular.any()
+        expect = np.array([
+            np.linalg.inv(2j * np.pi * f * np.eye(a.shape[0]) - a)[output_index,
+                                                                  input_index]
+            for f in freqs])
+        scale = 1.0 + np.max(np.abs(expect))
+        assert np.max(np.abs(scan.diag - expect)) <= 1e-9 * scale
+        assert np.max(np.abs(scan.mirror_plus)) <= 1e-9 * scale
+        assert np.max(np.abs(scan.mirror_minus)) <= 1e-9 * scale
 
 
 def _counted(model, counts):

@@ -225,6 +225,10 @@ class TestSolverFailure:
         assert rc == 2
         assert "singular" in capsys.readouterr().err
         assert (out / self.PARTIAL[command]).exists()
+        if command in ("solve", "verify"):
+            report = json.loads((out / self.PARTIAL[command]).read_text())
+            # the guard trips on the first Newton step: none completed
+            assert report["iterations"] == 0
 
 
 class TestConfigHandling:

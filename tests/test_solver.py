@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import diverging_after
 from ltpkit import (
+    DivergedTrajectory,
     MaxIterationsExceeded,
+    SingularIterationMatrix,
     SolverConfig,
     SpectralVector,
     UsageError,
@@ -154,6 +157,21 @@ class TestFailureModes:
         with pytest.raises(MaxIterationsExceeded) as err:
             solve_pss(model, SolverConfig(max_iterations=1, tolerance=1e-12))
         assert len(err.value.residual_history) >= 1
+
+    def test_singular_matrix_carries_history(self):
+        model = build_case1()["closed_loop"]
+        with pytest.raises(SingularIterationMatrix) as err:
+            solve_pss(model, SolverConfig(cond_limit=1.0))
+        assert err.value.iteration == 1
+        assert err.value.residual_history == []
+        assert "at iteration 1" in str(err.value)
+
+    def test_divergence_carries_completed_steps(self):
+        model = diverging_after(build_case2()["closed_loop"], 3)
+        with pytest.raises(DivergedTrajectory) as err:
+            solve_pss(model, SolverConfig(tolerance=1e-13))
+        assert len(err.value.residual_history) == 3
+        assert all(np.isfinite(err.value.residual_history))
 
     def test_unstable_point_still_converges(self):
         # frequency-domain iteration reaches the PSS even where time marching

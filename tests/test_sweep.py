@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import diverging_after
 from ltpkit import (
     SolverConfig,
     SweepAxis,
@@ -106,6 +107,20 @@ class TestRunSweep:
         assert not result.region.any()
         with pytest.raises(UsageError):
             extract_region(result)
+
+    def test_failed_cells_count_completed_steps(self):
+        # a cell whose trajectory diverges after two Newton steps records
+        # those two steps, like a cell that runs out of iterations
+        def builder(overrides):
+            model = build_case1(overrides)["closed_loop"]
+            return {"closed_loop": diverging_after(model, 2)}
+
+        spec = SweepSpec(SweepAxis("alpha_pll", (20.0,)),
+                         SweepAxis("u_gbeta_mag", (0.0, 0.3)),
+                         solver_config=SolverConfig(tolerance=1e-13))
+        result = run_sweep(builder, spec)
+        assert not result.converged.any()
+        assert result.iterations.tolist() == [[2, 2]]
 
 
 class TestRegion:
