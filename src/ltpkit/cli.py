@@ -310,7 +310,7 @@ def cmd_solve(config: dict, out: Path, workers: int) -> int:
             _write_waveforms(out / "pss_waveforms.csv", grid.times, waveforms, labels)
         report.update(converged=False, iterations=len(exc.residual_history),
                       residual_history=exc.residual_history,
-                      tolerance=solver_cfg.tolerance, elapsed_s=None)
+                      tolerance=solver_cfg.tolerance, elapsed_s=exc.elapsed_s)
         _write_json(out / "run_report.json", report)
 
     model, solver_cfg, result = _solve(config, partial)
@@ -361,10 +361,11 @@ def cmd_sweep(config: dict, out: Path, workers: int) -> int:
             trait_rows.append((v1, v2, result.re_weakest[i, j],
                                result.im_weakest[i, j],
                                bool(result.converged[i, j]),
-                               int(result.iterations[i, j])))
+                               int(result.iterations[i, j]),
+                               result.failure[i, j]))
     _write_csv(out / "trait.csv",
                ("param1", "param2", "re_weakest", "im_weakest",
-                "converged", "iterations"), trait_rows)
+                "converged", "iterations", "failure"), trait_rows)
     if not np.any(result.converged):
         _write_csv(out / "region.csv", ("param1", "param2", "unstable"), [])
         _write_csv(out / "boundary.csv",
@@ -506,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override a case parameter (repeatable)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--workers", type=int, default=1,
-                       help="sweep worker threads")
+                       help="sweep worker processes")
         p.add_argument("--dump-config", action="store_true",
                        help="print the fully resolved config and exit")
     return parser

@@ -12,12 +12,13 @@ class SingularIterationMatrix(RuntimeError):
 
     Carries the 1-norm condition estimate that tripped the guard.
     :func:`ltpkit.solver.solve_pss` sets ``iteration`` (1-based index of the
-    Newton step that failed) and ``residual_history`` (step norms of the
-    steps completed before it).
+    Newton step that failed), ``residual_history`` (step norms of the
+    steps completed before it) and ``elapsed_s``.
     """
 
     iteration: int | None = None
     residual_history: list | None = None
+    elapsed_s: float | None = None
 
     def __init__(self, cond: float):
         super().__init__(cond)
@@ -33,18 +34,24 @@ class DivergedTrajectory(RuntimeError):
     """Non-finite values encountered while evaluating a trajectory.
 
     When raised by :func:`ltpkit.solver.solve_pss`, ``residual_history``
-    holds the step norms of the Newton steps completed before the failure.
+    holds the step norms of the Newton steps completed before the failure
+    and ``elapsed_s`` the seconds the solve ran.
     """
 
     residual_history: list | None = None
+    elapsed_s: float | None = None
 
 
 class MaxIterationsExceeded(RuntimeError):
     """Newton failed to reach tolerance within the iteration budget.
 
     ``residual_history`` holds the step norms recorded before giving up;
-    ``last_spectrum`` the final (non-converged) iterate for inspection.
+    ``last_spectrum`` the final (non-converged) iterate for inspection;
+    ``elapsed_s`` the seconds the solve ran (set by
+    :func:`ltpkit.solver.solve_pss`).
     """
+
+    elapsed_s: float | None = None
 
     def __init__(self, residual_history, tolerance: float, last_spectrum=None):
         self.residual_history = list(residual_history)
@@ -57,7 +64,8 @@ class MaxIterationsExceeded(RuntimeError):
         )
 
 
-# every failure of a Newton solve; each carries ``residual_history``
+# every failure of a Newton solve; each carries ``residual_history`` and
+# ``elapsed_s``
 SOLVER_ERRORS = (MaxIterationsExceeded, SingularIterationMatrix, DivergedTrajectory)
 
 

@@ -21,6 +21,7 @@ from scipy.linalg import lapack, lu_factor, lu_solve
 
 from .analysis import HssMatrices
 from .errors import (
+    SOLVER_ERRORS,
     DivergedTrajectory,
     MaxIterationsExceeded,
     SingularIterationMatrix,
@@ -169,6 +170,9 @@ def solve_pss(
         on numerical breakdown, carrying the step norms recorded before it
         (``residual_history``).
 
+    Every one of these failures also carries ``elapsed_s``, the seconds
+    spent in this call up to the failure.
+
     Notes
     -----
     Convergence is declared when the ∞-norm of the per-unit-scaled update
@@ -211,14 +215,14 @@ def solve_pss(
             x, delta, norm = trial, delta_t, norm_t
             history.append(norm)
             converged = norm <= config.tolerance
-    except (SingularIterationMatrix, DivergedTrajectory) as exc:
+        if not converged:
+            raise MaxIterationsExceeded(history, config.tolerance, last_spectrum=x)
+    except SOLVER_ERRORS as exc:
         exc.residual_history = list(history)
+        exc.elapsed_s = time.perf_counter() - t0
         if isinstance(exc, SingularIterationMatrix):
             exc.iteration = len(history) + 1
         raise
-
-    if not converged:
-        raise MaxIterationsExceeded(history, config.tolerance, last_spectrum=x)
 
     # apply the final (sub-tolerance) correction; the HSS linearizes there
     x = SpectralVector(x.coeffs + delta.coeffs, x.n_harmonics)

@@ -9,7 +9,8 @@ for any worker count or scheduling.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import contextlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,13 +56,20 @@ class SweepResult:
 
     ``region`` marks confirmed-unstable cells (converged and Re > 0);
     non-converged cells carry NaN and are excluded from the region.
+    ``failure`` names the solver error of each non-converged cell
+    (``MaxIterationsExceeded``, ``SingularIterationMatrix`` or
+    ``DivergedTrajectory``) and is ``""`` where the cell converged.
     """
 
     spec: SweepSpec
     re_weakest: np.ndarray
     im_weakest: np.ndarray
-    converged: np.ndarray
     iterations: np.ndarray
+    failure: np.ndarray
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.failure == ""
 
     @property
     def region(self) -> np.ndarray:
@@ -71,6 +79,11 @@ class SweepResult:
 
 def _solve_cell(case_builder, spec: SweepSpec, value1: float, value2: float,
                 initial: SpectralVector | None):
+    """``(re, im, iterations, spectrum, failure)`` of one grid cell.
+
+    ``failure`` is the class name of the solver error that stopped the cell,
+    ``""`` when it converged.
+    """
     overrides = dict(spec.base_params)
     overrides[spec.axis1.name] = value1
     overrides[spec.axis2.name] = value2
@@ -78,10 +91,42 @@ def _solve_cell(case_builder, spec: SweepSpec, value1: float, value2: float,
     try:
         result = solve_pss(model, spec.solver_config, initial=initial)
     except SOLVER_ERRORS as exc:
-        return np.nan, np.nan, False, len(exc.residual_history), None
+        return np.nan, np.nan, len(exc.residual_history), None, type(exc).__name__
     weakest = weakest_mode(hss_eigenvalues(result.hss), omega1=result.hss.omega1,
                            n_harmonics=result.hss.n_harmonics)
-    return weakest.real, weakest.imag, True, result.iterations, result.spectrum
+    return weakest.real, weakest.imag, result.iterations, result.spectrum, ""
+
+
+# (case_builder, spec) of the sweep a forked pool process serves; set by the
+# pool initializer, so only in pool processes
+_pool_sweep = None
+
+
+def _bind_pool_sweep(case_builder, spec):
+    global _pool_sweep
+    _pool_sweep = (case_builder, spec)
+
+
+def _solve_pool_cell(task):
+    return _solve_cell(*_pool_sweep, *task)
+
+
+def _forked_pool(case_builder, spec: SweepSpec, processes: int):
+    """Process pool whose workers inherit ``(case_builder, spec)`` by fork.
+
+    Forked workers receive the initializer arguments without pickling, so
+    closures and builders loaded from ``.py`` model files work; each task
+    carries only its two parameter values and its warm-start spectrum.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise UsageError("workers > 1 needs the 'fork' start method, "
+                         "which this platform does not provide")
+    return ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_bind_pool_sweep,
+                               initargs=(case_builder, spec))
 
 
 def _warm_start(spectra, i, j, n_cols):
@@ -100,17 +145,22 @@ def run_sweep(case_builder, spec: SweepSpec, workers: int = 1) -> SweepResult:
     ----------
     case_builder : callable
         Takes a parameter-override dict, returns the model dict
-        (``build_case1``/``build_case2``).
+        (``build_case1``/``build_case2``).  It need not be picklable.
     spec : SweepSpec
         Grid, base overrides, solver configuration, model variant.
     workers : int
-        Thread count for cells within a row (rows stay sequential so the
-        warm-start chain is schedule independent).
+        Processes for the cells of a row.  With ``p = min(workers, columns)``
+        above one, a pool of ``p - 1`` processes is forked once per sweep and
+        the calling process solves the last ``columns // p`` cells of each
+        row while the pool solves the others.  Rows stay sequential and each
+        cell warm-starts only from finished rows, so results do not depend
+        on the worker count.
 
     Returns
     -------
     SweepResult
-        Per-cell weakest eigenvalue, convergence flag, iteration count.
+        Per-cell weakest eigenvalue, convergence flag, iteration count and
+        failure reason.
     """
     if workers < 1:
         raise UsageError("workers must be >= 1")
@@ -125,28 +175,25 @@ def run_sweep(case_builder, spec: SweepSpec, workers: int = 1) -> SweepResult:
     n_rows, n_cols = len(spec.axis1.values), len(spec.axis2.values)
     re_w = np.full((n_rows, n_cols), np.nan)
     im_w = np.full((n_rows, n_cols), np.nan)
-    conv = np.zeros((n_rows, n_cols), dtype=bool)
     iters = np.zeros((n_rows, n_cols), dtype=int)
+    failure = np.full((n_rows, n_cols), "", dtype=object)
     spectra = [[None] * n_cols for _ in range(n_rows)]
 
-    for i, value1 in enumerate(spec.axis1.values):
-        starts = [_warm_start(spectra, i, j, n_cols) for j in range(n_cols)]
-
-        def cell(j, _v1=value1, _starts=starts):
-            return _solve_cell(case_builder, spec, _v1,
-                               spec.axis2.values[j], _starts[j])
-
-        if workers == 1 or n_cols == 1:
-            rows = [cell(j) for j in range(n_cols)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(cell, range(n_cols)))
-        for j, (re_v, im_v, ok, n_it, spectrum) in enumerate(rows):
-            re_w[i, j], im_w[i, j] = re_v, im_v
-            conv[i, j], iters[i, j] = ok, n_it
-            spectra[i][j] = spectrum
+    processes = min(workers, n_cols)
+    # the pool solves the first `split` cells of a row while the calling
+    # process solves the rest instead of idling
+    split = n_cols - n_cols // processes
+    with (_forked_pool(case_builder, spec, processes - 1) if processes > 1
+          else contextlib.nullcontext()) as pool:
+        for i, value1 in enumerate(spec.axis1.values):
+            tasks = [(value1, value2, _warm_start(spectra, i, j, n_cols))
+                     for j, value2 in enumerate(spec.axis2.values)]
+            pooled = pool.map(_solve_pool_cell, tasks[:split]) if pool else ()
+            own = [_solve_cell(case_builder, spec, *task) for task in tasks[split:]]
+            for j, cell in enumerate(itertools.chain(pooled, own)):
+                re_w[i, j], im_w[i, j], iters[i, j], spectra[i][j], failure[i, j] = cell
     return SweepResult(spec=spec, re_weakest=re_w, im_weakest=im_w,
-                       converged=conv, iterations=iters)
+                       iterations=iters, failure=failure)
 
 
 def _cross(p_a, p_b, z_a, z_b):

@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +70,7 @@ class TestSolve:
         assert rc == 2
         report = json.loads((tmp_path / "run_report.json").read_text())
         assert report["converged"] is False
+        assert isinstance(report["elapsed_s"], float)
         assert "no convergence" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -130,9 +135,10 @@ class TestSweep:
         assert rc == 0
         _, rows = read_csv(tmp_path / "trait.csv")
         assert len(rows) == 1
-        p1, p2, re_w, im_w, converged, iters = rows[0]
+        p1, p2, re_w, im_w, converged, iters, failure = rows[0]
         assert (float(p1), float(p2)) == (20.0, 1.0)
         assert converged == "true"
+        assert failure == ""
 
         rc2, match = TestEig().run_eig(["--case", "case1"], tmp_path, capsys)
         assert rc2 == 0
@@ -153,6 +159,39 @@ class TestSweep:
         header, rows = read_csv(tmp_path / "boundary.csv")
         assert header == ["param1_a", "param2_a", "param1_b", "param2_b"]
         assert len(rows) >= 1   # (150, 2.8) is unstable, the other corners not
+
+    def test_model_file_sweep_independent_of_workers(self, tmp_path):
+        # a builder loaded from a model file cannot be pickled; forked pool
+        # processes inherit it
+        model = tmp_path / "model.py"
+        model.write_text("from ltpkit import build_case1\n\n\n"
+                         "def build(overrides):\n"
+                         "    return build_case1(overrides)\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {
+            "axis1": {"name": "alpha_pll", "values": [10.0, 20.0]},
+            "axis2": {"name": "u_gbeta_mag", "values": [0.0, 0.2, 0.4]}}}))
+        trait = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            rc = main(["sweep", "--case", str(model), "--config", str(cfg),
+                       "--workers", workers, "--out", str(out)])
+            assert rc == 0
+            trait[workers] = (out / "trait.csv").read_bytes()
+        assert trait["1"] == trait["2"]
+        _, rows = read_csv(tmp_path / "workers1" / "trait.csv")
+        assert [row[4] for row in rows] == ["true"] * 6
+
+    def test_cli_import_loads_no_multiprocessing(self):
+        import ltpkit
+
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ltpkit.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ltpkit.cli; print('multiprocessing' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestImpedance:
@@ -229,6 +268,8 @@ class TestSolverFailure:
             report = json.loads((out / self.PARTIAL[command]).read_text())
             # the guard trips on the first Newton step: none completed
             assert report["iterations"] == 0
+        if command == "solve":
+            assert isinstance(report["elapsed_s"], float)
 
 
 class TestConfigHandling:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ltpkit.sweep
 from conftest import diverging_after
 from ltpkit import (
     SolverConfig,
@@ -30,8 +31,8 @@ def manual_result(re_grid, converged=None, v1=None, v2=None):
         converged = np.ones_like(re_grid, dtype=bool)
     return SweepResult(spec=spec, re_weakest=re_grid,
                        im_weakest=np.zeros_like(re_grid),
-                       converged=np.asarray(converged, dtype=bool),
-                       iterations=np.ones_like(re_grid, dtype=int))
+                       iterations=np.ones_like(re_grid, dtype=int),
+                       failure=np.where(converged, "", "MaxIterationsExceeded"))
 
 
 class TestAxes:
@@ -79,12 +80,70 @@ class TestRunSweep:
             SweepAxis("u_gbeta_mag", (0.0, 0.25, 0.5)),
         )
         serial = run_sweep(build_case1, spec, workers=1)
-        threaded = run_sweep(build_case1, spec, workers=3)
-        np.testing.assert_array_equal(serial.converged, threaded.converged)
-        np.testing.assert_array_equal(serial.re_weakest, threaded.re_weakest)
-        np.testing.assert_array_equal(serial.im_weakest, threaded.im_weakest)
-        np.testing.assert_array_equal(serial.iterations, threaded.iterations)
+        pooled = run_sweep(build_case1, spec, workers=3)
+        np.testing.assert_array_equal(serial.converged, pooled.converged)
+        np.testing.assert_array_equal(serial.re_weakest, pooled.re_weakest)
+        np.testing.assert_array_equal(serial.im_weakest, pooled.im_weakest)
+        np.testing.assert_array_equal(serial.iterations, pooled.iterations)
+        np.testing.assert_array_equal(serial.failure, pooled.failure)
         assert serial.converged.all()
+        assert (serial.failure == "").all()
+
+    def test_pool_never_larger_than_a_row(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            # runs the tasks in this process; records the requested size
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(ltpkit.sweep, "_pool_sweep", None)
+        three = SweepSpec(SweepAxis("alpha_pll", (20.0,)),
+                          SweepAxis("u_gbeta_mag", (0.0, 0.1, 0.2)))
+        assert run_sweep(build_case1, three, workers=64).converged.all()
+        assert sizes == [2]   # the calling process solves the third cell
+        one = SweepSpec(SweepAxis("alpha_pll", (20.0, 25.0)),
+                        SweepAxis("u_gbeta_mag", (0.0,)))
+        assert run_sweep(build_case1, one, workers=64).converged.all()
+        assert sizes == [2]   # a single column needs no pool
+
+    def test_calling_process_solves_its_share(self, monkeypatch):
+        solved = []
+        solve_cell = ltpkit.sweep._solve_cell
+
+        def recording_solve_cell(case_builder, spec, value1, value2, initial):
+            solved.append((value1, value2))
+            return solve_cell(case_builder, spec, value1, value2, initial)
+
+        # forked pool processes record into their own copy of `solved`
+        monkeypatch.setattr(ltpkit.sweep, "_solve_cell", recording_solve_cell)
+        spec = SweepSpec(SweepAxis("alpha_pll", (15.0, 20.0)),
+                         SweepAxis("u_gbeta_mag", (0.0, 0.1, 0.2)))
+        assert run_sweep(build_case1, spec, workers=2).converged.all()
+        assert solved == [(15.0, 0.2), (20.0, 0.2)]
+
+    def test_pool_needs_fork(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        spec = SweepSpec(SweepAxis("alpha_pll", (20.0,)),
+                         SweepAxis("u_gbeta_mag", (0.0, 0.1)))
+        with pytest.raises(UsageError, match="fork"):
+            run_sweep(build_case1, spec, workers=2)
+        assert run_sweep(build_case1, spec, workers=1).converged.all()
 
     def test_warm_start_reduces_iterations(self):
         spec = SweepSpec(
@@ -103,14 +162,17 @@ class TestRunSweep:
         )
         result = run_sweep(build_case1, spec)
         assert not result.converged.any()
+        assert result.failure.tolist() == [["MaxIterationsExceeded"] * 2]
         assert np.isnan(result.re_weakest).all()
         assert not result.region.any()
         with pytest.raises(UsageError):
             extract_region(result)
 
-    def test_failed_cells_count_completed_steps(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_cells_count_completed_steps(self, workers):
         # a cell whose trajectory diverges after two Newton steps records
-        # those two steps, like a cell that runs out of iterations
+        # those two steps, like a cell that runs out of iterations; the
+        # builder is a closure, which a process pool cannot pickle
         def builder(overrides):
             model = build_case1(overrides)["closed_loop"]
             return {"closed_loop": diverging_after(model, 2)}
@@ -118,9 +180,10 @@ class TestRunSweep:
         spec = SweepSpec(SweepAxis("alpha_pll", (20.0,)),
                          SweepAxis("u_gbeta_mag", (0.0, 0.3)),
                          solver_config=SolverConfig(tolerance=1e-13))
-        result = run_sweep(builder, spec)
+        result = run_sweep(builder, spec, workers=workers)
         assert not result.converged.any()
         assert result.iterations.tolist() == [[2, 2]]
+        assert result.failure.tolist() == [["DivergedTrajectory"] * 2]
 
 
 class TestRegion:
