@@ -23,6 +23,9 @@ from .spectral import BlockToeplitz, build_nblk, build_toeplitz
 
 # an HTF probe closer than this many ω₁ to an HSS eigenvalue is singular
 _SINGULAR_GUARD = 1e-8
+# the HSS spectrum comes from the real part of its similar form W when
+# max|Im W| is at most this share of max|W| (see HssMatrices.eigenvalues)
+REAL_FORM_TOL = 1e-13
 
 
 def _read_only(matrix: np.ndarray) -> np.ndarray:
@@ -110,6 +113,69 @@ class HssMatrices:
         """A_toeplitz - N_blk, whose eigenvalues decide small-signal stability."""
         return self._stability
 
+    @cached_property
+    def partner(self) -> np.ndarray:
+        """Index of the conjugate partner of each HSS coordinate.
+
+        Coordinate (k, i), harmonic k of state i at (k + N)·n + i, pairs with
+        (−k, σ(i)), where σ swaps the two states of each
+        ``model.conjugate_pairs`` entry and fixes unpaired states.  When the
+        model is conjugate-symmetric, the stability matrix H satisfies
+        H[p(a), p(b)] = conj(H[a, b]).
+        """
+        sigma = np.arange(self.n_states)
+        for i, j in self.model.conjugate_pairs:
+            sigma[i], sigma[j] = j, i
+        rows = np.arange(2 * self.n_harmonics, -1, -1)[:, None] * self.n_states
+        return _read_only((rows + sigma).reshape(-1))
+
+    @cached_property
+    def _spectrum(self) -> tuple:
+        w = _similar_form(self._stability, self.partner)
+        scale = float(np.max(np.abs(w)))
+        defect = float(np.max(np.abs(w.imag))) / scale if scale > 0.0 else 0.0
+        eigs = scipy.linalg.eigvals(w.real if defect <= REAL_FORM_TOL else w)
+        order = np.lexsort((eigs.imag, -eigs.real))
+        return _read_only(eigs[order]), defect
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Spectrum of the stability matrix, sorted by descending real part
+        (ties by ascending imaginary part); computed once, read-only.
+
+        The eigen-solve runs on W = Tᴴ H T, unitarily similar to H.  The
+        columns of T are e_f for each coordinate that is its own
+        :attr:`partner`, and (e_a + e_b)/√2 and i(e_a − e_b)/√2 for each
+        partner pair (a, b).  A conjugate-symmetric H makes W real; then the
+        real eigen-solver runs on Re W and returns exact conjugate pairs.
+        Otherwise (complex LTI models, for instance) W itself is solved.
+        """
+        return self._spectrum[0]
+
+    @property
+    def symmetry_defect(self) -> float:
+        """max|Im W| / max|W| of the similar form behind :attr:`eigenvalues`."""
+        return self._spectrum[1]
+
+    @property
+    def real_form(self) -> bool:
+        """Whether :attr:`eigenvalues` came from the real eigen-solver."""
+        return self.symmetry_defect <= REAL_FORM_TOL
+
+
+def _similar_form(h: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """Tᴴ h T for the unitary T of :attr:`HssMatrices.eigenvalues`, by
+    gathers and sums rather than matrix products."""
+    idx = np.arange(partner.size)
+    fixed = idx[partner == idx]
+    a = idx[idx < partner]
+    b = partner[a]
+    r = np.sqrt(0.5)
+    g = np.concatenate((h[:, fixed], r * (h[:, a] + h[:, b]),
+                        1j * r * (h[:, a] - h[:, b])), axis=1)
+    return np.concatenate((g[fixed], r * (g[a] + g[b]),
+                           -1j * r * (g[a] - g[b])), axis=0)
+
 
 @dataclass
 class ModeSet:
@@ -122,10 +188,9 @@ class ModeSet:
 
 
 def hss_eigenvalues(hss: HssMatrices) -> np.ndarray:
-    """All eigenvalues of the HSS dynamics, sorted by descending real part."""
-    eigs = scipy.linalg.eigvals(hss.stability_matrix())
-    order = np.lexsort((eigs.imag, -eigs.real))
-    return eigs[order]
+    """All eigenvalues of the HSS dynamics, sorted by descending real part
+    (see :attr:`HssMatrices.eigenvalues`)."""
+    return hss.eigenvalues
 
 
 def interior_modes(eigenvalues: np.ndarray, omega1: float,
@@ -202,9 +267,8 @@ def harmonic_transfer_function(hss: HssMatrices, s: complex,
 
     Block (k, l) maps an input modulation at s + jlω₁ to the output component
     at s + jkω₁.  Raises SingularAtFrequency when s falls within
-    ``guard``·ω₁ of an HSS eigenvalue.  Each call refactors the spectrum and
-    solves for every input column; :func:`frequency_scan` is the fast path
-    for many frequencies.
+    ``guard``·ω₁ of an HSS eigenvalue.  Each call solves for every input
+    column; :func:`frequency_scan` is the fast path for many frequencies.
     """
     dist = float(np.min(np.abs(hss_eigenvalues(hss) - s)))
     if dist < guard * hss.omega1:

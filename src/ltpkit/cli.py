@@ -16,10 +16,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .analysis import frequency_scan, hss_eigenvalues, mode_set, weakest_mode
 from .cases import case_builder
@@ -267,6 +269,15 @@ def _write_waveforms(path: Path, times, waveforms, labels):
     _write_csv(path, header, rows)
 
 
+def _environment() -> dict:
+    """Library versions and BLAS thread settings (unset variables are None):
+    the numbers in an artifact depend on both."""
+    env = {"numpy": np.__version__, "scipy": scipy.__version__}
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = os.environ.get(name)
+    return env
+
+
 def _write_json(path: Path, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -300,7 +311,8 @@ def _solve(config: dict, write_partial):
 
 
 def cmd_solve(config: dict, out: Path, workers: int) -> int:
-    report = {"case": config["case"], "variant": config["variant"]}
+    report = {"case": config["case"], "variant": config["variant"],
+              "environment": _environment()}
 
     def partial(exc, model, solver_cfg):
         if isinstance(exc, MaxIterationsExceeded):
@@ -408,6 +420,7 @@ def cmd_impedance(config: dict, out: Path, workers: int) -> int:
 def cmd_verify(config: dict, out: Path, workers: int) -> int:
     oracle_cfg = config["oracle"]
     report = {"case": config["case"], "variant": config["variant"],
+              "environment": _environment(),
               "tolerance_rms": oracle_cfg["tolerance_rms"]}
 
     def partial(exc, model, solver_cfg):
@@ -424,6 +437,8 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
     unstable = weakest.real > 0.0
     report.update(converged=True, iterations=result.iterations,
                   weakest=[weakest.real, weakest.imag],
+                  hss_symmetry_defect=result.hss.symmetry_defect,
+                  hss_real_form=result.hss.real_form,
                   solver_verdict="Unstable" if unstable else "Stable")
     checks = []
 

@@ -60,6 +60,9 @@ class SystemModel:
         for i, j in self.conjugate_pairs:
             if not (0 <= i < self.n_states and 0 <= j < self.n_states):
                 raise UsageError(f"conjugate pair ({i}, {j}) out of range")
+        paired = [k for pair in self.conjugate_pairs for k in set(pair)]
+        if len(paired) != len(set(paired)):
+            raise UsageError("a state appears in more than one conjugate pair")
         scales = self.state_scales
         if scales is None:
             scales = np.ones(self.n_states)

@@ -8,6 +8,7 @@ operator so that products with the state band stay exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,10 +104,18 @@ class SpectralVector:
         return worst
 
 
-def _phase_matrix(harmonics: np.ndarray, m_samples: int, sign: float) -> np.ndarray:
-    # exp(sign * 2πi * k * m / M) laid out (len(harmonics), M)
+@functools.lru_cache(maxsize=16)
+def _phase_matrix(n_harmonics: int, m_samples: int, sign: float) -> np.ndarray:
+    """DFT matrix exp(sign·2πi·k·m/M), k = -N..N by m = 0..M-1, read-only.
+
+    Cached because every transform of a solve, sweep or scan reuses the same
+    few (N, M) grids.
+    """
+    ks = np.arange(-n_harmonics, n_harmonics + 1)
     m = np.arange(m_samples)
-    return np.exp(sign * 2j * np.pi * np.outer(harmonics, m) / m_samples)
+    phase = np.exp(sign * 2j * np.pi * np.outer(ks, m) / m_samples)
+    phase.flags.writeable = False
+    return phase
 
 
 def samples_to_spectrum(samples: np.ndarray, n_harmonics: int) -> np.ndarray:
@@ -122,8 +131,7 @@ def samples_to_spectrum(samples: np.ndarray, n_harmonics: int) -> np.ndarray:
         raise UsageError(
             f"{m} samples cannot resolve harmonics to order {n_harmonics} cleanly"
         )
-    ks = np.arange(-n_harmonics, n_harmonics + 1)
-    ph = _phase_matrix(ks, m, -1.0)
+    ph = _phase_matrix(n_harmonics, m, -1.0)
     flat = samples.reshape(m, -1)
     coeffs = (ph @ flat) / m
     return coeffs.reshape((2 * n_harmonics + 1,) + samples.shape[1:])
@@ -135,8 +143,7 @@ def spectrum_to_samples(coeffs: np.ndarray, m_samples: int) -> np.ndarray:
     n_harmonics = (coeffs.shape[0] - 1) // 2
     if coeffs.shape[0] != 2 * n_harmonics + 1:
         raise UsageError("first axis must have odd length 2N+1")
-    ks = np.arange(-n_harmonics, n_harmonics + 1)
-    ph = _phase_matrix(ks, m_samples, +1.0).T  # (M, 2N+1)
+    ph = _phase_matrix(n_harmonics, m_samples, +1.0).T  # (M, 2N+1)
     flat = coeffs.reshape(coeffs.shape[0], -1)
     out = ph @ flat
     return out.reshape((m_samples,) + coeffs.shape[1:])

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from ltpkit import (
     solve_pss,
     weakest_mode,
 )
+from ltpkit.analysis import REAL_FORM_TOL
 
 OM1 = 2.0 * np.pi * 50.0
 
@@ -64,6 +66,75 @@ class TestEigenvalues:
     def test_hss_dimensions(self, case1_balanced, case2_default):
         assert case1_balanced[1].hss.dim == 54        # (2*4+1) * 6
         assert case2_default[1].hss.dim == 162        # (2*4+1) * 18
+
+
+def multiset_gap(a, b):
+    """Largest distance between the two spectra under the best matching."""
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return float(np.max(cost[rows, cols]))
+
+
+SOLVED = ["case1_balanced", "case1_unbalanced", "case2_default", "case2_unbalanced"]
+
+
+class TestRealForm:
+    @pytest.mark.parametrize("solved", SOLVED)
+    def test_matches_complex_eigen_solve(self, solved, request):
+        hss = request.getfixturevalue(solved)[1].hss
+        assert hss.real_form
+        h = hss.stability_matrix()
+        gap = multiset_gap(hss_eigenvalues(hss), scipy.linalg.eigvals(h))
+        assert gap <= 1e-9 * np.max(np.abs(h))
+
+    @pytest.mark.parametrize("solved", SOLVED)
+    def test_weakest_mode_unchanged(self, solved, request):
+        hss = request.getfixturevalue(solved)[1].hss
+        ref = scipy.linalg.eigvals(hss.stability_matrix())
+        expect = weakest_mode(ref, omega1=hss.omega1, n_harmonics=hss.n_harmonics)
+        got = mode_set(hss).weakest
+        assert abs(got - expect) <= 1e-10 * (1.0 + abs(expect))
+
+    @pytest.mark.parametrize("solved", SOLVED)
+    def test_spectrum_closed_under_conjugation(self, solved, request):
+        eigs = hss_eigenvalues(request.getfixturevalue(solved)[1].hss)
+        assert np.array_equal(np.sort_complex(eigs), np.sort_complex(eigs.conj()))
+
+    def test_partner_is_the_conjugate_symmetry(self, case1_unbalanced):
+        hss = case1_unbalanced[1].hss
+        p = hss.partner
+        assert np.array_equal(p[p], np.arange(hss.dim))
+        h = hss.stability_matrix()
+        assert np.max(np.abs(h[np.ix_(p, p)] - h.conj())) <= 1e-12 * np.max(np.abs(h))
+
+    def test_complex_model_solves_complex_form(self):
+        hss = lti_hss([[-3.0, 1.0], [0.0, -7.0 + 2.0j]], n_harmonics=2)
+        assert not hss.real_form
+        assert hss.symmetry_defect > REAL_FORM_TOL
+        h = hss.stability_matrix()
+        gap = multiset_gap(hss_eigenvalues(hss), scipy.linalg.eigvals(h))
+        assert gap <= 1e-9 * np.max(np.abs(h))
+
+    def test_eigenvalues_read_only(self):
+        eigs = hss_eigenvalues(lti_hss([[-3.0]], n_harmonics=1))
+        with pytest.raises(ValueError):
+            eigs[0] = 0.0
+
+    def test_one_eigen_solve_per_hss(self, monkeypatch):
+        hss = lti_hss([[-30.0, 10.0], [0.0, -80.0]], n_harmonics=2)
+        calls = []
+        eigvals = scipy.linalg.eigvals
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvals(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", counted)
+        for f_hz in (3.0, 11.0, 90.0):
+            harmonic_transfer_function(hss, 2j * np.pi * f_hz)
+        mode_set(hss)
+        assert hss_eigenvalues(hss) is hss.eigenvalues
+        assert len(calls) == 1
 
 
 class TestWeakestMode:

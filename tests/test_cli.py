@@ -8,10 +8,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from ltpkit import SolverConfig
 from ltpkit.cli import main
+
+
+def assert_environment(report, environ):
+    env = report["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["scipy"] == scipy.__version__
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert env[name] == environ.get(name)
 
 
 def read_csv(path):
@@ -22,11 +32,16 @@ def read_csv(path):
 
 
 class TestSolve:
-    def test_defaults_write_artifacts(self, tmp_path):
+    def test_defaults_write_artifacts(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         assert main(["solve", "--case", "case1", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "run_report.json").read_text())
         assert report["converged"] is True
         assert report["case"] == "case1"
+        assert_environment(report, os.environ)
+        assert report["environment"]["OMP_NUM_THREADS"] == "3"
+        assert report["environment"]["MKL_NUM_THREADS"] is None
         header, rows = read_csv(tmp_path / "pss_spectrum.csv")
         assert header == ["state", "k", "re", "im"]
         assert len(rows) == 6 * 9
@@ -238,6 +253,9 @@ class TestVerify:
                                             "x_cdq_conj", "delta_pll", "x_pll"}
         assert all(v <= 0.01 for v in report["rms_error"].values())
         assert report["solver_verdict"] == "Stable"
+        assert report["hss_real_form"] is True
+        assert 0.0 <= report["hss_symmetry_defect"] <= 1e-13
+        assert_environment(report, os.environ)
 
     def test_unstable_point_growth_sign_agreement(self, tmp_path):
         rc = main(["verify", "--case", "case2", "--set", "alpha_c=150",

@@ -38,6 +38,8 @@ class TestValidation:
         )
         with pytest.raises(UsageError):
             SystemModel(conjugate_pairs=((0, 5),), **kwargs)
+        with pytest.raises(UsageError, match="more than one conjugate pair"):
+            SystemModel(conjugate_pairs=((0, 1), (1, 1)), **kwargs)
 
     def test_state_scales_must_be_positive(self):
         a = np.eye(2, dtype=complex)

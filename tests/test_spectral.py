@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltpkit import (
     BlockToeplitz,
@@ -14,6 +16,7 @@ from ltpkit import (
     spectrum_at_times,
     spectrum_to_samples,
 )
+from ltpkit.spectral import _phase_matrix
 
 T = 0.02
 OM1 = 2.0 * np.pi / T
@@ -96,6 +99,46 @@ class TestRoundTrip:
         on_grid = spectrum_to_samples(coeffs, 400)
         at_times = spectrum_at_times(coeffs, grid().times, T)
         assert np.max(np.abs(on_grid - at_times)) < 1e-11
+
+
+@st.composite
+def band_limited_spectra(draw):
+    """Random spectrum of order N = 1..6 in one of the three transform
+    layouts, plus a sample count M >= 2(2N+1)."""
+    n_harmonics = draw(st.integers(1, 6))
+    m_samples = draw(st.integers(2 * (2 * n_harmonics + 1), 120))
+    n = draw(st.integers(1, 3))
+    tail = draw(st.sampled_from([(), (n,), (n, n)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2 * n_harmonics + 1,) + tail
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return coeffs, n_harmonics, m_samples
+
+
+class TestTransformProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(band_limited_spectra())
+    def test_round_trip_recovers_spectrum(self, case):
+        coeffs, n_harmonics, m_samples = case
+        samples = spectrum_to_samples(coeffs, m_samples)
+        assert samples.shape == (m_samples,) + coeffs.shape[1:]
+        back = samples_to_spectrum(samples, n_harmonics)
+        assert back.shape == coeffs.shape
+        assert np.max(np.abs(back - coeffs)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(2, 400), st.sampled_from([-1.0, 1.0]))
+    def test_phase_matrix_cache_is_exact_and_read_only(self, n_harmonics,
+                                                       m_samples, sign):
+        phase = _phase_matrix(n_harmonics, m_samples, sign)
+        ks = np.arange(-n_harmonics, n_harmonics + 1)
+        fresh = np.exp(sign * 2j * np.pi * np.outer(ks, np.arange(m_samples))
+                       / m_samples)
+        assert np.array_equal(phase, fresh)
+        assert not phase.flags.writeable
+        assert _phase_matrix(n_harmonics, m_samples, sign) is phase
+        with pytest.raises(ValueError):
+            phase[0, 0] = 0.0
 
 
 class TestSpectralVector:
