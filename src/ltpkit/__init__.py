@@ -18,7 +18,6 @@ from .analysis import (
     interior_modes,
     harmonic_transfer_function,
     hss_eigenvalues,
-    htf_block,
     mode_set,
     weakest_mode,
 )
@@ -31,11 +30,8 @@ from .cases import (
     build_case1,
     build_case2,
     case_builder,
-    from_per_unit,
     make_params,
-    per_unit,
     pi_gains_from_bandwidth,
-    unbalanced_grid_phasors,
 )
 from .errors import (
     DivergedTrajectory,
@@ -46,10 +42,6 @@ from .errors import (
 )
 from .model import (
     SystemModel,
-    check_conjugate_closure,
-    eval_dynamics,
-    eval_jacobians,
-    fd_jacobian,
     linear_model,
 )
 from .oracle import (
@@ -76,7 +68,6 @@ from .spectral import (
     build_nblk,
     build_toeplitz,
     samples_to_spectrum,
-    spectrum_at_times,
     spectrum_to_samples,
 )
 from .sweep import SweepAxis, SweepResult, SweepSpec, extract_region, run_sweep
@@ -113,20 +104,14 @@ __all__ = [
     "build_nblk",
     "build_toeplitz",
     "case_builder",
-    "check_conjugate_closure",
     "classify_stability",
     "compare_waveforms",
-    "eval_dynamics",
-    "eval_jacobians",
     "extract_region",
-    "fd_jacobian",
     "frequency_scan",
-    "from_per_unit",
     "interior_modes",
     "growth_rate_fit",
     "harmonic_transfer_function",
     "hss_eigenvalues",
-    "htf_block",
     "initial_guess",
     "integrate",
     "kicked_response",
@@ -135,13 +120,11 @@ __all__ = [
     "make_params",
     "mode_set",
     "newton_step",
-    "per_unit",
     "pi_gains_from_bandwidth",
     "pss_residual",
     "run_sweep",
     "samples_to_spectrum",
     "solve_pss",
-    "spectrum_at_times",
     "spectrum_to_samples",
     "weakest_mode",
 ]

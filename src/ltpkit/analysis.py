@@ -280,16 +280,6 @@ def harmonic_transfer_function(hss: HssMatrices, s: complex,
     return hss.c_full @ sol + hss.d_full
 
 
-def htf_block(h: np.ndarray, k: int, l: int, n_outputs: int, n_inputs: int,
-              n_harmonics: int) -> np.ndarray:
-    """Slice the (k, l) harmonic block out of an assembled H(s)."""
-    if abs(k) > n_harmonics or abs(l) > n_harmonics:
-        raise UsageError("harmonic index outside truncation")
-    r = (k + n_harmonics) * n_outputs
-    c = (l + n_harmonics) * n_inputs
-    return h[r:r + n_outputs, c:c + n_inputs]
-
-
 @dataclass
 class ScanResult:
     """Frequency scan of selected harmonic-transfer-function entries."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError
-from .model import SystemModel
+from .model import SystemModel, _const_jac
 
 # amplitude-invariant Clarke transform (zero-sequence dropped) and its
 # right inverse on zero-sequence-free signals
@@ -47,30 +47,6 @@ CLARKE_INV = np.array([
 # real (α, β) pair -> complex pair (v, v*) and back
 T_COMPLEX = np.array([[1.0, 1j], [1.0, -1j]], dtype=complex)
 T_COMPLEX_INV = 0.5 * np.array([[1.0, 1.0], [-1j, 1j]], dtype=complex)
-
-
-def per_unit(value, base):
-    """value/base; raises on zero/negative base."""
-    if np.any(np.asarray(base) <= 0):
-        raise UsageError("per-unit base must be positive")
-    return value / base
-
-
-def from_per_unit(value, base):
-    """Inverse of :func:`per_unit`."""
-    if np.any(np.asarray(base) <= 0):
-        raise UsageError("per-unit base must be positive")
-    return value * base
-
-
-def unbalanced_grid_phasors(u_ga: complex, u_gbeta: complex):
-    """abc phasors of an (α, β)-specified grid voltage.
-
-    The models consume the αβ complex pair directly; this conversion exists
-    for cross-checks against three-phase tools.
-    """
-    ab = np.array([u_ga, u_gbeta], dtype=complex)
-    return tuple(CLARKE_INV @ ab)
 
 
 def asymmetric_inductance_matrix(la: float, lb: float, lc: float) -> np.ndarray:
@@ -244,16 +220,6 @@ def _norms(p: dict) -> dict:
     return out
 
 
-def _const_jac(mat):
-    mat = np.asarray(mat, dtype=complex)
-
-    def jac(t, x, u):
-        shape = np.asarray(x).shape[:-1]
-        return np.broadcast_to(mat, shape + mat.shape).copy()
-
-    return jac
-
-
 def _current_output(n_states):
     sel = np.zeros((2, n_states), dtype=complex)
     sel[0, 0] = 1.0
@@ -305,6 +271,39 @@ def build_case1(params: dict | None = None) -> dict:
         ucc = kp * (i_ref_c * em - icj) + xcc * em - 1j * ff * icj
         return e, em, uc, ucc
 
+    def _uc_columns(x, e, em):
+        """∂(uc, ucc)/∂x by column; the columns left out are zero."""
+        zero = np.zeros(np.broadcast(x[..., 0], e).shape, dtype=complex)
+        return {
+            IC: (-kp + 1j * ff + zero, zero),
+            ICC: (zero, -kp - 1j * ff + zero),
+            XC: (e, zero),
+            XCC: (zero, em),
+            DELTA: (1j * e * (kp * i_ref + x[..., XC]),
+                    -1j * em * (kp * i_ref_c + x[..., XCC])),
+        }
+
+    def _control_rows(out, x, e, em, uq):
+        """Current-controller integrator and PLL rows of f (both loops)."""
+        out[..., XC] = ki * (i_ref - em * x[..., IC])
+        out[..., XCC] = ki * (i_ref_c - e * x[..., ICC])
+        out[..., DELTA] = kpp * uq + x[..., XPLL]
+        out[..., XPLL] = kip * uq
+
+    def _control_jac_rows(jac, x, e, em, upoc, upocc):
+        """Jacobian of :func:`_control_rows` at a given bus voltage.  The PLL
+        rows' dependence on the states through the bus voltage is each loop's
+        own; this adds to those rows."""
+        # rotation of the demodulators with the PLL angle
+        upocd = (em * upoc + e * upocc) / 2.0
+        jac[..., DELTA, DELTA] += -kpp * upocd
+        jac[..., XPLL, DELTA] += -kip * upocd
+        jac[..., XC, IC] = -ki * em
+        jac[..., XC, DELTA] = 1j * ki * em * x[..., IC]
+        jac[..., XCC, ICC] = -ki * e
+        jac[..., XCC, DELTA] = -1j * ki * e * x[..., ICC]
+        jac[..., DELTA, XPLL] += 1.0
+
     # -- closed loop -------------------------------------------------------
     def cl_dynamics(t, x, u):
         x = np.asarray(x, dtype=complex)
@@ -318,10 +317,7 @@ def build_case1(params: dict | None = None) -> dict:
         out = np.zeros(np.broadcast(x[..., 0], e).shape + (6,), dtype=complex)
         out[..., IC] = gsum[0, 0] * d1 + gsum[0, 1] * d2
         out[..., ICC] = gsum[1, 0] * d1 + gsum[1, 1] * d2
-        out[..., XC] = ki * (i_ref - em * x[..., IC])
-        out[..., XCC] = ki * (i_ref_c - e * x[..., ICC])
-        out[..., DELTA] = kpp * uq + x[..., XPLL]
-        out[..., XPLL] = kip * uq
+        _control_rows(out, x, e, em, uq)
         return out
 
     def cl_jac_state(t, x, u):
@@ -332,18 +328,8 @@ def build_case1(params: dict | None = None) -> dict:
         d1, d2 = uc - ug, ucc - ugc
         upoc = ug + kdiv[0, 0] * d1 + kdiv[0, 1] * d2
         upocc = ugc + kdiv[1, 0] * d1 + kdiv[1, 1] * d2
-        shape = np.broadcast(x[..., 0], e).shape
-        jac = np.zeros(shape + (6, 6), dtype=complex)
-        zero = np.zeros(shape, dtype=complex)
-        cols = {
-            IC: (-kp + 1j * ff + zero, zero),
-            ICC: (zero, -kp - 1j * ff + zero),
-            XC: (e, zero),
-            XCC: (zero, em),
-            DELTA: (1j * e * (kp * i_ref + x[..., XC]),
-                    -1j * em * (kp * i_ref_c + x[..., XCC])),
-        }
-        for col, (a, b) in cols.items():
+        jac = np.zeros(np.broadcast(x[..., 0], e).shape + (6, 6), dtype=complex)
+        for col, (a, b) in _uc_columns(x, e, em).items():
             jac[..., IC, col] = gsum[0, 0] * a + gsum[0, 1] * b
             jac[..., ICC, col] = gsum[1, 0] * a + gsum[1, 1] * b
             dup = kdiv[0, 0] * a + kdiv[0, 1] * b
@@ -351,15 +337,7 @@ def build_case1(params: dict | None = None) -> dict:
             duq = (em * dup - e * dupc) / 2j
             jac[..., DELTA, col] = kpp * duq
             jac[..., XPLL, col] = kip * duq
-        # rotation of the demodulators with the PLL angle
-        upocd = (em * upoc + e * upocc) / 2.0
-        jac[..., DELTA, DELTA] += -kpp * upocd
-        jac[..., XPLL, DELTA] += -kip * upocd
-        jac[..., XC, IC] = -ki * em
-        jac[..., XC, DELTA] = 1j * ki * em * x[..., IC]
-        jac[..., XCC, ICC] = -ki * e
-        jac[..., XCC, DELTA] = -1j * ki * e * x[..., ICC]
-        jac[..., DELTA, XPLL] += 1.0
+        _control_jac_rows(jac, x, e, em, upoc, upocc)
         return jac
 
     def cl_jac_input(t, x, u):
@@ -381,21 +359,6 @@ def build_case1(params: dict | None = None) -> dict:
             jac[..., XPLL, col] = kip * duq
         return jac
 
-    output, out_js, out_ji = _current_output(6)
-    closed = SystemModel(
-        n_states=6, n_inputs=2, n_outputs=2, omega1=om1,
-        dynamics=cl_dynamics, output=output,
-        jac_state=cl_jac_state, jac_input=cl_jac_input,
-        out_jac_state=out_js, out_jac_input=out_ji,
-        input_fn=_pair_waveform(nn["u_ga"], nn["u_gbeta"], om1),
-        state_labels=CASE1_LABELS,
-        conjugate_pairs=((IC, ICC), (XC, XCC)),
-        spectral_seeds=((IC, +1, i_ref), (ICC, -1, i_ref_c),
-                        (XC, 0, xc0), (XCC, 0, np.conj(xc0)),
-                        (DELTA, 0, delta0)),
-        name="case1",
-    )
-
     # -- open loop (bus voltage as input) ----------------------------------
     def ol_dynamics(t, x, u):
         x = np.asarray(x, dtype=complex)
@@ -407,39 +370,18 @@ def build_case1(params: dict | None = None) -> dict:
         out = np.zeros(np.broadcast(x[..., 0], e).shape + (6,), dtype=complex)
         out[..., IC] = gf[0, 0] * d1 + gf[0, 1] * d2
         out[..., ICC] = gf[1, 0] * d1 + gf[1, 1] * d2
-        out[..., XC] = ki * (i_ref - em * x[..., IC])
-        out[..., XCC] = ki * (i_ref_c - e * x[..., ICC])
-        out[..., DELTA] = kpp * uq + x[..., XPLL]
-        out[..., XPLL] = kip * uq
+        _control_rows(out, x, e, em, uq)
         return out
 
     def ol_jac_state(t, x, u):
         x = np.asarray(x, dtype=complex)
         u = np.asarray(u, dtype=complex)
-        e, em, uc, ucc = _uc_pair(t, x)
-        upoc, upocc = u[..., 0], u[..., 1]
-        shape = np.broadcast(x[..., 0], e).shape
-        jac = np.zeros(shape + (6, 6), dtype=complex)
-        zero = np.zeros(shape, dtype=complex)
-        cols = {
-            IC: (-kp + 1j * ff + zero, zero),
-            ICC: (zero, -kp - 1j * ff + zero),
-            XC: (e, zero),
-            XCC: (zero, em),
-            DELTA: (1j * e * (kp * i_ref + x[..., XC]),
-                    -1j * em * (kp * i_ref_c + x[..., XCC])),
-        }
-        for col, (a, b) in cols.items():
+        e, em, _, _ = _uc_pair(t, x)
+        jac = np.zeros(np.broadcast(x[..., 0], e).shape + (6, 6), dtype=complex)
+        for col, (a, b) in _uc_columns(x, e, em).items():
             jac[..., IC, col] = gf[0, 0] * a + gf[0, 1] * b
             jac[..., ICC, col] = gf[1, 0] * a + gf[1, 1] * b
-        upocd = (em * upoc + e * upocc) / 2.0
-        jac[..., DELTA, DELTA] = -kpp * upocd
-        jac[..., XPLL, DELTA] = -kip * upocd
-        jac[..., XC, IC] = -ki * em
-        jac[..., XC, DELTA] = 1j * ki * em * x[..., IC]
-        jac[..., XCC, ICC] = -ki * e
-        jac[..., XCC, DELTA] = -1j * ki * e * x[..., ICC]
-        jac[..., DELTA, XPLL] = 1.0
+        _control_jac_rows(jac, x, e, em, u[..., 0], u[..., 1])
         return jac
 
     def ol_jac_input(t, x, u):
@@ -459,20 +401,21 @@ def build_case1(params: dict | None = None) -> dict:
         jac[..., XPLL, 1] = -kip * e / 2j
         return jac
 
-    output_o, out_js_o, out_ji_o = _current_output(6)
-    open_loop = SystemModel(
-        n_states=6, n_inputs=2, n_outputs=2, omega1=om1,
-        dynamics=ol_dynamics, output=output_o,
-        jac_state=ol_jac_state, jac_input=ol_jac_input,
-        out_jac_state=out_js_o, out_jac_input=out_ji_o,
+    output, out_js, out_ji = _current_output(6)
+    shared = dict(
+        n_states=6, n_inputs=2, n_outputs=2, omega1=om1, output=output,
+        out_jac_state=out_js, out_jac_input=out_ji,
         input_fn=_pair_waveform(nn["u_ga"], nn["u_gbeta"], om1),
         state_labels=CASE1_LABELS,
         conjugate_pairs=((IC, ICC), (XC, XCC)),
         spectral_seeds=((IC, +1, i_ref), (ICC, -1, i_ref_c),
                         (XC, 0, xc0), (XCC, 0, np.conj(xc0)),
                         (DELTA, 0, delta0)),
-        name="case1_open",
     )
+    closed = SystemModel(dynamics=cl_dynamics, jac_state=cl_jac_state,
+                         jac_input=cl_jac_input, name="case1", **shared)
+    open_loop = SystemModel(dynamics=ol_dynamics, jac_state=ol_jac_state,
+                            jac_input=ol_jac_input, name="case1_open", **shared)
     return {"closed_loop": closed, "open_loop": open_loop}
 
 
@@ -565,9 +508,13 @@ def build_case2(params: dict | None = None) -> dict:
         _common_rows(out, x, e, em, up, upc, s, sc, iref, irefc, uq)
         return out
 
-    def _derivative_pieces(x, e, em, up, upc, iref, irefc, shape, n):
-        """(shape, n) gradient rows of the algebraic intermediates."""
-        z = np.zeros(shape + (n,), dtype=complex)
+    def _common_jac_rows(t, x):
+        """Jacobian twin of :func:`_common_rows`: a fresh (..., 18, 18) state
+        Jacobian holding those rows, plus the gradient rows ∂uc/∂x and
+        ∂ucc/∂x that the converter-current rows of each loop are built from."""
+        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, x)
+        shape = np.broadcast(x[..., 0], e).shape
+        z = np.zeros(shape + (18,), dtype=complex)
         dup, dupc = z.copy(), z.copy()
         dup[..., XS] = 0.5
         dup[..., XQ] = 0.5j * om1
@@ -596,25 +543,8 @@ def build_case2(params: dict | None = None) -> dict:
         ducc[..., XCPC] += em
         ducc[..., XCNC] += e
         ducc[..., DELTA] += -1j * em * (kp * irefc + x[..., XCPC]) + 1j * e * x[..., XCNC]
-        return dup, dupc, ds, dsc, diref, direfc, duq, duc, ducc
 
-    def cl_jac_state(t, x, u):
-        x = np.asarray(x, dtype=complex)
-        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, x)
-        shape = np.broadcast(x[..., 0], e).shape
-        (dup_, dupc_, ds, dsc, diref, direfc, duq, duc, ducc) = \
-            _derivative_pieces(x, e, em, up, upc, iref, irefc, shape, 18)
-        dupoc = np.zeros(shape + (18,), dtype=complex)
-        dupoc[..., UF] = 1.0
-        dupoc[..., IC] = rt
-        dupoc[..., IG] = -rt
-        dupocc = np.zeros(shape + (18,), dtype=complex)
-        dupocc[..., UFC] = 1.0
-        dupocc[..., ICC] = rt
-        dupocc[..., IGC] = -rt
         jac = np.zeros(shape + (18, 18), dtype=complex)
-        jac[..., IC, :] = gf[0, 0] * (duc - dupoc) + gf[0, 1] * (ducc - dupocc)
-        jac[..., ICC, :] = gf[1, 0] * (duc - dupoc) + gf[1, 1] * (ducc - dupocc)
         jac[..., XCP, :] = ki * diref
         jac[..., XCP, IC] += -ki * em
         jac[..., XCP, DELTA] += 1j * ki * em * x[..., IC]
@@ -625,6 +555,28 @@ def build_case2(params: dict | None = None) -> dict:
         jac[..., XCN, DELTA] = -1j * ki * e * x[..., IC]
         jac[..., XCNC, ICC] = -ki * em
         jac[..., XCNC, DELTA] = 1j * ki * em * x[..., ICC]
+        jac[..., XQ, XS] = 1.0
+        jac[..., XQC, XSC] = 1.0
+        jac[..., XPLL, :] = kip * duq
+        jac[..., DELTA, :] = kpp * duq
+        jac[..., DELTA, XPLL] += 1.0
+        jac[..., XSD, :] = -kis * dsc
+        jac[..., XSDC, :] = -kis * ds
+        return jac, duc, ducc
+
+    def cl_jac_state(t, x, u):
+        x = np.asarray(x, dtype=complex)
+        jac, duc, ducc = _common_jac_rows(t, x)
+        dupoc = np.zeros(duc.shape, dtype=complex)
+        dupoc[..., UF] = 1.0
+        dupoc[..., IC] = rt
+        dupoc[..., IG] = -rt
+        dupocc = np.zeros(duc.shape, dtype=complex)
+        dupocc[..., UFC] = 1.0
+        dupocc[..., ICC] = rt
+        dupocc[..., IGC] = -rt
+        jac[..., IC, :] = gf[0, 0] * (duc - dupoc) + gf[0, 1] * (ducc - dupocc)
+        jac[..., ICC, :] = gf[1, 0] * (duc - dupoc) + gf[1, 1] * (ducc - dupocc)
         jac[..., UF, IC] = 1.0 / c_sec
         jac[..., UF, IG] = -1.0 / c_sec
         jac[..., UFC, ICC] = 1.0 / c_sec
@@ -637,13 +589,6 @@ def build_case2(params: dict | None = None) -> dict:
         jac[..., XSC, :] = om1 * ksogi * dupocc
         jac[..., XSC, XSC] += -om1 * ksogi
         jac[..., XSC, XQC] += -om1**2
-        jac[..., XQ, XS] = 1.0
-        jac[..., XQC, XSC] = 1.0
-        jac[..., XPLL, :] = kip * duq
-        jac[..., DELTA, :] = kpp * duq
-        jac[..., DELTA, XPLL] += 1.0
-        jac[..., XSD, :] = -kis * dsc
-        jac[..., XSDC, :] = -kis * ds
         return jac
 
     cl_b = np.zeros((18, 2), dtype=complex)
@@ -674,11 +619,11 @@ def build_case2(params: dict | None = None) -> dict:
     )
 
     # -- open loop: drop grid current, drive the bus directly ---------------
-    (oIC, oICC, oXCP, oXCPC, oXCN, oXCNC, oUF, oUFC,
-     oXS, oXSC, oXQ, oXQC, oXPLL, oDELTA, oXSD, oXSDC) = range(16)
     # map open-loop indices onto the shared closed-loop piece indices
     _omap = (IC, ICC, XCP, XCPC, XCN, XCNC, UF, UFC, XS, XSC, XQ, XQC,
              XPLL, DELTA, XSD, XSDC)
+    _slot = {full: i for i, full in enumerate(_omap)}
+    oIC, oICC, oUF, oUFC, oXS, oXSC = (_slot[k] for k in (IC, ICC, UF, UFC, XS, XSC))
 
     def _expand(x16):
         """View the 16-state vector as an 18-slot vector (grid current zero)."""
@@ -706,38 +651,16 @@ def build_case2(params: dict | None = None) -> dict:
         return out18[..., list(_omap)]
 
     def ol_jac_state(t, x, u):
-        x = np.asarray(x, dtype=complex)
-        x18 = _expand(x)
-        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, x18)
-        shape = np.broadcast(x[..., 0], e).shape
-        (dup_, dupc_, ds, dsc, diref, direfc, duq, duc, ducc) = \
-            _derivative_pieces(x18, e, em, up, upc, iref, irefc, shape, 18)
-        jac18 = np.zeros(shape + (18, 18), dtype=complex)
+        x18 = _expand(np.asarray(x, dtype=complex))
+        jac18, duc, ducc = _common_jac_rows(t, x18)
         jac18[..., IC, :] = gf[0, 0] * duc + gf[0, 1] * ducc
         jac18[..., ICC, :] = gf[1, 0] * duc + gf[1, 1] * ducc
-        jac18[..., XCP, :] = ki * diref
-        jac18[..., XCP, IC] += -ki * em
-        jac18[..., XCP, DELTA] += 1j * ki * em * x18[..., IC]
-        jac18[..., XCPC, :] = ki * direfc
-        jac18[..., XCPC, ICC] += -ki * e
-        jac18[..., XCPC, DELTA] += -1j * ki * e * x18[..., ICC]
-        jac18[..., XCN, IC] = -ki * e
-        jac18[..., XCN, DELTA] = -1j * ki * e * x18[..., IC]
-        jac18[..., XCNC, ICC] = -ki * em
-        jac18[..., XCNC, DELTA] = 1j * ki * em * x18[..., ICC]
         jac18[..., UF, UF] = -1.0 / (rt * c_sec)
         jac18[..., UFC, UFC] = -1.0 / (rt * c_sec)
         jac18[..., XS, XS] = -om1 * ksogi
         jac18[..., XS, XQ] = -om1**2
         jac18[..., XSC, XSC] = -om1 * ksogi
         jac18[..., XSC, XQC] = -om1**2
-        jac18[..., XQ, XS] = 1.0
-        jac18[..., XQC, XSC] = 1.0
-        jac18[..., XPLL, :] = kip * duq
-        jac18[..., DELTA, :] = kpp * duq
-        jac18[..., DELTA, XPLL] += 1.0
-        jac18[..., XSD, :] = -kis * dsc
-        jac18[..., XSDC, :] = -kis * ds
         rows = np.ix_(list(_omap), list(_omap))
         return jac18[..., rows[0], rows[1]]
 
@@ -772,15 +695,10 @@ def build_case2(params: dict | None = None) -> dict:
         out_jac_state=_const_jac(ol_c), out_jac_input=_const_jac(ol_d),
         input_fn=_pair_waveform(nn["u_ga"], nn["u_gbeta"], om1),
         state_labels=CASE2_OPEN_LABELS,
-        conjugate_pairs=((oIC, oICC), (oXCP, oXCPC), (oXCN, oXCNC),
-                         (oUF, oUFC), (oXS, oXSC), (oXQ, oXQC), (oXSD, oXSDC)),
-        spectral_seeds=((oIC, +1, s_ref_c), (oICC, -1, s_ref),
-                        (oXCP, 0, xcp0), (oXCPC, 0, np.conj(xcp0)),
-                        (oUF, +1, u_pos0), (oUFC, -1, np.conj(u_pos0)),
-                        (oXS, +1, u_pos0), (oXSC, -1, np.conj(u_pos0)),
-                        (oXQ, +1, xq0), (oXQC, -1, np.conj(xq0)),
-                        (oDELTA, 0, delta0),
-                        (oXSD, 0, s_ref_c), (oXSDC, 0, s_ref)),
+        conjugate_pairs=tuple((_slot[i], _slot[j]) for i, j in closed.conjugate_pairs
+                              if i in _slot),
+        spectral_seeds=tuple((_slot[i], k, v) for i, k, v in closed.spectral_seeds
+                             if i in _slot),
         name="case2_open",
     )
     return {"closed_loop": closed, "open_loop": open_loop}

@@ -70,30 +70,55 @@ _TOP_KEYS = ("case", "variant", "set", "solver", "analysis", "sweep", "oracle")
 # ---------------------------------------------------------------------------
 # config resolution
 
+def _typed(where: str, value, kind: type):
+    """``value`` as ``kind`` when that is bool, int (integral numbers only) or
+    float; any other kind takes ``value`` as given."""
+    if kind not in (bool, int, float):
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is bool and isinstance(value, bool):
+        return value
+    if kind is float and number:
+        return float(value)
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    raise UsageError(f"{where}: expected {kind.__name__}, got {value!r}")
+
+
+def _section(name: str, value) -> dict:
+    """A config object; absent or null reads as empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise UsageError(f"{name} config must be a JSON object, got {value!r}")
+    return value
+
+
 def _merge(section: str, defaults: dict, given: dict | None) -> dict:
     out = dict(defaults)
-    for key, value in (given or {}).items():
+    for key, value in _section(section, given).items():
         if key not in defaults:
             raise UsageError(f"unknown {section} config key {key!r}")
-        out[key] = value
+        out[key] = _typed(f"{section} {key}", value, type(defaults[key]))
     return out
 
 
 def _resolve_grid(section: str, spec, default_count: int) -> list:
     """A numeric grid given either as an explicit list or start/stop/count."""
     if isinstance(spec, (list, tuple)):
-        return [float(v) for v in spec]
+        return [_typed(section, v, float) for v in spec]
     if not isinstance(spec, dict):
         raise UsageError(f"{section}: expected a list or start/stop spec")
     allowed = {"start", "stop", "count", "spacing"}
     unknown = set(spec) - allowed
     if unknown:
         raise UsageError(f"unknown {section} key {sorted(unknown)[0]!r}")
-    try:
-        start, stop = float(spec["start"]), float(spec["stop"])
-    except KeyError as exc:
-        raise UsageError(f"{section}: missing key {exc.args[0]!r}") from None
-    count = int(spec.get("count", default_count))
+    for key in ("start", "stop"):
+        if key not in spec:
+            raise UsageError(f"{section}: missing key {key!r}")
+    start = _typed(f"{section} start", spec["start"], float)
+    stop = _typed(f"{section} stop", spec["stop"], float)
+    count = _typed(f"{section} count", spec.get("count", default_count), int)
     spacing = spec.get("spacing", "linear")
     if count < 1:
         raise UsageError(f"{section}: count must be >= 1")
@@ -110,7 +135,7 @@ def _resolve_grid(section: str, spec, default_count: int) -> list:
 
 def _resolve_axis(which: str, given: dict | None, default: dict) -> dict:
     axis = dict(default)
-    for key, value in (given or {}).items():
+    for key, value in _section(f"sweep {which}", given).items():
         if key not in ("name", "unit", "values"):
             raise UsageError(f"unknown sweep {which} key {key!r}")
         axis[key] = value
@@ -140,6 +165,8 @@ def resolve_config(command: str, args) -> dict:
             raise UsageError(f"unknown config key {key!r}")
 
     case = args.case or file_cfg.get("case") or "case1"
+    if not isinstance(case, str):
+        raise UsageError(f"case must be a string, got {case!r}")
     variant = file_cfg.get("variant")
     if variant is None:
         variant = "open_loop" if command == "impedance" else "closed_loop"
@@ -147,7 +174,7 @@ def resolve_config(command: str, args) -> dict:
         raise UsageError(f"unknown variant {variant!r}")
 
     overrides = {}
-    for key, value in (file_cfg.get("set") or {}).items():
+    for key, value in _section("set", file_cfg.get("set")).items():
         try:
             overrides[key] = float(value)
         except (TypeError, ValueError):
@@ -173,7 +200,7 @@ def resolve_config(command: str, args) -> dict:
         sweep = None
     else:
         base = sweep_defaults or {"axis1": None, "axis2": None}
-        given = sweep_given or {}
+        given = _section("sweep", sweep_given)
         for key in given:
             if key not in ("axis1", "axis2"):
                 raise UsageError(f"unknown sweep config key {key!r}")
@@ -188,7 +215,7 @@ def resolve_config(command: str, args) -> dict:
             "axis2": _resolve_axis("axis2", given.get("axis2"), axis2_default),
         }
 
-    oracle_given = dict(file_cfg.get("oracle") or {})
+    oracle_given = dict(_section("oracle", file_cfg.get("oracle")))
     perturb_given = oracle_given.pop("perturbation", None)
     oracle = _merge("oracle", _ORACLE_DEFAULTS, oracle_given)
     oracle["perturbation"] = _merge("oracle perturbation", _PERTURB_DEFAULTS,
@@ -477,8 +504,8 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
         traj = kicked_response(model, result.waveforms[0],
                                {"onset": onset, "magnitude": pert["magnitude"]},
                                t_end, oracle_cfg["step"],
-                               state_index=int(pert["state_index"]))
-        fit = growth_rate_fit(traj, int(pert["state_index"]), {"onset": onset})
+                               state_index=pert["state_index"])
+        fit = growth_rate_fit(traj, pert["state_index"], {"onset": onset})
         agrees = (fit.rate > 0.0) == unstable
         report["growth"] = {"rate": fit.rate, "floored": fit.floored,
                             "sign_agrees": agrees,

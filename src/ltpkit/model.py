@@ -76,74 +76,15 @@ class SystemModel:
         return 2.0 * np.pi / self.omega1
 
 
-def eval_dynamics(model: SystemModel, t, x, u) -> Array:
-    """f(t, x, u) with dimension checks (thin wrapper for interactive use)."""
-    x = np.asarray(x, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    if x.shape[-1] != model.n_states:
-        raise UsageError(f"state has {x.shape[-1]} entries, model has {model.n_states}")
-    if u.shape[-1] != model.n_inputs:
-        raise UsageError(f"input has {u.shape[-1]} entries, model has {model.n_inputs}")
-    return model.dynamics(t, x, u)
+def _const_jac(mat):
+    """Jacobian callable returning the constant ``mat`` at every sample."""
+    mat = np.asarray(mat, dtype=complex)
 
+    def jac(t, x, u):
+        shape = np.asarray(x).shape[:-1]
+        return np.broadcast_to(mat, shape + mat.shape).copy()
 
-def eval_jacobians(model: SystemModel, t, x, u):
-    """(A, B, C, D) = state/input Jacobians of f and g along (t, x, u)."""
-    x = np.asarray(x, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    return (
-        model.jac_state(t, x, u),
-        model.jac_input(t, x, u),
-        model.out_jac_state(t, x, u),
-        model.out_jac_input(t, x, u),
-    )
-
-
-def fd_jacobian(model: SystemModel, t, x, u, step: float = 1e-6, which: str = "state") -> Array:
-    """Central-difference Jacobian, perturbing each coordinate independently.
-
-    Conjugate-paired coordinates are treated as free variables (no implicit
-    conjugation), matching the analytic Jacobian convention.  ``which``
-    selects ∂f/∂x (default), ∂f/∂u, ∂g/∂x or ∂g/∂u.
-    """
-    x = np.asarray(x, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    if x.ndim != 1 or u.ndim != 1:
-        raise UsageError("fd_jacobian expects a single (t, x, u) point")
-    fun = {
-        "state": lambda z: model.dynamics(t, z, u),
-        "input": lambda z: model.dynamics(t, x, z),
-        "out_state": lambda z: model.output(t, z, u),
-        "out_input": lambda z: model.output(t, x, z),
-    }.get(which)
-    if fun is None:
-        raise UsageError(f"unknown jacobian selector {which!r}")
-    base = x if which in ("state", "out_state") else u
-    cols = []
-    for k in range(base.size):
-        zp = base.copy()
-        zm = base.copy()
-        zp[k] += step
-        zm[k] -= step
-        cols.append((fun(zp) - fun(zm)) / (2.0 * step))
-    return np.stack(cols, axis=-1)
-
-
-def check_conjugate_closure(model: SystemModel, t, x, u, tol: float = 1e-10) -> float:
-    """Max defect of f preserving conjugate pairing at a consistent state.
-
-    For x with x[j] = conj(x[i]) on every pair, f must satisfy
-    f[j] = conj(f[i]).  Returns the worst deviation (and checks real-valued
-    rows stay real for unpaired states only when they are real to start).
-    """
-    x = np.asarray(x, dtype=complex).copy()
-    for i, j in model.conjugate_pairs:
-        x[j] = np.conj(x[i])
-    f = model.dynamics(t, x, u)
-    worst = 0.0
-    for i, j in model.conjugate_pairs:
-        worst = max(worst, float(np.max(np.abs(f[..., j] - np.conj(f[..., i])))))
-    return worst
+    return jac
 
 
 def linear_model(
@@ -188,12 +129,6 @@ def linear_model(
     def output(t, x, u):
         return x @ c.T + u @ d.T
 
-    def _const(mat):
-        def jac(t, x, u):
-            t = np.asarray(t, dtype=float)
-            return np.broadcast_to(mat, t.shape + mat.shape).copy()
-        return jac
-
     return SystemModel(
         n_states=n,
         n_inputs=m,
@@ -201,10 +136,10 @@ def linear_model(
         omega1=omega1,
         dynamics=dynamics,
         output=output,
-        jac_state=_const(a),
-        jac_input=_const(b),
-        out_jac_state=_const(c),
-        out_jac_input=_const(d),
+        jac_state=_const_jac(a),
+        jac_input=_const_jac(b),
+        out_jac_state=_const_jac(c),
+        out_jac_input=_const_jac(d),
         input_fn=input_fn,
         state_labels=tuple(f"x{i}" for i in range(n)),
         name=name,

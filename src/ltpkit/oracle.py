@@ -86,7 +86,6 @@ def integrate(model: SystemModel, x0, t_span, step: float) -> Trajectory:
     states[0] = x
     f = model.dynamics
     half = 0.5 * step
-    diverged = False
     for k in range(n_steps):
         t = times[k]
         u0, um, u1 = u_half[2 * k], u_half[2 * k + 1], u_half[2 * k + 2]
@@ -101,8 +100,7 @@ def integrate(model: SystemModel, x0, t_span, step: float) -> Trajectory:
                               state_labels=model.state_labels, diverged=True)
         states[k + 1] = x
     return Trajectory(times=times, states=states, step=step, period=model.period,
-                      model_name=model.name, state_labels=model.state_labels,
-                      diverged=diverged)
+                      model_name=model.name, state_labels=model.state_labels)
 
 
 def last_period(traj: Trajectory, period: float):
@@ -249,6 +247,8 @@ def kicked_response(model: SystemModel, x0, probe: dict, t_end: float,
     magnitude = complex(probe.get("magnitude", 1e-3))
     if not 0.0 < onset < t_end:
         raise UsageError("onset must fall inside (0, t_end)")
+    if not 0 <= state_index < model.n_states:
+        raise UsageError(f"state_index {state_index} outside [0, {model.n_states})")
     leg1 = integrate(model, x0, (0.0, onset), step)
     if leg1.diverged:
         return leg1

@@ -149,16 +149,6 @@ def spectrum_to_samples(coeffs: np.ndarray, m_samples: int) -> np.ndarray:
     return out.reshape((m_samples,) + coeffs.shape[1:])
 
 
-def spectrum_at_times(coeffs: np.ndarray, times: np.ndarray, period: float) -> np.ndarray:
-    """Evaluate the truncated Fourier series at arbitrary times."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    n_harmonics = (coeffs.shape[0] - 1) // 2
-    ks = np.arange(-n_harmonics, n_harmonics + 1)
-    ph = np.exp(2j * np.pi * np.outer(np.asarray(times) / period, ks))
-    flat = coeffs.reshape(coeffs.shape[0], -1)
-    return (ph @ flat).reshape((len(times),) + coeffs.shape[1:])
-
-
 @dataclass
 class BlockToeplitz:
     """Block-Toeplitz operator built from matrix harmonics.
@@ -174,12 +164,6 @@ class BlockToeplitz:
     @property
     def block_shape(self):
         return self.blocks.shape[1], self.blocks.shape[2]
-
-    def block(self, k: int, l: int) -> np.ndarray:
-        d = k - l
-        if abs(d) > 2 * self.n_harmonics:
-            raise UsageError("harmonic offset outside stored band")
-        return self.blocks[d + 2 * self.n_harmonics]
 
     def full(self) -> np.ndarray:
         n = self.n_harmonics

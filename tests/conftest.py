@@ -24,6 +24,30 @@ def conjugate_consistent_state(model, rng, scale=0.3):
     return x
 
 
+def fd_jacobian(model, t, x, u, which="state", step=1e-6):
+    """Central-difference reference for the analytic Jacobians at one point.
+
+    Conjugate-paired coordinates are perturbed independently (no implicit
+    conjugation), matching the analytic Jacobian convention.  ``which``
+    selects ∂f/∂x, ∂f/∂u, ∂g/∂x or ∂g/∂u.
+    """
+    x = np.asarray(x, dtype=complex)
+    u = np.asarray(u, dtype=complex)
+    fun = {
+        "state": lambda z: model.dynamics(t, z, u),
+        "input": lambda z: model.dynamics(t, x, z),
+        "out_state": lambda z: model.output(t, z, u),
+        "out_input": lambda z: model.output(t, x, z),
+    }[which]
+    base = x if which in ("state", "out_state") else u
+    cols = []
+    for k in range(base.size):
+        dz = np.zeros_like(base)
+        dz[k] = step
+        cols.append((fun(base + dz) - fun(base - dz)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
 def diverging_after(model, steps):
     """Copy of ``model`` whose dynamics turn non-finite after ``steps`` calls."""
     calls = [0]

@@ -12,6 +12,7 @@ pure roundoff ratios.
 import numpy as np
 import pytest
 
+from conftest import fd_jacobian
 from ltpkit import (
     SolverConfig,
     SweepAxis,
@@ -20,8 +21,6 @@ from ltpkit import (
     build_case2,
     classify_stability,
     compare_waveforms,
-    eval_jacobians,
-    fd_jacobian,
     growth_rate_fit,
     hss_eigenvalues,
     integrate,
@@ -195,7 +194,7 @@ def test_a6_property_suite(rng, case1_balanced, case2_default, case2_unbalanced)
     model2u, r2u = case2_unbalanced
     x_probe = r2u.waveforms[37] * (1.0 + 0.05)
     u_probe = model2u.input_fn(0.003)
-    jac = eval_jacobians(model2u, 0.003, x_probe, u_probe)[0]
+    jac = model2u.jac_state(0.003, x_probe, u_probe)
     ref = fd_jacobian(model2u, 0.003, x_probe, u_probe, which="state")
     assert np.max(np.abs(jac - ref)) <= 1e-5 * (1.0 + np.max(np.abs(ref)))
 

@@ -1,0 +1,76 @@
+"""The public API against what documents and instruments it: the README's
+library table and the benchmark tracer's wrap targets."""
+
+import dataclasses
+import importlib
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
+import ltpkit
+
+ROOT = Path(__file__).resolve().parents[1]
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def library_overview():
+    """{module name: backticked identifiers of its row} from the README's
+    "Library overview" table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library overview", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) < 4 or not cells[1].strip().startswith("`ltpkit."):
+            continue
+        module = cells[1].strip().strip("`")
+        names = re.findall(r"`([^`]+)`", cells[2])
+        rows[module] = [n for n in names if IDENTIFIER.fullmatch(n)]
+    return rows
+
+
+def members(cls):
+    names = set(dir(cls))
+    if dataclasses.is_dataclass(cls):
+        names.update(f.name for f in dataclasses.fields(cls))
+    return names
+
+
+class TestReadme:
+    def test_table_names_resolve(self):
+        rows = library_overview()
+        assert len(rows) == 8
+        for module_name, names in rows.items():
+            module = importlib.import_module(module_name)
+            # a name is either in the module or a member of one of its classes
+            known = set(vars(module))
+            for name in names:
+                obj = getattr(module, name, None)
+                if inspect.isclass(obj):
+                    known |= members(obj)
+            unknown = [n for n in names if n not in known]
+            assert not unknown, f"{module_name}: {unknown}"
+
+    def test_every_export_documented(self):
+        documented = {n for names in library_overview().values() for n in names}
+        missing = sorted(set(ltpkit.__all__) - documented)
+        assert not missing
+
+
+def test_tracer_targets_resolve():
+    # bench/tracing.py wraps these names where they are bound; a name that no
+    # longer resolves fails the traced benchmark's "wrappers installed" check
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = []
+    for module_name, attr, _span in tracing.TARGETS + (("ltpkit.cli", "case_builder", ""),):
+        owner = importlib.import_module(module_name)
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if owner is None or leaf not in vars(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert not missing

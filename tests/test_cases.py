@@ -8,11 +8,8 @@ from ltpkit import (
     asymmetric_inductance_matrix,
     build_case1,
     build_case2,
-    from_per_unit,
     make_params,
-    per_unit,
     pi_gains_from_bandwidth,
-    unbalanced_grid_phasors,
 )
 
 PARAMS1 = make_params("case1")
@@ -88,41 +85,6 @@ class TestInductanceMatrix:
     def test_nonpositive_rejected(self):
         with pytest.raises(UsageError):
             asymmetric_inductance_matrix(1e-4, 0.0, 1e-4)
-
-
-class TestGridPhasors:
-    def test_balanced_positive_sequence(self):
-        ua, ub, uc = unbalanced_grid_phasors(1.0, 1.0 * np.exp(-1j * np.pi / 2))
-        assert ua == pytest.approx(1.0)
-        assert ub == pytest.approx(np.exp(-2j * np.pi / 3))
-        assert uc == pytest.approx(np.exp(+2j * np.pi / 3))
-
-    def test_half_beta_depression(self):
-        # beta phasor at half magnitude: phases b and c sag symmetrically
-        ua, ub, uc = unbalanced_grid_phasors(1.0, 0.5 * np.exp(-1j * np.pi / 2))
-        assert abs(ua) == pytest.approx(1.0)
-        assert abs(ub) == pytest.approx(0.66144, abs=1e-4)
-        assert np.degrees(np.angle(ub)) == pytest.approx(-139.107, abs=1e-2)
-        assert ub == pytest.approx(np.conj(uc))
-
-    def test_zero_beta_mirror(self):
-        ua, ub, uc = unbalanced_grid_phasors(1.0, 0.0)
-        assert ub == pytest.approx(uc)
-        assert ub == pytest.approx(-0.5)
-
-
-class TestPerUnit:
-    def test_round_trip(self):
-        assert from_per_unit(per_unit(1.184, 2.368), 2.368) == pytest.approx(1.184)
-
-    def test_base_current_normalizes_to_one(self):
-        assert per_unit(2.368, PARAMS1["i_base"]) == pytest.approx(1.0)
-
-    def test_bad_base_rejected(self):
-        with pytest.raises(UsageError):
-            per_unit(1.0, 0.0)
-        with pytest.raises(UsageError):
-            from_per_unit(1.0, -2.0)
 
 
 class TestParameterHandling:

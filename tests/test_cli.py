@@ -290,7 +290,37 @@ class TestSolverFailure:
             assert isinstance(report["elapsed_s"], float)
 
 
+MALFORMED_CONFIGS = {
+    "grid_start_str": ("impedance", {"analysis": {"frequencies_hz": {"start": "a", "stop": 10}}}),
+    "grid_count_str": ("impedance", {"analysis": {"frequencies_hz": {"start": 5, "stop": 10,
+                                                                     "count": "x"}}}),
+    "n_harmonics_str": ("solve", {"solver": {"n_harmonics": "4"}}),
+    "tolerance_null": ("solve", {"solver": {"tolerance": None}}),
+    "max_iterations_fraction": ("solve", {"solver": {"max_iterations": 2.5}}),
+    "output_index_str": ("impedance", {"analysis": {"output_index": "1"}}),
+    "axis_value_str": ("sweep", {"sweep": {"axis1": {"values": [1, "b"]}}}),
+    "state_index_range": ("verify", {"oracle": {"growth_fit": True,
+                                                "perturbation": {"state_index": 40}}}),
+    "case_not_str": ("solve", {"case": 5}),
+    "set_not_object": ("solve", {"set": [1]}),
+    "solver_not_object": ("solve", {"solver": [1]}),
+    "oracle_not_object": ("verify", {"oracle": [1]}),
+    "axis_not_object": ("sweep", {"sweep": {"axis1": [1, 2]}}),
+}
+
+
 class TestConfigHandling:
+    @pytest.mark.parametrize("command, payload", MALFORMED_CONFIGS.values(),
+                             ids=MALFORMED_CONFIGS.keys())
+    def test_malformed_value_is_usage_error(self, command, payload, tmp_path, capsys):
+        # a wrong-typed value is a usage error (exit 1), never a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": {}}))
