@@ -220,6 +220,15 @@ def _norms(p: dict) -> dict:
     return out
 
 
+def _columns(v):
+    """``v`` indexed by state (or input) column: ``_columns(x)[k]`` is
+    ``x[..., k]`` for the ``(n,)`` and ``(M, n)`` shapes of the model
+    contract.  For a single ``(n,)`` state each column is a numpy scalar, not
+    a 0-d array, so the elementwise equations of a single RK4 stage run at
+    scalar cost; for an ``(M, n)`` batch it is the same strided view."""
+    return np.asarray(v, dtype=complex).T
+
+
 def _current_output(n_states):
     sel = np.zeros((2, n_states), dtype=complex)
     sel[0, 0] = 1.0
@@ -261,36 +270,33 @@ def build_case1(params: dict | None = None) -> dict:
 
     IC, ICC, XC, XCC, DELTA, XPLL = range(6)
 
-    def _uc_pair(t, x):
-        i, icj = x[..., IC], x[..., ICC]
-        xc, xcc = x[..., XC], x[..., XCC]
-        delta = x[..., DELTA]
-        e = np.exp(1j * (om1 * np.asarray(t, dtype=float) + delta))
+    def _uc_pair(t, xs):
+        e = np.exp(1j * (om1 * t + xs[DELTA]))
         em = 1.0 / e
-        uc = kp * (i_ref * e - i) + xc * e + 1j * ff * i
-        ucc = kp * (i_ref_c * em - icj) + xcc * em - 1j * ff * icj
+        uc = kp * (i_ref * e - xs[IC]) + xs[XC] * e + 1j * ff * xs[IC]
+        ucc = kp * (i_ref_c * em - xs[ICC]) + xs[XCC] * em - 1j * ff * xs[ICC]
         return e, em, uc, ucc
 
-    def _uc_columns(x, e, em):
+    def _uc_columns(xs, e, em):
         """∂(uc, ucc)/∂x by column; the columns left out are zero."""
-        zero = np.zeros(np.broadcast(x[..., 0], e).shape, dtype=complex)
+        zero = np.zeros(e.shape, dtype=complex)
         return {
             IC: (-kp + 1j * ff + zero, zero),
             ICC: (zero, -kp - 1j * ff + zero),
             XC: (e, zero),
             XCC: (zero, em),
-            DELTA: (1j * e * (kp * i_ref + x[..., XC]),
-                    -1j * em * (kp * i_ref_c + x[..., XCC])),
+            DELTA: (1j * e * (kp * i_ref + xs[XC]),
+                    -1j * em * (kp * i_ref_c + xs[XCC])),
         }
 
-    def _control_rows(out, x, e, em, uq):
+    def _control_rows(out, xs, e, em, uq):
         """Current-controller integrator and PLL rows of f (both loops)."""
-        out[..., XC] = ki * (i_ref - em * x[..., IC])
-        out[..., XCC] = ki * (i_ref_c - e * x[..., ICC])
-        out[..., DELTA] = kpp * uq + x[..., XPLL]
+        out[..., XC] = ki * (i_ref - em * xs[IC])
+        out[..., XCC] = ki * (i_ref_c - e * xs[ICC])
+        out[..., DELTA] = kpp * uq + xs[XPLL]
         out[..., XPLL] = kip * uq
 
-    def _control_jac_rows(jac, x, e, em, upoc, upocc):
+    def _control_jac_rows(jac, xs, e, em, upoc, upocc):
         """Jacobian of :func:`_control_rows` at a given bus voltage.  The PLL
         rows' dependence on the states through the bus voltage is each loop's
         own; this adds to those rows."""
@@ -299,37 +305,35 @@ def build_case1(params: dict | None = None) -> dict:
         jac[..., DELTA, DELTA] += -kpp * upocd
         jac[..., XPLL, DELTA] += -kip * upocd
         jac[..., XC, IC] = -ki * em
-        jac[..., XC, DELTA] = 1j * ki * em * x[..., IC]
+        jac[..., XC, DELTA] = 1j * ki * em * xs[IC]
         jac[..., XCC, ICC] = -ki * e
-        jac[..., XCC, DELTA] = -1j * ki * e * x[..., ICC]
+        jac[..., XCC, DELTA] = -1j * ki * e * xs[ICC]
         jac[..., DELTA, XPLL] += 1.0
 
     # -- closed loop -------------------------------------------------------
     def cl_dynamics(t, x, u):
-        x = np.asarray(x, dtype=complex)
-        u = np.asarray(u, dtype=complex)
-        e, em, uc, ucc = _uc_pair(t, x)
-        ug, ugc = u[..., 0], u[..., 1]
+        xs, us = _columns(x), _columns(u)
+        e, em, uc, ucc = _uc_pair(t, xs)
+        ug, ugc = us[0], us[1]
         d1, d2 = uc - ug, ucc - ugc
         upoc = ug + kdiv[0, 0] * d1 + kdiv[0, 1] * d2
         upocc = ugc + kdiv[1, 0] * d1 + kdiv[1, 1] * d2
         uq = (em * upoc - e * upocc) / 2j
-        out = np.zeros(np.broadcast(x[..., 0], e).shape + (6,), dtype=complex)
+        out = np.zeros(e.shape + (6,), dtype=complex)
         out[..., IC] = gsum[0, 0] * d1 + gsum[0, 1] * d2
         out[..., ICC] = gsum[1, 0] * d1 + gsum[1, 1] * d2
-        _control_rows(out, x, e, em, uq)
+        _control_rows(out, xs, e, em, uq)
         return out
 
     def cl_jac_state(t, x, u):
-        x = np.asarray(x, dtype=complex)
-        u = np.asarray(u, dtype=complex)
-        e, em, uc, ucc = _uc_pair(t, x)
-        ug, ugc = u[..., 0], u[..., 1]
+        xs, us = _columns(x), _columns(u)
+        e, em, uc, ucc = _uc_pair(t, xs)
+        ug, ugc = us[0], us[1]
         d1, d2 = uc - ug, ucc - ugc
         upoc = ug + kdiv[0, 0] * d1 + kdiv[0, 1] * d2
         upocc = ugc + kdiv[1, 0] * d1 + kdiv[1, 1] * d2
-        jac = np.zeros(np.broadcast(x[..., 0], e).shape + (6, 6), dtype=complex)
-        for col, (a, b) in _uc_columns(x, e, em).items():
+        jac = np.zeros(e.shape + (6, 6), dtype=complex)
+        for col, (a, b) in _uc_columns(xs, e, em).items():
             jac[..., IC, col] = gsum[0, 0] * a + gsum[0, 1] * b
             jac[..., ICC, col] = gsum[1, 0] * a + gsum[1, 1] * b
             dup = kdiv[0, 0] * a + kdiv[0, 1] * b
@@ -337,16 +341,13 @@ def build_case1(params: dict | None = None) -> dict:
             duq = (em * dup - e * dupc) / 2j
             jac[..., DELTA, col] = kpp * duq
             jac[..., XPLL, col] = kip * duq
-        _control_jac_rows(jac, x, e, em, upoc, upocc)
+        _control_jac_rows(jac, xs, e, em, upoc, upocc)
         return jac
 
     def cl_jac_input(t, x, u):
-        x = np.asarray(x, dtype=complex)
-        delta = x[..., DELTA]
-        e = np.exp(1j * (om1 * np.asarray(t, dtype=float) + delta))
+        e = np.exp(1j * (om1 * t + _columns(x)[DELTA]))
         em = 1.0 / e
-        shape = np.broadcast(x[..., 0], e).shape
-        jac = np.zeros(shape + (6, 2), dtype=complex)
+        jac = np.zeros(e.shape + (6, 2), dtype=complex)
         jac[..., IC, 0] = -gsum[0, 0]
         jac[..., IC, 1] = -gsum[0, 1]
         jac[..., ICC, 0] = -gsum[1, 0]
@@ -361,36 +362,31 @@ def build_case1(params: dict | None = None) -> dict:
 
     # -- open loop (bus voltage as input) ----------------------------------
     def ol_dynamics(t, x, u):
-        x = np.asarray(x, dtype=complex)
-        u = np.asarray(u, dtype=complex)
-        e, em, uc, ucc = _uc_pair(t, x)
-        upoc, upocc = u[..., 0], u[..., 1]
+        xs, us = _columns(x), _columns(u)
+        e, em, uc, ucc = _uc_pair(t, xs)
+        upoc, upocc = us[0], us[1]
         d1, d2 = uc - upoc, ucc - upocc
         uq = (em * upoc - e * upocc) / 2j
-        out = np.zeros(np.broadcast(x[..., 0], e).shape + (6,), dtype=complex)
+        out = np.zeros(e.shape + (6,), dtype=complex)
         out[..., IC] = gf[0, 0] * d1 + gf[0, 1] * d2
         out[..., ICC] = gf[1, 0] * d1 + gf[1, 1] * d2
-        _control_rows(out, x, e, em, uq)
+        _control_rows(out, xs, e, em, uq)
         return out
 
     def ol_jac_state(t, x, u):
-        x = np.asarray(x, dtype=complex)
-        u = np.asarray(u, dtype=complex)
-        e, em, _, _ = _uc_pair(t, x)
-        jac = np.zeros(np.broadcast(x[..., 0], e).shape + (6, 6), dtype=complex)
-        for col, (a, b) in _uc_columns(x, e, em).items():
+        xs, us = _columns(x), _columns(u)
+        e, em, _, _ = _uc_pair(t, xs)
+        jac = np.zeros(e.shape + (6, 6), dtype=complex)
+        for col, (a, b) in _uc_columns(xs, e, em).items():
             jac[..., IC, col] = gf[0, 0] * a + gf[0, 1] * b
             jac[..., ICC, col] = gf[1, 0] * a + gf[1, 1] * b
-        _control_jac_rows(jac, x, e, em, u[..., 0], u[..., 1])
+        _control_jac_rows(jac, xs, e, em, us[0], us[1])
         return jac
 
     def ol_jac_input(t, x, u):
-        x = np.asarray(x, dtype=complex)
-        delta = x[..., DELTA]
-        e = np.exp(1j * (om1 * np.asarray(t, dtype=float) + delta))
+        e = np.exp(1j * (om1 * t + _columns(x)[DELTA]))
         em = 1.0 / e
-        shape = np.broadcast(x[..., 0], e).shape
-        jac = np.zeros(shape + (6, 2), dtype=complex)
+        jac = np.zeros(e.shape + (6, 2), dtype=complex)
         jac[..., IC, 0] = -gf[0, 0]
         jac[..., IC, 1] = -gf[0, 1]
         jac[..., ICC, 0] = -gf[1, 0]
@@ -457,32 +453,33 @@ def build_case2(params: dict | None = None) -> dict:
     (IC, ICC, XCP, XCPC, XCN, XCNC, UF, UFC, IG, IGC,
      XS, XSC, XQ, XQC, XPLL, DELTA, XSD, XSDC) = range(18)
 
-    def _pieces(t, x):
-        """Shared algebraic intermediates (everything except the bus voltage)."""
-        e = np.exp(1j * (om1 * np.asarray(t, dtype=float) + x[..., DELTA]))
+    def _pieces(t, xs):
+        """Shared algebraic intermediates (everything except the bus voltage)
+        of the state columns ``xs``."""
+        e = np.exp(1j * (om1 * t + xs[DELTA]))
         em = 1.0 / e
-        up = 0.5 * (x[..., XS] + 1j * om1 * x[..., XQ])
-        upc = 0.5 * (x[..., XSC] - 1j * om1 * x[..., XQC])
-        s = up * x[..., ICC]
-        sc = upc * x[..., IC]
-        iref = kps * (s_ref_c - sc) + x[..., XSD]
-        irefc = kps * (s_ref - s) + x[..., XSDC]
+        up = 0.5 * (xs[XS] + 1j * om1 * xs[XQ])
+        upc = 0.5 * (xs[XSC] - 1j * om1 * xs[XQC])
+        s = up * xs[ICC]
+        sc = upc * xs[IC]
+        iref = kps * (s_ref_c - sc) + xs[XSD]
+        irefc = kps * (s_ref - s) + xs[XSDC]
         uq = (em * up - e * upc) / 2j
-        uc = kp * (iref * e - x[..., IC]) + e * x[..., XCP] + 1j * ff * x[..., IC] \
-            - kp * x[..., IC] + em * x[..., XCN]
-        ucc = kp * (irefc * em - x[..., ICC]) + em * x[..., XCPC] - 1j * ff * x[..., ICC] \
-            - kp * x[..., ICC] + e * x[..., XCNC]
+        uc = kp * (iref * e - xs[IC]) + e * xs[XCP] + 1j * ff * xs[IC] \
+            - kp * xs[IC] + em * xs[XCN]
+        ucc = kp * (irefc * em - xs[ICC]) + em * xs[XCPC] - 1j * ff * xs[ICC] \
+            - kp * xs[ICC] + e * xs[XCNC]
         return e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc
 
-    def _common_rows(out, x, e, em, up, upc, s, sc, iref, irefc, uq):
-        out[..., XCP] = ki * (iref - em * x[..., IC])
-        out[..., XCPC] = ki * (irefc - e * x[..., ICC])
-        out[..., XCN] = -ki * e * x[..., IC]
-        out[..., XCNC] = -ki * em * x[..., ICC]
-        out[..., XQ] = x[..., XS]
-        out[..., XQC] = x[..., XSC]
+    def _common_rows(out, xs, e, em, up, upc, s, sc, iref, irefc, uq):
+        out[..., XCP] = ki * (iref - em * xs[IC])
+        out[..., XCPC] = ki * (irefc - e * xs[ICC])
+        out[..., XCN] = -ki * e * xs[IC]
+        out[..., XCNC] = -ki * em * xs[ICC]
+        out[..., XQ] = xs[XS]
+        out[..., XQC] = xs[XSC]
         out[..., XPLL] = kip * uq
-        out[..., DELTA] = kpp * uq + x[..., XPLL]
+        out[..., DELTA] = kpp * uq + xs[XPLL]
         # Both channels of the reference PI must act on the conjugated power
         # error (i* ∝ conj of the power mismatch); integrating the plain error
         # instead turns the loop into ẋ ∝ -x*, a saddle with eigenvalues ±k.
@@ -490,42 +487,40 @@ def build_case2(params: dict | None = None) -> dict:
         out[..., XSDC] = kis * (s_ref - s)
 
     def cl_dynamics(t, x, u):
-        x = np.asarray(x, dtype=complex)
-        u = np.asarray(u, dtype=complex)
-        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, x)
-        upoc = x[..., UF] + rt * (x[..., IC] - x[..., IG])
-        upocc = x[..., UFC] + rt * (x[..., ICC] - x[..., IGC])
-        ug, ugc = u[..., 0], u[..., 1]
-        out = np.zeros(np.broadcast(x[..., 0], e).shape + (18,), dtype=complex)
+        xs, us = _columns(x), _columns(u)
+        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
+        upoc = xs[UF] + rt * (xs[IC] - xs[IG])
+        upocc = xs[UFC] + rt * (xs[ICC] - xs[IGC])
+        ug, ugc = us[0], us[1]
+        out = np.zeros(e.shape + (18,), dtype=complex)
         out[..., IC] = gf[0, 0] * (uc - upoc) + gf[0, 1] * (ucc - upocc)
         out[..., ICC] = gf[1, 0] * (uc - upoc) + gf[1, 1] * (ucc - upocc)
-        out[..., UF] = (x[..., IC] - x[..., IG]) / c_sec
-        out[..., UFC] = (x[..., ICC] - x[..., IGC]) / c_sec
+        out[..., UF] = (xs[IC] - xs[IG]) / c_sec
+        out[..., UFC] = (xs[ICC] - xs[IGC]) / c_sec
         out[..., IG] = gg[0, 0] * (upoc - ug) + gg[0, 1] * (upocc - ugc)
         out[..., IGC] = gg[1, 0] * (upoc - ug) + gg[1, 1] * (upocc - ugc)
-        out[..., XS] = om1 * ksogi * (upoc - x[..., XS]) - om1**2 * x[..., XQ]
-        out[..., XSC] = om1 * ksogi * (upocc - x[..., XSC]) - om1**2 * x[..., XQC]
-        _common_rows(out, x, e, em, up, upc, s, sc, iref, irefc, uq)
+        out[..., XS] = om1 * ksogi * (upoc - xs[XS]) - om1**2 * xs[XQ]
+        out[..., XSC] = om1 * ksogi * (upocc - xs[XSC]) - om1**2 * xs[XQC]
+        _common_rows(out, xs, e, em, up, upc, s, sc, iref, irefc, uq)
         return out
 
-    def _common_jac_rows(t, x):
+    def _common_jac_rows(t, xs):
         """Jacobian twin of :func:`_common_rows`: a fresh (..., 18, 18) state
         Jacobian holding those rows, plus the gradient rows ∂uc/∂x and
         ∂ucc/∂x that the converter-current rows of each loop are built from."""
-        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, x)
-        shape = np.broadcast(x[..., 0], e).shape
-        z = np.zeros(shape + (18,), dtype=complex)
+        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
+        z = np.zeros(e.shape + (18,), dtype=complex)
         dup, dupc = z.copy(), z.copy()
         dup[..., XS] = 0.5
         dup[..., XQ] = 0.5j * om1
         dupc[..., XSC] = 0.5
         dupc[..., XQC] = -0.5j * om1
         ds, dsc = z.copy(), z.copy()
-        ds[..., XS] = 0.5 * x[..., ICC]
-        ds[..., XQ] = 0.5j * om1 * x[..., ICC]
+        ds[..., XS] = 0.5 * xs[ICC]
+        ds[..., XQ] = 0.5j * om1 * xs[ICC]
         ds[..., ICC] = up
-        dsc[..., XSC] = 0.5 * x[..., IC]
-        dsc[..., XQC] = -0.5j * om1 * x[..., IC]
+        dsc[..., XSC] = 0.5 * xs[IC]
+        dsc[..., XQC] = -0.5j * om1 * xs[IC]
         dsc[..., IC] = upc
         diref = -kps * dsc
         diref[..., XSD] += 1.0
@@ -537,24 +532,24 @@ def build_case2(params: dict | None = None) -> dict:
         duc[..., IC] += -2.0 * kp + 1j * ff
         duc[..., XCP] += e
         duc[..., XCN] += em
-        duc[..., DELTA] += 1j * e * (kp * iref + x[..., XCP]) - 1j * em * x[..., XCN]
+        duc[..., DELTA] += 1j * e * (kp * iref + xs[XCP]) - 1j * em * xs[XCN]
         ducc = kp * em[..., None] * direfc
         ducc[..., ICC] += -2.0 * kp - 1j * ff
         ducc[..., XCPC] += em
         ducc[..., XCNC] += e
-        ducc[..., DELTA] += -1j * em * (kp * irefc + x[..., XCPC]) + 1j * e * x[..., XCNC]
+        ducc[..., DELTA] += -1j * em * (kp * irefc + xs[XCPC]) + 1j * e * xs[XCNC]
 
-        jac = np.zeros(shape + (18, 18), dtype=complex)
+        jac = np.zeros(e.shape + (18, 18), dtype=complex)
         jac[..., XCP, :] = ki * diref
         jac[..., XCP, IC] += -ki * em
-        jac[..., XCP, DELTA] += 1j * ki * em * x[..., IC]
+        jac[..., XCP, DELTA] += 1j * ki * em * xs[IC]
         jac[..., XCPC, :] = ki * direfc
         jac[..., XCPC, ICC] += -ki * e
-        jac[..., XCPC, DELTA] += -1j * ki * e * x[..., ICC]
+        jac[..., XCPC, DELTA] += -1j * ki * e * xs[ICC]
         jac[..., XCN, IC] = -ki * e
-        jac[..., XCN, DELTA] = -1j * ki * e * x[..., IC]
+        jac[..., XCN, DELTA] = -1j * ki * e * xs[IC]
         jac[..., XCNC, ICC] = -ki * em
-        jac[..., XCNC, DELTA] = 1j * ki * em * x[..., ICC]
+        jac[..., XCNC, DELTA] = 1j * ki * em * xs[ICC]
         jac[..., XQ, XS] = 1.0
         jac[..., XQC, XSC] = 1.0
         jac[..., XPLL, :] = kip * duq
@@ -565,8 +560,7 @@ def build_case2(params: dict | None = None) -> dict:
         return jac, duc, ducc
 
     def cl_jac_state(t, x, u):
-        x = np.asarray(x, dtype=complex)
-        jac, duc, ducc = _common_jac_rows(t, x)
+        jac, duc, ducc = _common_jac_rows(t, _columns(x))
         dupoc = np.zeros(duc.shape, dtype=complex)
         dupoc[..., UF] = 1.0
         dupoc[..., IC] = rt
@@ -620,39 +614,36 @@ def build_case2(params: dict | None = None) -> dict:
 
     # -- open loop: drop grid current, drive the bus directly ---------------
     # map open-loop indices onto the shared closed-loop piece indices
-    _omap = (IC, ICC, XCP, XCPC, XCN, XCNC, UF, UFC, XS, XSC, XQ, XQC,
-             XPLL, DELTA, XSD, XSDC)
-    _slot = {full: i for i, full in enumerate(_omap)}
+    _omap = np.array([IC, ICC, XCP, XCPC, XCN, XCNC, UF, UFC, XS, XSC, XQ, XQC,
+                      XPLL, DELTA, XSD, XSDC])
+    _slot = {int(full): i for i, full in enumerate(_omap)}
     oIC, oICC, oUF, oUFC, oXS, oXSC = (_slot[k] for k in (IC, ICC, UF, UFC, XS, XSC))
 
     def _expand(x16):
-        """View the 16-state vector as an 18-slot vector (grid current zero)."""
-        shape = x16.shape[:-1]
-        x18 = np.zeros(shape + (18,), dtype=complex)
-        x18[..., list(_omap)] = x16
-        return x18
+        """The state columns of the 16-state vector as 18 slots (grid current
+        zero)."""
+        x18 = np.zeros(x16.shape[:-1] + (18,), dtype=complex)
+        x18[..., _omap] = x16
+        return x18.T
 
     def ol_dynamics(t, x, u):
-        x = np.asarray(x, dtype=complex)
-        u = np.asarray(u, dtype=complex)
-        x18 = _expand(x)
-        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, x18)
-        upoc, upocc = u[..., 0], u[..., 1]
-        icap = (upoc - x18[..., UF]) / rt
-        icapc = (upocc - x18[..., UFC]) / rt
-        out18 = np.zeros(np.broadcast(x[..., 0], e).shape + (18,), dtype=complex)
+        xs, us = _expand(np.asarray(x, dtype=complex)), _columns(u)
+        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
+        upoc, upocc = us[0], us[1]
+        icap = (upoc - xs[UF]) / rt
+        icapc = (upocc - xs[UFC]) / rt
+        out18 = np.zeros(e.shape + (18,), dtype=complex)
         out18[..., IC] = gf[0, 0] * (uc - upoc) + gf[0, 1] * (ucc - upocc)
         out18[..., ICC] = gf[1, 0] * (uc - upoc) + gf[1, 1] * (ucc - upocc)
         out18[..., UF] = icap / c_sec
         out18[..., UFC] = icapc / c_sec
-        out18[..., XS] = om1 * ksogi * (upoc - x18[..., XS]) - om1**2 * x18[..., XQ]
-        out18[..., XSC] = om1 * ksogi * (upocc - x18[..., XSC]) - om1**2 * x18[..., XQC]
-        _common_rows(out18, x18, e, em, up, upc, s, sc, iref, irefc, uq)
-        return out18[..., list(_omap)]
+        out18[..., XS] = om1 * ksogi * (upoc - xs[XS]) - om1**2 * xs[XQ]
+        out18[..., XSC] = om1 * ksogi * (upocc - xs[XSC]) - om1**2 * xs[XQC]
+        _common_rows(out18, xs, e, em, up, upc, s, sc, iref, irefc, uq)
+        return out18[..., _omap]
 
     def ol_jac_state(t, x, u):
-        x18 = _expand(np.asarray(x, dtype=complex))
-        jac18, duc, ducc = _common_jac_rows(t, x18)
+        jac18, duc, ducc = _common_jac_rows(t, _expand(np.asarray(x, dtype=complex)))
         jac18[..., IC, :] = gf[0, 0] * duc + gf[0, 1] * ducc
         jac18[..., ICC, :] = gf[1, 0] * duc + gf[1, 1] * ducc
         jac18[..., UF, UF] = -1.0 / (rt * c_sec)
@@ -661,7 +652,7 @@ def build_case2(params: dict | None = None) -> dict:
         jac18[..., XS, XQ] = -om1**2
         jac18[..., XSC, XSC] = -om1 * ksogi
         jac18[..., XSC, XQC] = -om1**2
-        rows = np.ix_(list(_omap), list(_omap))
+        rows = np.ix_(_omap, _omap)
         return jac18[..., rows[0], rows[1]]
 
     ol_b = np.zeros((16, 2), dtype=complex)

@@ -319,22 +319,26 @@ _SCAN_HEADER = ("f_hz", "diag_re", "diag_im", "mirror_plus_re",
                 "singular")
 
 
-def _solve(config: dict, write_partial):
-    """Build the configured model and solve its periodic steady state.
+def _model(config: dict):
+    """The configured case variant."""
+    return _builder_for(config["case"])(config["set"])[config["variant"]]
 
-    Returns ``(model, solver_cfg, result)``.  On a solver failure
+
+def _solve(model, config: dict, write_partial):
+    """Solve the periodic steady state of ``model``.
+
+    Returns ``(solver_cfg, result)``.  On a solver failure
     ``write_partial(exc, model, solver_cfg)`` writes the command's partial
     artifacts, the error goes to stderr and ``result`` is None; the command
     then exits 2.
     """
-    model = _builder_for(config["case"])(config["set"])[config["variant"]]
     solver_cfg = SolverConfig(**config["solver"])
     try:
-        return model, solver_cfg, solve_pss(model, solver_cfg)
+        return solver_cfg, solve_pss(model, solver_cfg)
     except SOLVER_ERRORS as exc:
         write_partial(exc, model, solver_cfg)
         print(f"error: {exc}", file=sys.stderr)
-        return model, solver_cfg, None
+        return solver_cfg, None
 
 
 def cmd_solve(config: dict, out: Path, workers: int) -> int:
@@ -352,7 +356,8 @@ def cmd_solve(config: dict, out: Path, workers: int) -> int:
                       tolerance=solver_cfg.tolerance, elapsed_s=exc.elapsed_s)
         _write_json(out / "run_report.json", report)
 
-    model, solver_cfg, result = _solve(config, partial)
+    model = _model(config)
+    solver_cfg, result = _solve(model, config, partial)
     if result is None:
         return 2
     labels = _labels(model)
@@ -369,7 +374,7 @@ def cmd_eig(config: dict, out: Path, workers: int) -> int:
     def partial(exc, model, solver_cfg):
         _write_csv(out / "eigenvalues.csv", ("re", "im"), [])
 
-    _, _, result = _solve(config, partial)
+    _, result = _solve(_model(config), config, partial)
     if result is None:
         return 2
     modes = mode_set(result.hss, marginal_band=config["analysis"]["marginal_band"])
@@ -427,7 +432,7 @@ def cmd_impedance(config: dict, out: Path, workers: int) -> int:
     def partial(exc, model, solver_cfg):
         _write_csv(out / "scan.csv", _SCAN_HEADER, [])
 
-    _, _, result = _solve(config, partial)
+    _, result = _solve(_model(config), config, partial)
     if result is None:
         return 2
     scan = frequency_scan(result.hss, config["analysis"]["frequencies_hz"],
@@ -454,7 +459,14 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
         report.update(converged=False, iterations=len(exc.residual_history))
         _write_json(out / "verify_report.json", report)
 
-    model, _, result = _solve(config, partial)
+    model = _model(config)
+    # checked before solving, so a bad index is a usage error at every
+    # operating point, not only where the kicked response runs
+    state_index = oracle_cfg["perturbation"]["state_index"]
+    if not 0 <= state_index < model.n_states:
+        raise UsageError(f"oracle perturbation state_index {state_index} "
+                         f"outside [0, {model.n_states})")
+    _, result = _solve(model, config, partial)
     if result is None:
         return 2
     labels = _labels(model)
@@ -504,8 +516,8 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
         traj = kicked_response(model, result.waveforms[0],
                                {"onset": onset, "magnitude": pert["magnitude"]},
                                t_end, oracle_cfg["step"],
-                               state_index=pert["state_index"])
-        fit = growth_rate_fit(traj, pert["state_index"], {"onset": onset})
+                               state_index=state_index)
+        fit = growth_rate_fit(traj, state_index, {"onset": onset})
         agrees = (fit.rate > 0.0) == unstable
         report["growth"] = {"rate": fit.rate, "floored": fit.floored,
                             "sign_agrees": agrees,

@@ -94,7 +94,8 @@ def integrate(model: SystemModel, x0, t_span, step: float) -> Trajectory:
         k3 = f(t + half, x + half * k2, um)
         k4 = f(t + step, x + step * k3, u1)
         x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_LIMIT:
+        # one comparison catches both: NaN fails it and inf exceeds the limit
+        if not np.abs(x).max() <= DIVERGENCE_LIMIT:
             return Trajectory(times=times[:k + 1], states=states[:k + 1], step=step,
                               period=model.period, model_name=model.name,
                               state_labels=model.state_labels, diverged=True)

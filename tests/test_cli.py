@@ -301,6 +301,9 @@ MALFORMED_CONFIGS = {
     "axis_value_str": ("sweep", {"sweep": {"axis1": {"values": [1, "b"]}}}),
     "state_index_range": ("verify", {"oracle": {"growth_fit": True,
                                                 "perturbation": {"state_index": 40}}}),
+    # no kicked response runs on the stable case-1 default point
+    "state_index_range_stable": ("verify", {"oracle": {"perturbation": {"state_index": 40}}}),
+    "state_index_negative": ("verify", {"oracle": {"perturbation": {"state_index": -1}}}),
     "case_not_str": ("solve", {"case": 5}),
     "set_not_object": ("solve", {"set": [1]}),
     "solver_not_object": ("solve", {"solver": [1]}),

@@ -66,6 +66,26 @@ class TestConjugateClosure:
             assert abs(f[j] - np.conj(f[i])) < 1e-10
 
 
+class TestSingleStateCalls:
+    @pytest.mark.parametrize("model", list(all_variants()), ids=lambda m: m.name)
+    def test_single_state_matches_batch_row(self, model, rng):
+        # the RK4 oracle calls dynamics on one (n,) state at a time; the
+        # solver calls it on (M, n) batches: both must give the same f
+        m = 50
+        t = rng.uniform(0.0, model.period, size=m)
+        x = 0.5 * (rng.standard_normal((m, model.n_states))
+                   + 1j * rng.standard_normal((m, model.n_states)))
+        u = model.input_fn(t)
+        batch = model.dynamics(t, x, u)
+        for k in range(m):
+            single = model.dynamics(t[k], x[k], u[k])
+            assert single.shape == (model.n_states,)
+            assert single.dtype == complex
+            assert single.flags.c_contiguous
+            err = np.max(np.abs(single - batch[k]))
+            assert err <= 1e-14 * np.max(np.abs(batch[k]))
+
+
 class TestJacobians:
     @pytest.mark.parametrize("model", list(all_variants()), ids=lambda m: m.name)
     @pytest.mark.parametrize("which", ["state", "input", "out_state", "out_input"])

@@ -1,8 +1,11 @@
 """Time-domain RK4 oracle: integration accuracy, period tools, growth fitting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from conftest import diverging_after
 from ltpkit import (
     Trajectory,
     UsageError,
@@ -40,6 +43,21 @@ class TestIntegrate:
         traj = integrate(model, [1.0], 0.5, 1e-4)
         assert traj.diverged
         assert traj.times[-1] < 0.5
+        assert traj.states.shape[0] == traj.times.shape[0]
+        assert np.all(np.isfinite(traj.states))
+
+    def test_non_finite_state_flagged_without_warning(self):
+        # dynamics that turn NaN at t* (four calls per RK4 step) with no
+        # overflow on the way: the divergence test must catch the NaN itself
+        # and stop within one step
+        t_star, h = 0.2, 1e-3
+        model = diverging_after(linear_model(np.array([[-1.0, 0.5], [0.0, -2.0]])),
+                                4 * round(t_star / h))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = integrate(model, [1.0, 1.0], 1.0, h)
+        assert traj.diverged
+        assert traj.times[-1] < t_star + h
         assert traj.states.shape[0] == traj.times.shape[0]
         assert np.all(np.isfinite(traj.states))
 
