@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .errors import SingularAtFrequency, UsageError
 from .model import SystemModel
-from .spectral import BlockToeplitz, build_nblk, build_toeplitz
+from .spectral import build_nblk, build_toeplitz
 
 
 # an HTF probe closer than this many ω₁ to an HSS eigenvalue is singular
@@ -38,8 +38,8 @@ class HssMatrices:
     """Harmonic state-space of a periodic orbit.
 
     Holds the orbit samples (t, x(t), u(t)) on the one-period grid and the
-    model.  Each block-Toeplitz operator and each dense form is built on first
-    read, at most once per object; the dense forms are read-only.
+    model.  Each dense operator is built from its Jacobian on first read, at
+    most once per object, and is read-only.
     """
 
     model: SystemModel
@@ -47,7 +47,10 @@ class HssMatrices:
     states: np.ndarray   # (M, n)
     inputs: np.ndarray   # (M, m)
     n_harmonics: int
-    omega1: float
+
+    @property
+    def omega1(self) -> float:
+        return self.model.omega1
 
     @property
     def n_states(self) -> int:
@@ -65,25 +68,10 @@ class HssMatrices:
     def dim(self) -> int:
         return (2 * self.n_harmonics + 1) * self.n_states
 
-    def _toeplitz(self, jacobian) -> BlockToeplitz:
-        return build_toeplitz(jacobian(self.times, self.states, self.inputs),
-                              self.n_harmonics)
-
-    @cached_property
-    def a_op(self) -> BlockToeplitz:
-        return self._toeplitz(self.model.jac_state)
-
-    @cached_property
-    def b_op(self) -> BlockToeplitz:
-        return self._toeplitz(self.model.jac_input)
-
-    @cached_property
-    def c_op(self) -> BlockToeplitz:
-        return self._toeplitz(self.model.out_jac_state)
-
-    @cached_property
-    def d_op(self) -> BlockToeplitz:
-        return self._toeplitz(self.model.out_jac_input)
+    def _full(self, jacobian) -> np.ndarray:
+        """Dense block-Toeplitz form of ``jacobian`` along the orbit."""
+        samples = jacobian(self.times, self.states, self.inputs)
+        return build_toeplitz(samples, self.n_harmonics).full()
 
     @cached_property
     def nblk(self) -> np.ndarray:
@@ -92,22 +80,22 @@ class HssMatrices:
 
     @cached_property
     def _stability(self) -> np.ndarray:
-        lhs = self.a_op.full()
+        lhs = self._full(self.model.jac_state)
         idx = np.arange(lhs.shape[0])
         lhs[idx, idx] -= self.nblk
         return _read_only(lhs)
 
     @cached_property
     def b_full(self) -> np.ndarray:
-        return _read_only(self.b_op.full())
+        return _read_only(self._full(self.model.jac_input))
 
     @cached_property
     def c_full(self) -> np.ndarray:
-        return _read_only(self.c_op.full())
+        return _read_only(self._full(self.model.out_jac_state))
 
     @cached_property
     def d_full(self) -> np.ndarray:
-        return _read_only(self.d_op.full())
+        return _read_only(self._full(self.model.out_jac_input))
 
     def stability_matrix(self) -> np.ndarray:
         """A_toeplitz - N_blk, whose eigenvalues decide small-signal stability."""
@@ -184,7 +172,6 @@ class ModeSet:
     eigenvalues: np.ndarray
     weakest: complex
     classification: str
-    marginal_band: float = 0.0
 
 
 def hss_eigenvalues(hss: HssMatrices) -> np.ndarray:
@@ -258,7 +245,7 @@ def mode_set(hss: HssMatrices, marginal_band: float = 0.0) -> ModeSet:
     """Full spectrum plus the edge-filtered weakest mode and its verdict."""
     eigs = hss_eigenvalues(hss)
     weak = weakest_mode(eigs, omega1=hss.omega1, n_harmonics=hss.n_harmonics)
-    return ModeSet(eigs, weak, classify_stability(weak, marginal_band), marginal_band)
+    return ModeSet(eigs, weak, classify_stability(weak, marginal_band))
 
 
 def harmonic_transfer_function(hss: HssMatrices, s: complex,
@@ -289,8 +276,6 @@ class ScanResult:
     mirror_plus: np.ndarray   # block (+2,0): output shifted +2ω₁
     mirror_minus: np.ndarray  # block (-2,0): output shifted -2ω₁
     singular: np.ndarray      # rows where s hit an eigenvalue (entries NaN)
-    output_index: int
-    input_index: int
 
 
 def frequency_scan(
@@ -333,4 +318,4 @@ def frequency_scan(
     h = np.full((len(rows), freqs.size), complex(np.nan, np.nan))
     h[:, ~singular] = (hss.c_full[rows] @ q) @ z + hss.d_full[rows, col][:, None]
     diag, mplus, mminus = h
-    return ScanResult(freqs, diag, mplus, mminus, singular, output_index, input_index)
+    return ScanResult(freqs, diag, mplus, mminus, singular)

@@ -48,19 +48,18 @@ _ORACLE_DEFAULTS = {
     "horizon_periods": 25.0,
     "step": 5e-5,
     "tolerance_rms": 0.01,
-    "growth_fit": False,
 }
 _SWEEP_DEFAULTS = {
     "case1": {
-        "axis1": {"name": "alpha_pll", "unit": "Hz",
+        "axis1": {"name": "alpha_pll",
                   "values": {"start": 5.0, "stop": 60.0, "count": 23}},
-        "axis2": {"name": "u_gbeta_mag", "unit": "p.u.",
+        "axis2": {"name": "u_gbeta_mag",
                   "values": {"start": 0.0, "stop": 0.5, "count": 11}},
     },
     "case2": {
-        "axis1": {"name": "alpha_c", "unit": "Hz",
+        "axis1": {"name": "alpha_c",
                   "values": {"start": 150.0, "stop": 250.0, "count": 11}},
-        "axis2": {"name": "k_sym_g", "unit": "",
+        "axis2": {"name": "k_sym_g",
                   "values": {"start": 1.0, "stop": 3.0, "count": 11}},
     },
 }
@@ -136,7 +135,7 @@ def _resolve_grid(section: str, spec, default_count: int) -> list:
 def _resolve_axis(which: str, given: dict | None, default: dict) -> dict:
     axis = dict(default)
     for key, value in _section(f"sweep {which}", given).items():
-        if key not in ("name", "unit", "values"):
+        if key not in ("name", "values"):
             raise UsageError(f"unknown sweep {which} key {key!r}")
         axis[key] = value
     axis["values"] = _resolve_grid(f"sweep {which} values", axis["values"], 11)
@@ -347,7 +346,7 @@ def cmd_solve(config: dict, out: Path, workers: int) -> int:
 
     def partial(exc, model, solver_cfg):
         if isinstance(exc, MaxIterationsExceeded):
-            labels, grid = _labels(model), solver_cfg.grid()
+            labels, grid = _labels(model), solver_cfg.grid(model)
             _write_spectrum(out / "pss_spectrum.csv", labels, exc.last_spectrum)
             waveforms = spectrum_to_samples(exc.last_spectrum.coeffs, grid.n_samples)
             _write_waveforms(out / "pss_waveforms.csv", grid.times, waveforms, labels)
@@ -389,12 +388,9 @@ def cmd_eig(config: dict, out: Path, workers: int) -> int:
 def cmd_sweep(config: dict, out: Path, workers: int) -> int:
     if config["sweep"] is None:
         raise UsageError("sweep axes must be configured for this case")
-    axis1 = SweepAxis(config["sweep"]["axis1"]["name"],
-                      tuple(config["sweep"]["axis1"]["values"]),
-                      config["sweep"]["axis1"].get("unit", ""))
-    axis2 = SweepAxis(config["sweep"]["axis2"]["name"],
-                      tuple(config["sweep"]["axis2"]["values"]),
-                      config["sweep"]["axis2"].get("unit", ""))
+    axis1, axis2 = (SweepAxis(config["sweep"][which]["name"],
+                              tuple(config["sweep"][which]["values"]))
+                    for which in ("axis1", "axis2"))
     spec = SweepSpec(axis1=axis1, axis2=axis2, base_params=config["set"],
                      solver_config=SolverConfig(**config["solver"]),
                      variant=config["variant"])
@@ -508,17 +504,14 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
         report["note"] = ("solver classifies this point Unstable; waveform "
                           "comparison skipped (the oracle cannot settle), "
                           "growth fit used instead")
-
-    if oracle_cfg["growth_fit"] or unstable:
         pert = oracle_cfg["perturbation"]
         onset = pert["onset_periods"] * period
         t_end = onset + oracle_cfg["horizon_periods"] * period
-        traj = kicked_response(model, result.waveforms[0],
-                               {"onset": onset, "magnitude": pert["magnitude"]},
-                               t_end, oracle_cfg["step"],
-                               state_index=state_index)
-        fit = growth_rate_fit(traj, state_index, {"onset": onset})
-        agrees = (fit.rate > 0.0) == unstable
+        traj = kicked_response(model, result.waveforms[0], onset, t_end,
+                               oracle_cfg["step"], state_index=state_index,
+                               magnitude=pert["magnitude"])
+        fit = growth_rate_fit(traj, state_index, onset, period)
+        agrees = fit.rate > 0.0
         report["growth"] = {"rate": fit.rate, "floored": fit.floored,
                             "sign_agrees": agrees,
                             "trajectory_diverged": traj.diverged}

@@ -25,6 +25,8 @@ class SystemModel:
 
     Attributes
     ----------
+    omega1 : fundamental angular frequency; the solver grid, the HSS and the
+        oracle all take the period 2π/omega1 from it.
     dynamics, output : f(t, x, u) and g(t, x, u).
     jac_state, jac_input : ∂f/∂x (n×n) and ∂f/∂u (n×m) along a trajectory.
     out_jac_state, out_jac_input : ∂g/∂x (p×n) and ∂g/∂u (p×m).

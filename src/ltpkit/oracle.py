@@ -10,7 +10,7 @@ converter models are non-stiff at 50 µs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     step: float
-    period: float | None = None
-    model_name: str = "model"
-    state_labels: tuple = ()
     diverged: bool = False
 
     def __post_init__(self):
@@ -97,11 +94,9 @@ def integrate(model: SystemModel, x0, t_span, step: float) -> Trajectory:
         # one comparison catches both: NaN fails it and inf exceeds the limit
         if not np.abs(x).max() <= DIVERGENCE_LIMIT:
             return Trajectory(times=times[:k + 1], states=states[:k + 1], step=step,
-                              period=model.period, model_name=model.name,
-                              state_labels=model.state_labels, diverged=True)
+                              diverged=True)
         states[k + 1] = x
-    return Trajectory(times=times, states=states, step=step, period=model.period,
-                      model_name=model.name, state_labels=model.state_labels)
+    return Trajectory(times=times, states=states, step=step)
 
 
 def last_period(traj: Trajectory, period: float):
@@ -179,11 +174,10 @@ class GrowthFit:
 
     rate: float
     floored: bool = False
-    envelope: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    envelope_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def growth_rate_fit(traj: Trajectory, state_index: int, probe: dict) -> GrowthFit:
+def growth_rate_fit(traj: Trajectory, state_index: int, onset: float,
+                    period: float) -> GrowthFit:
     """Fit Re[λ] from the post-perturbation envelope of one state.
 
     The period immediately preceding the perturbation onset serves as the
@@ -194,13 +188,15 @@ def growth_rate_fit(traj: Trajectory, state_index: int, probe: dict) -> GrowthFi
     Parameters
     ----------
     traj : Trajectory
-        Must carry ``period``; should include several settled periods before
-        onset and at least three after.
+        Should include several settled periods before onset and at least
+        three after.
     state_index : int
         State whose envelope is fitted.
-    probe : dict
-        ``onset``: perturbation time (s); ``magnitude`` (optional, for
-        bookkeeping only).
+    onset : float
+        Perturbation time (s).
+    period : float
+        Fundamental period (s) of the steady state; a multiple of the
+        trajectory step.
 
     Returns
     -------
@@ -208,11 +204,8 @@ def growth_rate_fit(traj: Trajectory, state_index: int, probe: dict) -> GrowthFi
         ``rate`` in 1/s; ``floored=True`` when the whole envelope sits under
         the numeric floor (fast decay — rate pinned to a large negative value).
     """
-    if traj.period is None:
-        raise UsageError("trajectory carries no period metadata")
-    period, h = traj.period, traj.step
+    h = traj.step
     p = int(round(period / h))
-    onset = float(probe["onset"])
     k_on = int(round((onset - traj.times[0]) / h))
     if k_on < p:
         raise UsageError("need at least one settled period before onset")
@@ -229,23 +222,20 @@ def growth_rate_fit(traj: Trajectory, state_index: int, probe: dict) -> GrowthFi
     floor = max(1e-12, 1e-7 * float(np.max(np.abs(ref))))
     usable = env > floor
     if np.count_nonzero(usable) < 2:
-        return GrowthFit(rate=FLOOR_RATE, floored=True, envelope=env,
-                         envelope_times=t_env)
+        return GrowthFit(rate=FLOOR_RATE, floored=True)
     slope = np.polyfit(t_env[usable], np.log(env[usable]), 1)[0]
-    return GrowthFit(rate=float(slope), floored=False, envelope=env,
-                     envelope_times=t_env)
+    return GrowthFit(rate=float(slope))
 
 
-def kicked_response(model: SystemModel, x0, probe: dict, t_end: float,
-                    step: float, state_index: int = 0) -> Trajectory:
-    """Integrate, apply an additive state kick at ``probe['onset']``, continue.
+def kicked_response(model: SystemModel, x0, onset: float, t_end: float,
+                    step: float, state_index: int = 0,
+                    magnitude: complex = 1e-3) -> Trajectory:
+    """Integrate, apply an additive state kick at ``onset``, continue.
 
     The kick adds ``magnitude`` to ``state_index`` and the conjugate of the
     magnitude to its conjugate partner (when the model declares one), keeping
     the perturbed state physically real-valued in the phase domain.
     """
-    onset = float(probe["onset"])
-    magnitude = complex(probe.get("magnitude", 1e-3))
     if not 0.0 < onset < t_end:
         raise UsageError("onset must fall inside (0, t_end)")
     if not 0 <= state_index < model.n_states:
@@ -264,6 +254,5 @@ def kicked_response(model: SystemModel, x0, probe: dict, t_end: float,
     return Trajectory(
         times=np.concatenate([leg1.times[:-1], leg2.times]),
         states=np.concatenate([leg1.states[:-1], leg2.states]),
-        step=step, period=model.period, model_name=model.name,
-        state_labels=model.state_labels, diverged=leg2.diverged)
+        step=step, diverged=leg2.diverged)
 

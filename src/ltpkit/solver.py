@@ -43,7 +43,6 @@ class SolverConfig:
     """Newton/PSS solver settings (defaults are the benchmark values)."""
 
     n_harmonics: int = 4
-    period: float = 0.02
     step: float = 50e-6
     tolerance: float = 1e-3
     max_iterations: int = 50
@@ -58,8 +57,9 @@ class SolverConfig:
         if self.tolerance <= 0 or self.max_iterations < 1:
             raise UsageError("tolerance must be positive, max_iterations >= 1")
 
-    def grid(self) -> HarmonicGrid:
-        return HarmonicGrid(self.period, self.step)
+    def grid(self, model: SystemModel) -> HarmonicGrid:
+        """One fundamental period of ``model``, sampled every ``step``."""
+        return HarmonicGrid(model.period, self.step)
 
 
 @dataclass
@@ -184,7 +184,7 @@ def solve_pss(
     t0 = time.perf_counter()
     if config is None:
         config = SolverConfig()
-    grid = config.grid()
+    grid = config.grid(model)
     if u_samples is None:
         u_samples = np.asarray(model.input_fn(grid.times), dtype=complex)
     if u_samples.shape != (grid.n_samples, model.n_inputs):
@@ -235,7 +235,7 @@ def solve_pss(
         residual_history=history,
         converged=True,
         hss=HssMatrices(model, grid.times, waveforms, u_samples,
-                        config.n_harmonics, grid.omega1),
+                        config.n_harmonics),
         grid=grid,
         elapsed_s=time.perf_counter() - t0,
     )

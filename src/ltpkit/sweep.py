@@ -27,7 +27,6 @@ class SweepAxis:
 
     name: str
     values: tuple
-    unit: str = ""
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)

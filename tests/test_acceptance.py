@@ -55,10 +55,9 @@ def oracle_rms_errors(model, result, horizon_periods=25.0):
 def fitted_growth(model, result, onset_periods=10.0, horizon_periods=25.0):
     onset = onset_periods * T1
     t_end = onset + horizon_periods * T1
-    traj = kicked_response(model, result.waveforms[0],
-                           {"onset": onset, "magnitude": 1e-3}, t_end, STEP,
-                           state_index=0)
-    return growth_rate_fit(traj, 0, {"onset": onset}).rate
+    traj = kicked_response(model, result.waveforms[0], onset, t_end, STEP,
+                           state_index=0, magnitude=1e-3)
+    return growth_rate_fit(traj, 0, onset, T1).rate
 
 
 def test_a1_case1_pss_waveforms():
@@ -100,8 +99,8 @@ def test_a2_case2_pss_waveforms(case2_default, case2_unbalanced):
 
 def test_a3_case1_stability_boundary():
     spec = SweepSpec(
-        axis1=SweepAxis("alpha_pll", tuple(np.linspace(5.0, 60.0, 23)), "Hz"),
-        axis2=SweepAxis("u_gbeta_mag", tuple(np.linspace(0.0, 0.5, 11)), "p.u."),
+        axis1=SweepAxis("alpha_pll", tuple(np.linspace(5.0, 60.0, 23))),
+        axis2=SweepAxis("u_gbeta_mag", tuple(np.linspace(0.0, 0.5, 11))),
     )
     result = run_sweep(build_case1, spec, workers=4)
     a_pll = np.asarray(spec.axis1.values)[:, None]

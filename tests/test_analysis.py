@@ -392,9 +392,13 @@ class TestLazyOperators:
         hss = solve_pss(model).hss
         counts.clear()
         full_calls = Counter()
+        # the HSS drops each operator once its dense form is built; holding
+        # them here keeps two operators from sharing an id
+        seen = []
         full = BlockToeplitz.full
 
         def counted_full(op):
+            seen.append(op)
             full_calls[id(op)] += 1
             return full(op)
 

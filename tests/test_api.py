@@ -1,14 +1,16 @@
 """The public API against what documents and instruments it: the README's
-library table and the benchmark tracer's wrap targets."""
+library table and config schema, and the benchmark tracer's wrap targets."""
 
 import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import re
 from pathlib import Path
 
 import ltpkit
+from ltpkit.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -28,6 +30,27 @@ def library_overview():
         names = re.findall(r"`([^`]+)`", cells[2])
         rows[module] = [n for n in names if IDENTIFIER.fullmatch(n)]
     return rows
+
+
+def readme_config() -> dict:
+    """The example of the README's "JSON configuration" section."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("### JSON configuration", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+# keys whose value holds case parameters or a grid, not config keys
+FREE_FORM = {"set", "frequencies_hz", "values"}
+
+
+def key_paths(config: dict, prefix=()) -> set:
+    paths = set()
+    for key, value in config.items():
+        path = prefix + (key,)
+        paths.add(path)
+        if isinstance(value, dict) and key not in FREE_FORM:
+            paths |= key_paths(value, path)
+    return paths
 
 
 def members(cls):
@@ -56,6 +79,11 @@ class TestReadme:
         documented = {n for names in library_overview().values() for n in names}
         missing = sorted(set(ltpkit.__all__) - documented)
         assert not missing
+
+    def test_config_block_has_the_dumped_keys(self, capsys):
+        assert main(["solve", "--case", "case1", "--dump-config"]) == 0
+        dumped = json.loads(capsys.readouterr().out)
+        assert key_paths(readme_config()) == key_paths(dumped)
 
 
 def test_tracer_targets_resolve():

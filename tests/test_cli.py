@@ -267,6 +267,15 @@ class TestVerify:
         assert report["pass"] is True
         assert rc == 0
 
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_fundamental_follows_f_base(self, case, tmp_path):
+        # solver grid, HSS and oracle all take the period from the model
+        rc = main(["verify", "--case", case, "--set", "f_base=40",
+                   "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["pass"] is True
+        assert rc == 0
+
 
 class TestSolverFailure:
     PARTIAL = {"solve": "run_report.json", "eig": "eigenvalues.csv",
@@ -299,8 +308,10 @@ MALFORMED_CONFIGS = {
     "max_iterations_fraction": ("solve", {"solver": {"max_iterations": 2.5}}),
     "output_index_str": ("impedance", {"analysis": {"output_index": "1"}}),
     "axis_value_str": ("sweep", {"sweep": {"axis1": {"values": [1, "b"]}}}),
-    "state_index_range": ("verify", {"oracle": {"growth_fit": True,
-                                                "perturbation": {"state_index": 40}}}),
+    # the kicked response runs on this unstable point
+    "state_index_range": ("verify", {"case": "case2",
+                                     "set": {"alpha_c": 150, "k_sym_g": 2.8},
+                                     "oracle": {"perturbation": {"state_index": 40}}}),
     # no kicked response runs on the stable case-1 default point
     "state_index_range_stable": ("verify", {"oracle": {"perturbation": {"state_index": 40}}}),
     "state_index_negative": ("verify", {"oracle": {"perturbation": {"state_index": -1}}}),
@@ -309,6 +320,11 @@ MALFORMED_CONFIGS = {
     "solver_not_object": ("solve", {"solver": [1]}),
     "oracle_not_object": ("verify", {"oracle": [1]}),
     "axis_not_object": ("sweep", {"sweep": {"axis1": [1, 2]}}),
+    # keys that no longer exist: the period comes from the model, the growth
+    # fit runs exactly when the point is unstable, axes carry no unit
+    "solver_period": ("solve", {"solver": {"period": 0.025}}),
+    "oracle_growth_fit": ("verify", {"oracle": {"growth_fit": True}}),
+    "axis_unit": ("sweep", {"sweep": {"axis1": {"unit": "Hz"}}}),
 }
 
 

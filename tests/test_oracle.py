@@ -82,7 +82,7 @@ class TestLastPeriod:
         h = 5e-5
         times = h * np.arange(1201)
         states = np.exp(1j * OM1 * times)[:, None]
-        traj = Trajectory(times=times, states=states, step=h, period=T1)
+        traj = Trajectory(times=times, states=states, step=h)
         t, x = last_period(traj, T1)
         assert t.shape == (400,)
         assert t[0] / T1 == pytest.approx(round(t[0] / T1), abs=1e-9)
@@ -92,7 +92,7 @@ class TestLastPeriod:
         h = 5e-5
         times = 0.013 + h * np.arange(1000)
         states = np.cos(OM1 * times)[:, None].astype(complex)
-        traj = Trajectory(times=times, states=states, step=h, period=T1)
+        traj = Trajectory(times=times, states=states, step=h)
         t, x = last_period(traj, T1)
         assert t.shape == (400,)
         k = t[0] / T1
@@ -147,26 +147,26 @@ class TestGrowthFit:
             0.0,
         )
         states = (base + pert)[:, None]
-        return Trajectory(times=times, states=states, step=h, period=T1)
+        return Trajectory(times=times, states=states, step=h)
 
     def test_decay_rate_recovered(self):
-        fit = growth_rate_fit(self._synthetic(-2.0), 0, {"onset": 3 * T1})
+        fit = growth_rate_fit(self._synthetic(-2.0), 0, 3 * T1, T1)
         assert not fit.floored
         assert fit.rate == pytest.approx(-2.0, rel=0.05)
 
     def test_growth_rate_recovered(self):
-        fit = growth_rate_fit(self._synthetic(+4.0), 0, {"onset": 3 * T1})
+        fit = growth_rate_fit(self._synthetic(+4.0), 0, 3 * T1, T1)
         assert fit.rate == pytest.approx(+4.0, rel=0.05)
 
     def test_fast_decay_floors(self):
-        fit = growth_rate_fit(self._synthetic(-2.0, mag=1e-12), 0, {"onset": 3 * T1})
+        fit = growth_rate_fit(self._synthetic(-2.0, mag=1e-12), 0, 3 * T1, T1)
         assert fit.floored
         assert fit.rate < -1e5
 
     def test_onset_must_leave_reference_period(self):
         traj = self._synthetic(-2.0)
         with pytest.raises(UsageError):
-            growth_rate_fit(traj, 0, {"onset": 0.5 * T1})
+            growth_rate_fit(traj, 0, 0.5 * T1, T1)
 
 
 class TestKickedResponse:
@@ -175,8 +175,8 @@ class TestKickedResponse:
         x0 = result.waveforms[0]
         onset, t_end, h = 0.01, 0.02, 5e-5
         mag = 1e-3 + 2e-3j
-        traj = kicked_response(model, x0, {"onset": onset, "magnitude": mag},
-                               t_end, h, state_index=0)
+        traj = kicked_response(model, x0, onset, t_end, h, state_index=0,
+                               magnitude=mag)
         plain = integrate(model, x0, (0.0, onset), h)
         idx = int(round(onset / h))
         assert traj.times[idx] == pytest.approx(onset)
@@ -188,7 +188,7 @@ class TestKickedResponse:
     def test_onset_validation(self, case1_balanced):
         model, result = case1_balanced
         with pytest.raises(UsageError):
-            kicked_response(model, result.waveforms[0], {"onset": 0.0}, 0.02, 5e-5)
+            kicked_response(model, result.waveforms[0], 0.0, 0.02, 5e-5)
 
 
 class TestSettling:
@@ -200,7 +200,7 @@ class TestSettling:
         assert not traj.diverged
         t_last, x_last = last_period(traj, T1)
         prev = Trajectory(times=traj.times[:-400], states=traj.states[:-400],
-                          step=traj.step, period=T1)
+                          step=traj.step)
         t_prev, x_prev = last_period(prev, T1)
         p2p = compare_waveforms((t_prev, x_prev), (t_last, x_last))
         scale = np.maximum(np.max(np.abs(x_last), axis=0), 0.1)

@@ -47,7 +47,7 @@ class TestSolverConfig:
             SolverConfig(damping=0.0)
 
     def test_grid_matches_benchmark(self):
-        g = SolverConfig().grid()
+        g = SolverConfig().grid(build_case1()["closed_loop"])
         assert g.n_samples == 400
         assert g.omega1 == pytest.approx(OM1)
 
@@ -114,6 +114,22 @@ class TestLinearExactness:
         mask = np.ones(9, dtype=bool)
         mask[4 + 1] = False
         assert np.max(np.abs(result.spectrum.coeffs[mask, 0])) < 1e-9
+
+    def test_fundamental_comes_from_model(self):
+        # a 40 Hz model under the default config: the grid spans the model's
+        # own period, so the drive lands exactly on harmonic +1
+        om1 = 2.0 * np.pi * 40.0
+        a = np.array([[-30.0, 5.0], [-2.0, -60.0]], dtype=complex)
+        b = np.array([[1.0], [0.5]], dtype=complex)
+
+        def drive(t):
+            return np.exp(1j * om1 * np.asarray(t, dtype=float))[..., None]
+
+        model = linear_model(a, omega1=om1, b=b, input_fn=drive)
+        result = solve_pss(model)
+        assert result.grid.period == model.period
+        expect = np.linalg.solve(1j * om1 * np.eye(2) - a, b[:, 0])
+        assert np.max(np.abs(result.spectrum.coeff(1) - expect)) < 1e-9
 
     def test_unforced_harmonics_stay_zero(self):
         result = solve_pss(forced_lti())
