@@ -118,15 +118,17 @@ class HssMatrices:
         return _read_only((rows + sigma).reshape(-1))
 
     @cached_property
-    def _spectrum(self) -> tuple:
+    def _similar(self) -> tuple:
+        """(W, defect): the similar form W = Tᴴ H T of :attr:`eigenvalues`,
+        real (Re W) when the defect max|Im W| / max|W| passes the gate."""
         w = _similar_form(self._stability, self.partner)
         scale = float(np.max(np.abs(w)))
         defect = float(np.max(np.abs(w.imag))) / scale if scale > 0.0 else 0.0
-        eigs = scipy.linalg.eigvals(w.real if defect <= REAL_FORM_TOL else w)
-        order = np.lexsort((eigs.imag, -eigs.real))
-        return _read_only(eigs[order]), defect
+        if defect <= REAL_FORM_TOL:
+            w = np.ascontiguousarray(w.real)
+        return _read_only(w), defect
 
-    @property
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Spectrum of the stability matrix, sorted by descending real part
         (ties by ascending imaginary part); computed once, read-only.
@@ -138,31 +140,49 @@ class HssMatrices:
         real eigen-solver runs on Re W and returns exact conjugate pairs.
         Otherwise (complex LTI models, for instance) W itself is solved.
         """
-        return self._spectrum[0]
+        eigs = scipy.linalg.eigvals(self._similar[0])
+        order = np.lexsort((eigs.imag, -eigs.real))
+        return _read_only(eigs[order])
 
     @property
     def symmetry_defect(self) -> float:
         """max|Im W| / max|W| of the similar form behind :attr:`eigenvalues`."""
-        return self._spectrum[1]
+        return self._similar[1]
 
     @property
     def real_form(self) -> bool:
-        """Whether :attr:`eigenvalues` came from the real eigen-solver."""
+        """Whether :attr:`eigenvalues` and :func:`frequency_scan` work on the
+        real matrix Re W."""
         return self.symmetry_defect <= REAL_FORM_TOL
 
 
 def _similar_form(h: np.ndarray, partner: np.ndarray) -> np.ndarray:
     """Tᴴ h T for the unitary T of :attr:`HssMatrices.eigenvalues`, by
     gathers and sums rather than matrix products."""
+    return _left_t(_right_t(h, partner), partner)
+
+
+def _pairs(partner: np.ndarray) -> tuple:
+    """Self-partnered coordinates and the (a, b) partner pairs with a < b."""
     idx = np.arange(partner.size)
-    fixed = idx[partner == idx]
     a = idx[idx < partner]
-    b = partner[a]
+    return idx[partner == idx], a, partner[a]
+
+
+def _right_t(x: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """x T, gathering along the last axis of ``x``."""
+    fixed, a, b = _pairs(partner)
     r = np.sqrt(0.5)
-    g = np.concatenate((h[:, fixed], r * (h[:, a] + h[:, b]),
-                        1j * r * (h[:, a] - h[:, b])), axis=1)
-    return np.concatenate((g[fixed], r * (g[a] + g[b]),
-                           -1j * r * (g[a] - g[b])), axis=0)
+    return np.concatenate((x[..., fixed], r * (x[..., a] + x[..., b]),
+                           1j * r * (x[..., a] - x[..., b])), axis=-1)
+
+
+def _left_t(x: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """Tᴴ x, gathering along the first axis of ``x``."""
+    fixed, a, b = _pairs(partner)
+    r = np.sqrt(0.5)
+    return np.concatenate((x[fixed], r * (x[a] + x[b]),
+                           -1j * r * (x[a] - x[b])), axis=0)
 
 
 @dataclass
@@ -291,9 +311,16 @@ def frequency_scan(
     component pair.  Frequencies within the :func:`harmonic_transfer_function`
     guard of an HSS eigenvalue are flagged (entries NaN), not fatal.
 
-    The stability matrix is reduced once to complex Schur form Q T Qᴴ; every
-    probe then costs one O(dim²) back-substitution of (sI − T) z = Qᴴ b on
-    the single l = 0 input column b (Laub 1981, IEEE TAC 26(2)).
+    The scan works on the similar form W = Tᴴ H T of
+    :attr:`HssMatrices.eigenvalues`, reduced once to Schur form Q R Qᴴ
+    (Laub 1981, IEEE TAC 26(2)): real quasi-triangular R and real Q when
+    :attr:`HssMatrices.real_form` holds (Golub & Van Loan, Matrix
+    Computations, §7.4), complex triangular otherwise.  The single l = 0
+    input column b enters as Qᴴ Tᴴ b and the three reported output rows c
+    as c T Q.  All probes then share one O(dim²) back-substitution of
+    (sI − R) z = Qᴴ Tᴴ b, with a closed-form solve per 2×2 diagonal block
+    of R; the poles behind the singular guard are the eigenvalues of those
+    blocks.
     """
     if hss.n_harmonics < 2:
         raise UsageError("need n_harmonics >= 2 to expose the ±2 coupling blocks")
@@ -301,21 +328,58 @@ def frequency_scan(
     if not (0 <= output_index < p and 0 <= input_index < m):
         raise UsageError("output/input index out of range")
     freqs = np.asarray(frequencies_hz, dtype=float)
+    if not np.all(np.isfinite(freqs)):
+        raise UsageError("scan frequencies must be finite")
     s = 2j * np.pi * freqs
-    tri, q = scipy.linalg.schur(hss.stability_matrix(), output="complex")
-    poles = np.diag(tri)
+    tri, q = scipy.linalg.schur(hss._similar[0],
+                                output="real" if hss.real_form else "complex")
+    sizes, poles = _diagonal_blocks(tri)
     dist = np.min(np.abs(poles[:, None] - s), axis=0)
     singular = dist < _SINGULAR_GUARD * hss.omega1
     s_ok = s[~singular]
 
     col = n * m + input_index
     rows = [(n + k) * p + output_index for k in (0, +2, -2)]
-    y = q.conj().T @ hss.b_full[:, col]
+    y = q.conj().T @ _left_t(hss.b_full[:, col], hss.partner)
     z = np.empty((poles.size, s_ok.size), dtype=complex)
-    for i in range(poles.size - 1, -1, -1):
-        z[i] = (y[i] + tri[i, i + 1:] @ z[i + 1:]) / (s_ok - poles[i])
+    # a real R multiplies the real and imaginary parts of z as one real matrix
+    z_parts = z.view(float) if tri.dtype == float else z
+    for i in np.flatnonzero(sizes)[::-1]:
+        j = i + sizes[i]
+        rhs = y[i:j, None] + (tri[i:j, j:] @ z_parts[j:]).view(complex)
+        if j == i + 1:
+            z[i] = rhs[0] / (s_ok - poles[i])
+            continue
+        # (sI − B) z = rhs for the 2×2 block B, whose determinant is
+        # (s − λ₁)(s − λ₂) over its two eigenvalues
+        (b11, b12), (b21, b22) = tri[i:j, i:j]
+        det = (s_ok - poles[i]) * (s_ok - poles[i + 1])
+        z[i] = ((s_ok - b22) * rhs[0] + b12 * rhs[1]) / det
+        z[i + 1] = (b21 * rhs[0] + (s_ok - b11) * rhs[1]) / det
 
     h = np.full((len(rows), freqs.size), complex(np.nan, np.nan))
-    h[:, ~singular] = (hss.c_full[rows] @ q) @ z + hss.d_full[rows, col][:, None]
+    c = _right_t(hss.c_full[rows], hss.partner) @ q
+    h[:, ~singular] = c @ z + hss.d_full[rows, col][:, None]
     diag, mplus, mminus = h
     return ScanResult(freqs, diag, mplus, mminus, singular)
+
+
+def _diagonal_blocks(tri: np.ndarray) -> tuple:
+    """Diagonal blocks of a (quasi-)triangular Schur factor and its poles.
+
+    Returns the block size at each block's first row (1 or 2; 0 on the
+    second row of a 2×2 block) and the eigenvalues in diagonal order.  A
+    2×2 block of the real Schur form, standardized by LAPACK to
+    [[a, b], [c, a]] with bc < 0, holds the conjugate pair a ± i√(−bc).
+    """
+    first = np.flatnonzero(np.diag(tri, -1))
+    second = first + 1
+    sizes = np.ones(tri.shape[0], dtype=int)
+    sizes[first], sizes[second] = 2, 0
+    a, b = tri[first, first], tri[first, second]
+    c, d = tri[second, first], tri[second, second]
+    mean = 0.5 * (a + d)
+    root = np.sqrt((0.25 * (a - d) ** 2 + b * c).astype(complex))
+    poles = np.diag(tri).astype(complex)
+    poles[first], poles[second] = mean + root, mean - root
+    return sizes, poles

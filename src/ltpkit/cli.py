@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -71,13 +72,13 @@ _TOP_KEYS = ("case", "variant", "set", "solver", "analysis", "sweep", "oracle")
 
 def _typed(where: str, value, kind: type):
     """``value`` as ``kind`` when that is bool, int (integral numbers only) or
-    float; any other kind takes ``value`` as given."""
+    float (not NaN); any other kind takes ``value`` as given."""
     if kind not in (bool, int, float):
         return value
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is bool and isinstance(value, bool):
         return value
-    if kind is float and number:
+    if kind is float and number and not math.isnan(value):
         return float(value)
     if kind is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
@@ -102,10 +103,19 @@ def _merge(section: str, defaults: dict, given: dict | None) -> dict:
     return out
 
 
+def _finite(where: str, value) -> float:
+    """``value`` as a finite float."""
+    number = _typed(where, value, float)
+    if not math.isfinite(number):
+        raise UsageError(f"{where}: expected a finite number, got {value!r}")
+    return number
+
+
 def _resolve_grid(section: str, spec, default_count: int) -> list:
-    """A numeric grid given either as an explicit list or start/stop/count."""
+    """A finite numeric grid given either as an explicit list or
+    start/stop/count."""
     if isinstance(spec, (list, tuple)):
-        return [_typed(section, v, float) for v in spec]
+        return [_finite(section, v) for v in spec]
     if not isinstance(spec, dict):
         raise UsageError(f"{section}: expected a list or start/stop spec")
     allowed = {"start", "stop", "count", "spacing"}
@@ -115,8 +125,8 @@ def _resolve_grid(section: str, spec, default_count: int) -> list:
     for key in ("start", "stop"):
         if key not in spec:
             raise UsageError(f"{section}: missing key {key!r}")
-    start = _typed(f"{section} start", spec["start"], float)
-    stop = _typed(f"{section} stop", spec["stop"], float)
+    start = _finite(f"{section} start", spec["start"])
+    stop = _finite(f"{section} stop", spec["stop"])
     count = _typed(f"{section} count", spec.get("count", default_count), int)
     spacing = spec.get("spacing", "linear")
     if count < 1:
@@ -130,6 +140,17 @@ def _resolve_grid(section: str, spec, default_count: int) -> list:
     else:
         raise UsageError(f"{section}: spacing must be 'linear' or 'log'")
     return [float(v) for v in values]
+
+
+def _override(where: str, key: str, value) -> float:
+    """A case-parameter override as a finite float."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise UsageError(f"{where} value for {key!r} is not a finite number: {value!r}")
+    return number
 
 
 def _resolve_axis(which: str, given: dict | None, default: dict) -> dict:
@@ -174,18 +195,12 @@ def resolve_config(command: str, args) -> dict:
 
     overrides = {}
     for key, value in _section("set", file_cfg.get("set")).items():
-        try:
-            overrides[key] = float(value)
-        except (TypeError, ValueError):
-            raise UsageError(f"set value for {key!r} is not numeric: {value!r}") from None
+        overrides[key] = _override("set", key, value)
     for item in args.set or []:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise UsageError(f"--set expects key=value, got {item!r}")
-        try:
-            overrides[key] = float(value)
-        except ValueError:
-            raise UsageError(f"--set value for {key!r} is not numeric: {value!r}") from None
+        overrides[key] = _override("--set", key, value)
 
     solver_defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
     solver = _merge("solver", solver_defaults, file_cfg.get("solver"))

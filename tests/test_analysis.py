@@ -270,6 +270,42 @@ class TestFrequencyScan:
         assert np.isnan(scan.diag[1].real)
         assert np.isfinite(scan.diag[0]) and np.isfinite(scan.diag[2])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_real_form_singular_frequency_flagged(self):
+        # the poles ±jw of a real rotation sit in 2×2 blocks of the real
+        # Schur form; the guard reads them from there
+        w = 2.0 * np.pi * 37.0
+        hss = lti_hss([[0.0, w], [-w, 0.0]], n_harmonics=2)
+        assert hss.real_form
+        scan = frequency_scan(hss, [36.0, 37.0, 38.0])
+        assert list(scan.singular) == [False, True, False]
+        assert np.isnan(scan.diag[1].real)
+        assert np.isfinite(scan.diag[0]) and np.isfinite(scan.diag[2])
+
+    @pytest.mark.parametrize("builder", [build_case1, build_case2])
+    def test_one_real_schur_and_no_eigen_solve(self, builder, monkeypatch):
+        hss = solve_pss(builder()["open_loop"]).hss
+        schur_dtypes, eig_calls = [], []
+        schur, eigvals = scipy.linalg.schur, scipy.linalg.eigvals
+
+        def counted_schur(a, *args, **kwargs):
+            tri, q = schur(a, *args, **kwargs)
+            schur_dtypes.append((np.asarray(a).dtype, tri.dtype, q.dtype))
+            return tri, q
+
+        def counted_eigvals(*args, **kwargs):
+            eig_calls.append(1)
+            return eigvals(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+        monkeypatch.setattr(scipy.linalg, "eigvals", counted_eigvals)
+        assert hss.real_form
+        assert eig_calls == []
+        scan = frequency_scan(hss, np.geomspace(1.0, 2500.0, 50))
+        assert not scan.singular.any()
+        assert schur_dtypes == [(np.float64, np.float64, np.float64)]
+        assert eig_calls == []
+
     @pytest.mark.parametrize("builder", [build_case1, build_case2])
     def test_matches_full_matrix_htf(self, builder):
         params = {"u_gbeta_mag": 0.75, "k_sym_c": 1.4}
@@ -292,6 +328,8 @@ class TestFrequencyScan:
         hss = lti_hss([[-1.0]], n_harmonics=2)
         with pytest.raises(UsageError):
             frequency_scan(hss, [10.0], output_index=5)
+        with pytest.raises(UsageError):
+            frequency_scan(hss, [10.0, np.nan])
         with pytest.raises(UsageError):
             frequency_scan(lti_hss([[-1.0]], n_harmonics=1), [10.0])
 
@@ -326,12 +364,14 @@ class TestFrequencyScan:
 
 
 @st.composite
-def stable_lti_scans(draw):
-    """Random stable LTI system, truncation order, index pair and probes."""
+def stable_lti_scans(draw, real=False):
+    """Random stable LTI system (real ``a`` when ``real``), truncation order,
+    index pair and probes."""
     n = draw(st.integers(1, 4))
     parts = st.floats(-100.0, 100.0, allow_nan=False)
-    a = (np.array(draw(st.lists(parts, min_size=n * n, max_size=n * n)))
-         + 1j * np.array(draw(st.lists(parts, min_size=n * n, max_size=n * n))))
+    a = np.array(draw(st.lists(parts, min_size=n * n, max_size=n * n)))
+    if not real:
+        a = a + 1j * np.array(draw(st.lists(parts, min_size=n * n, max_size=n * n)))
     a = a.reshape(n, n)
     # shift the spectrum left of Re = -margin: every probe j2πf on the
     # imaginary axis then stays at least margin away from each HSS eigenvalue
@@ -342,22 +382,36 @@ def stable_lti_scans(draw):
             draw(st.integers(0, n - 1)), freqs)
 
 
+def assert_scan_is_resolvent_entry(hss, a, output_index, input_index, freqs):
+    scan = frequency_scan(hss, freqs, output_index, input_index)
+    assert not scan.singular.any()
+    expect = np.array([
+        np.linalg.inv(2j * np.pi * f * np.eye(a.shape[0]) - a)[output_index,
+                                                              input_index]
+        for f in freqs])
+    scale = 1.0 + np.max(np.abs(expect))
+    assert np.max(np.abs(scan.diag - expect)) <= 1e-9 * scale
+    assert np.max(np.abs(scan.mirror_plus)) <= 1e-9 * scale
+    assert np.max(np.abs(scan.mirror_minus)) <= 1e-9 * scale
+
+
 class TestScanProperties:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(stable_lti_scans())
     def test_lti_scan_is_resolvent_entry(self, case):
         a, n_harmonics, output_index, input_index, freqs = case
-        scan = frequency_scan(lti_hss(a, n_harmonics=n_harmonics), freqs,
-                              output_index, input_index)
-        assert not scan.singular.any()
-        expect = np.array([
-            np.linalg.inv(2j * np.pi * f * np.eye(a.shape[0]) - a)[output_index,
-                                                                  input_index]
-            for f in freqs])
-        scale = 1.0 + np.max(np.abs(expect))
-        assert np.max(np.abs(scan.diag - expect)) <= 1e-9 * scale
-        assert np.max(np.abs(scan.mirror_plus)) <= 1e-9 * scale
-        assert np.max(np.abs(scan.mirror_minus)) <= 1e-9 * scale
+        assert_scan_is_resolvent_entry(lti_hss(a, n_harmonics=n_harmonics),
+                                       a, output_index, input_index, freqs)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(stable_lti_scans(real=True))
+    def test_real_lti_scan_is_resolvent_entry(self, case):
+        # a real model passes the real-form gate: the scan back-substitutes
+        # on the real Schur form, through 1×1 and 2×2 diagonal blocks
+        a, n_harmonics, output_index, input_index, freqs = case
+        hss = lti_hss(a, n_harmonics=n_harmonics)
+        assert hss.real_form
+        assert_scan_is_resolvent_entry(hss, a, output_index, input_index, freqs)
 
 
 def _counted(model, counts):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -325,6 +326,17 @@ MALFORMED_CONFIGS = {
     "solver_period": ("solve", {"solver": {"period": 0.025}}),
     "oracle_growth_fit": ("verify", {"oracle": {"growth_fit": True}}),
     "axis_unit": ("sweep", {"sweep": {"axis1": {"unit": "Hz"}}}),
+    # NaN is no float setting; grids and case parameters must be finite
+    "oracle_step_nan": ("verify", {"oracle": {"step": math.nan}}),
+    "horizon_periods_nan": ("verify", {"oracle": {"horizon_periods": math.nan}}),
+    "solver_step_nan": ("solve", {"solver": {"step": math.nan}}),
+    "tolerance_nan": ("solve", {"solver": {"tolerance": math.nan}}),
+    "frequency_nan": ("impedance", {"analysis": {"frequencies_hz": [math.nan, 10]}}),
+    "frequency_stop_inf": ("impedance", {"analysis": {"frequencies_hz": {
+        "start": 1, "stop": math.inf, "count": 3}}}),
+    "axis_value_inf": ("sweep", {"sweep": {"axis1": {"values": [math.inf]}}}),
+    "set_nan": ("solve", {"set": {"alpha_pll": math.nan}}),
+    "set_inf": ("solve", {"set": {"alpha_pll": -math.inf}}),
 }
 
 
@@ -339,6 +351,13 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_set_flag_is_usage_error(self, value, tmp_path, capsys):
+        rc = main(["solve", "--set", f"alpha_pll={value}", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "not a finite number" in capsys.readouterr().err
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
