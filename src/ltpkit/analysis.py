@@ -98,7 +98,8 @@ class HssMatrices:
         return _read_only(self._full(self.model.out_jac_input))
 
     def stability_matrix(self) -> np.ndarray:
-        """A_toeplitz - N_blk, whose eigenvalues decide small-signal stability."""
+        """A_toeplitz - N_blk, whose eigenvalues decide small-signal stability;
+        its negation is the Newton iteration matrix (:func:`ltpkit.solver.newton_step`)."""
         return self._stability
 
     @cached_property

@@ -72,17 +72,18 @@ _TOP_KEYS = ("case", "variant", "set", "solver", "analysis", "sweep", "oracle")
 
 def _typed(where: str, value, kind: type):
     """``value`` as ``kind`` when that is bool, int (integral numbers only) or
-    float (not NaN); any other kind takes ``value`` as given."""
+    float (finite numbers only); any other kind takes ``value`` as given."""
     if kind not in (bool, int, float):
         return value
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is bool and isinstance(value, bool):
         return value
-    if kind is float and number and not math.isnan(value):
+    if kind is float and number and math.isfinite(value):
         return float(value)
     if kind is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
-    raise UsageError(f"{where}: expected {kind.__name__}, got {value!r}")
+    expected = "a finite number" if kind is float else kind.__name__
+    raise UsageError(f"{where}: expected {expected}, got {value!r}")
 
 
 def _section(name: str, value) -> dict:
@@ -103,19 +104,11 @@ def _merge(section: str, defaults: dict, given: dict | None) -> dict:
     return out
 
 
-def _finite(where: str, value) -> float:
-    """``value`` as a finite float."""
-    number = _typed(where, value, float)
-    if not math.isfinite(number):
-        raise UsageError(f"{where}: expected a finite number, got {value!r}")
-    return number
-
-
 def _resolve_grid(section: str, spec, default_count: int) -> list:
     """A finite numeric grid given either as an explicit list or
     start/stop/count."""
     if isinstance(spec, (list, tuple)):
-        return [_finite(section, v) for v in spec]
+        return [_typed(section, v, float) for v in spec]
     if not isinstance(spec, dict):
         raise UsageError(f"{section}: expected a list or start/stop spec")
     allowed = {"start", "stop", "count", "spacing"}
@@ -125,8 +118,8 @@ def _resolve_grid(section: str, spec, default_count: int) -> list:
     for key in ("start", "stop"):
         if key not in spec:
             raise UsageError(f"{section}: missing key {key!r}")
-    start = _finite(f"{section} start", spec["start"])
-    stop = _finite(f"{section} stop", spec["stop"])
+    start = _typed(f"{section} start", spec["start"], float)
+    stop = _typed(f"{section} stop", spec["stop"], float)
     count = _typed(f"{section} count", spec.get("count", default_count), int)
     spacing = spec.get("spacing", "linear")
     if count < 1:
@@ -266,21 +259,21 @@ def _builder_for(case: str):
 # ---------------------------------------------------------------------------
 # artifact writers
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, columns: dict):
+    """Write ``{header: column}`` with one printf conversion per column, by
+    dtype: ``%.17g`` for floats, ``%d`` for integers, ``true``/``false`` for
+    booleans and strings as given."""
+    conversions, values = [], []
+    for column in map(np.asarray, columns.values()):
+        kind = column.dtype.kind
+        if kind == "b":
+            column = np.where(column, "true", "false")
+        conversions.append({"f": "%.17g", "i": "%d", "u": "%d"}.get(kind, "%s"))
+        values.append(column.tolist())
+    row = ",".join(conversions) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(row % cells for cells in zip(*values))
 
 
 def _labels(model):
@@ -289,25 +282,18 @@ def _labels(model):
 
 def _write_spectrum(path: Path, labels, spectrum):
     n = spectrum.n_harmonics
-    rows = []
-    for i, label in enumerate(labels):
-        for k in range(-n, n + 1):
-            c = spectrum.coeffs[k + n, i]
-            rows.append((label, k, c.real, c.imag))
-    _write_csv(path, ("state", "k", "re", "im"), rows)
+    by_state = spectrum.coeffs.T.reshape(-1)   # state-major, k = -N..N
+    _write_csv(path, {"state": np.repeat(labels, 2 * n + 1),
+                      "k": np.tile(np.arange(-n, n + 1), len(labels)),
+                      "re": by_state.real, "im": by_state.imag})
 
 
 def _write_waveforms(path: Path, times, waveforms, labels):
-    header = ["t"]
-    for label in labels:
-        header += [f"{label}_re", f"{label}_im"]
-    rows = []
-    for m in range(len(times)):
-        row = [times[m]]
-        for i in range(waveforms.shape[1]):
-            row += [waveforms[m, i].real, waveforms[m, i].imag]
-        rows.append(row)
-    _write_csv(path, header, rows)
+    columns = {"t": times}
+    for i, label in enumerate(labels):
+        columns[f"{label}_re"] = waveforms[:, i].real
+        columns[f"{label}_im"] = waveforms[:, i].imag
+    _write_csv(path, columns)
 
 
 def _environment() -> dict:
@@ -331,6 +317,8 @@ def _write_json(path: Path, payload: dict):
 _SCAN_HEADER = ("f_hz", "diag_re", "diag_im", "mirror_plus_re",
                 "mirror_plus_im", "mirror_minus_re", "mirror_minus_im",
                 "singular")
+_BOUNDARY_HEADER = ("param1_a", "param2_a", "param1_b", "param2_b")
+_EMPTY = np.empty(0)
 
 
 def _model(config: dict):
@@ -376,8 +364,9 @@ def cmd_solve(config: dict, out: Path, workers: int) -> int:
         return 2
     labels = _labels(model)
     _write_spectrum(out / "pss_spectrum.csv", labels, result.spectrum)
-    _write_waveforms(out / "pss_waveforms.csv", result.times, result.waveforms, labels)
-    report.update(converged=True, iterations=result.iterations,
+    _write_waveforms(out / "pss_waveforms.csv", result.grid.times, result.waveforms,
+                     labels)
+    report.update(converged=True, iterations=len(result.residual_history),
                   residual_history=result.residual_history,
                   tolerance=solver_cfg.tolerance, elapsed_s=result.elapsed_s)
     _write_json(out / "run_report.json", report)
@@ -386,16 +375,16 @@ def cmd_solve(config: dict, out: Path, workers: int) -> int:
 
 def cmd_eig(config: dict, out: Path, workers: int) -> int:
     def partial(exc, model, solver_cfg):
-        _write_csv(out / "eigenvalues.csv", ("re", "im"), [])
+        _write_csv(out / "eigenvalues.csv", dict.fromkeys(("re", "im"), _EMPTY))
 
     _, result = _solve(_model(config), config, partial)
     if result is None:
         return 2
     modes = mode_set(result.hss, marginal_band=config["analysis"]["marginal_band"])
-    _write_csv(out / "eigenvalues.csv", ("re", "im"),
-               [(v.real, v.imag) for v in modes.eigenvalues])
+    _write_csv(out / "eigenvalues.csv",
+               {"re": modes.eigenvalues.real, "im": modes.eigenvalues.imag})
     weakest = modes.weakest
-    print(f"weakest: {_fmt(weakest.real)} {_fmt(weakest.imag)} "
+    print(f"weakest: {weakest.real:.17g} {weakest.imag:.17g} "
           f"verdict: {modes.classification}")
     return 0
 
@@ -410,38 +399,31 @@ def cmd_sweep(config: dict, out: Path, workers: int) -> int:
                      solver_config=SolverConfig(**config["solver"]),
                      variant=config["variant"])
     result = run_sweep(_builder_for(config["case"]), spec, workers=workers)
-    trait_rows = []
-    for i, v1 in enumerate(axis1.values):
-        for j, v2 in enumerate(axis2.values):
-            trait_rows.append((v1, v2, result.re_weakest[i, j],
-                               result.im_weakest[i, j],
-                               bool(result.converged[i, j]),
-                               int(result.iterations[i, j]),
-                               result.failure[i, j]))
+    # grid cells in row-major order, axis 2 fastest
+    params = {"param1": np.repeat(axis1.values, len(axis2.values)),
+              "param2": np.tile(axis2.values, len(axis1.values))}
     _write_csv(out / "trait.csv",
-               ("param1", "param2", "re_weakest", "im_weakest",
-                "converged", "iterations", "failure"), trait_rows)
+               {**params, "re_weakest": result.re_weakest.ravel(),
+                "im_weakest": result.im_weakest.ravel(),
+                "converged": result.converged.ravel(),
+                "iterations": result.iterations.ravel(),
+                "failure": result.failure.ravel()})
     if not np.any(result.converged):
-        _write_csv(out / "region.csv", ("param1", "param2", "unstable"), [])
-        _write_csv(out / "boundary.csv",
-                   ("param1_a", "param2_a", "param1_b", "param2_b"), [])
+        _write_csv(out / "region.csv",
+                   dict.fromkeys(("param1", "param2", "unstable"), _EMPTY))
+        _write_csv(out / "boundary.csv", dict.fromkeys(_BOUNDARY_HEADER, _EMPTY))
         print("no sweep cell converged", file=sys.stderr)
         return 2
     region, segments = extract_region(result)
-    region_rows = []
-    for i, v1 in enumerate(axis1.values):
-        for j, v2 in enumerate(axis2.values):
-            region_rows.append((v1, v2, bool(region[i, j])))
-    _write_csv(out / "region.csv", ("param1", "param2", "unstable"), region_rows)
+    _write_csv(out / "region.csv", {**params, "unstable": region.ravel()})
     _write_csv(out / "boundary.csv",
-               ("param1_a", "param2_a", "param1_b", "param2_b"),
-               [(a[0], a[1], b[0], b[1]) for a, b in segments])
+               dict(zip(_BOUNDARY_HEADER, np.reshape(segments, (-1, 4)).T)))
     return 0
 
 
 def cmd_impedance(config: dict, out: Path, workers: int) -> int:
     def partial(exc, model, solver_cfg):
-        _write_csv(out / "scan.csv", _SCAN_HEADER, [])
+        _write_csv(out / "scan.csv", dict.fromkeys(_SCAN_HEADER, _EMPTY))
 
     _, result = _solve(_model(config), config, partial)
     if result is None:
@@ -449,14 +431,10 @@ def cmd_impedance(config: dict, out: Path, workers: int) -> int:
     scan = frequency_scan(result.hss, config["analysis"]["frequencies_hz"],
                           output_index=config["analysis"]["output_index"],
                           input_index=config["analysis"]["input_index"])
-    rows = []
-    for idx, f_hz in enumerate(scan.frequencies_hz):
-        rows.append((f_hz,
-                     scan.diag[idx].real, scan.diag[idx].imag,
-                     scan.mirror_plus[idx].real, scan.mirror_plus[idx].imag,
-                     scan.mirror_minus[idx].real, scan.mirror_minus[idx].imag,
-                     bool(scan.singular[idx])))
-    _write_csv(out / "scan.csv", _SCAN_HEADER, rows)
+    _write_csv(out / "scan.csv", dict(zip(_SCAN_HEADER, (
+        scan.frequencies_hz, scan.diag.real, scan.diag.imag,
+        scan.mirror_plus.real, scan.mirror_plus.imag,
+        scan.mirror_minus.real, scan.mirror_minus.imag, scan.singular))))
     return 0
 
 
@@ -485,7 +463,7 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
     weakest = weakest_mode(hss_eigenvalues(result.hss), omega1=result.hss.omega1,
                            n_harmonics=result.hss.n_harmonics)
     unstable = weakest.real > 0.0
-    report.update(converged=True, iterations=result.iterations,
+    report.update(converged=True, iterations=len(result.residual_history),
                   weakest=[weakest.real, weakest.imag],
                   hss_symmetry_defect=result.hss.symmetry_defect,
                   hss_real_form=result.hss.real_form,
@@ -506,7 +484,7 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
             report["rms_error"] = None
             checks.append(False)
         else:
-            cmp = compare_waveforms((result.times, result.waveforms),
+            cmp = compare_waveforms((result.grid.times, result.waveforms),
                                     last_period(traj, period))
             report["rms_error"] = {lab: float(v) for lab, v
                                    in zip(labels, cmp["rms_error"])}

@@ -1,14 +1,14 @@
 """Frequency-domain Newton solver for periodic steady states.
 
 Each iteration reconstructs the trajectory from the current truncated
-spectrum, evaluates dynamics and state Jacobian pointwise on the one-period
-grid, converts both to Fourier coefficients, and solves the linear update
+spectrum, evaluates the dynamics on the one-period grid, builds the harmonic
+state-space of that iterate and solves the linear update
 
     (N_blk - A_toeplitz) dX = F - N_blk X
 
-where N_blk is the harmonic frequency-shift operator and A_toeplitz the
-block-Toeplitz expansion of the time-periodic Jacobian.  No time stepping is
-involved; the input waveform is sampled once and held fixed.
+where N_blk - A_toeplitz is the negated HSS stability matrix of the iterate
+(:meth:`HssMatrices.stability_matrix`).  No time stepping is involved; the
+input waveform is sampled once and held fixed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .spectral import (
     HarmonicGrid,
     SpectralVector,
     build_nblk,
-    build_toeplitz,
+    build_toeplitz,  # noqa: F401  uncalled here; bench/tracing.py wraps this name
     samples_to_spectrum,
     spectrum_to_samples,
 )
@@ -66,10 +66,7 @@ class SolverConfig:
 class SolverResult:
     spectrum: SpectralVector
     waveforms: np.ndarray          # (M, n) reconstructed states over one period
-    times: np.ndarray
-    iterations: int
-    residual_history: list
-    converged: bool
+    residual_history: list         # one step norm per Newton iteration
     hss: HssMatrices
     grid: HarmonicGrid
     elapsed_s: float = 0.0
@@ -125,14 +122,10 @@ def newton_step(
     big_n = x_spec.n_harmonics
 
     x_t, f_t = _evaluate(model, grid, x_spec, u_samples)
-    f_spec = samples_to_spectrum(f_t, big_n)
-    a_op = build_toeplitz(model.jac_state(grid.times, x_t, u_samples), big_n)
-
-    nvec = build_nblk(n, big_n, grid.omega1)
-    lhs = -a_op.full()
-    idx = np.arange(lhs.shape[0])
-    lhs[idx, idx] += nvec
-    rhs = f_spec.reshape(-1) - nvec * x_spec.stacked()
+    hss = HssMatrices(model, grid.times, x_t, u_samples, big_n)
+    rhs = samples_to_spectrum(f_t, big_n).reshape(-1) - hss.nblk * x_spec.stacked()
+    lhs = -hss.stability_matrix()
+    del hss  # frees H, so only -H and its LU are alive across the factorization
 
     lu, piv = lu_factor(lhs, check_finite=False)
     anorm = float(np.max(np.abs(lhs).sum(axis=0)))
@@ -230,10 +223,7 @@ def solve_pss(
     return SolverResult(
         spectrum=x,
         waveforms=waveforms,
-        times=grid.times,
-        iterations=len(history),
         residual_history=history,
-        converged=True,
         hss=HssMatrices(model, grid.times, waveforms, u_samples,
                         config.n_harmonics),
         grid=grid,
@@ -257,6 +247,6 @@ def pss_residual(
         u_samples = np.asarray(model.input_fn(grid.times), dtype=complex)
     _, f_t = _evaluate(model, grid, x_spec, u_samples)
     f_spec = samples_to_spectrum(f_t, x_spec.n_harmonics)
-    nx = build_nblk(model.n_states, x_spec.n_harmonics, grid.omega1) * x_spec.stacked()
+    nx = build_nblk(model.n_states, x_spec.n_harmonics, model.omega1) * x_spec.stacked()
     defect = float(np.max(np.abs(nx - f_spec.reshape(-1))))
     return defect, float(np.max(np.abs(nx)))

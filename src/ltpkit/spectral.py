@@ -29,7 +29,6 @@ class HarmonicGrid:
     period: float
     step: float
     n_samples: int = field(init=False)
-    omega1: float = field(init=False)
 
     def __post_init__(self):
         if self.period <= 0 or self.step <= 0:
@@ -41,7 +40,6 @@ class HarmonicGrid:
                 f"period/step = {ratio!r} is not an integer sample count"
             )
         object.__setattr__(self, "n_samples", m)
-        object.__setattr__(self, "omega1", 2.0 * np.pi / self.period)
 
     @property
     def times(self) -> np.ndarray:

@@ -93,7 +93,8 @@ def _solve_cell(case_builder, spec: SweepSpec, value1: float, value2: float,
         return np.nan, np.nan, len(exc.residual_history), None, type(exc).__name__
     weakest = weakest_mode(hss_eigenvalues(result.hss), omega1=result.hss.omega1,
                            n_harmonics=result.hss.n_harmonics)
-    return weakest.real, weakest.imag, result.iterations, result.spectrum, ""
+    return (weakest.real, weakest.imag, len(result.residual_history),
+            result.spectrum, "")
 
 
 # (case_builder, spec) of the sweep a forked pool process serves; set by the

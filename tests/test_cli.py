@@ -14,7 +14,7 @@ import pytest
 import scipy
 
 from ltpkit import SolverConfig
-from ltpkit.cli import main
+from ltpkit.cli import _write_csv, main
 
 
 def assert_environment(report, environ):
@@ -88,6 +88,13 @@ class TestSolve:
         assert report["converged"] is False
         assert isinstance(report["elapsed_s"], float)
         assert "no convergence" in capsys.readouterr().err
+        # the last iterate is written in full
+        header, rows = read_csv(tmp_path / "pss_spectrum.csv")
+        assert header == ["state", "k", "re", "im"]
+        assert len(rows) == 6 * 9
+        header, rows = read_csv(tmp_path / "pss_waveforms.csv")
+        assert len(header) == 1 + 2 * 6
+        assert len(rows) == 400
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -175,6 +182,22 @@ class TestSweep:
         header, rows = read_csv(tmp_path / "boundary.csv")
         assert header == ["param1_a", "param2_a", "param1_b", "param2_b"]
         assert len(rows) >= 1   # (150, 2.8) is unstable, the other corners not
+
+    def test_no_converged_cell_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "solver": {"max_iterations": 1, "tolerance": 1e-13},
+            "sweep": {"axis1": {"values": [20.0]}, "axis2": {"values": [0.0, 0.1]}}}))
+        rc = main(["sweep", "--case", "case1", "--config", str(cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "no sweep cell converged" in capsys.readouterr().err
+        _, rows = read_csv(tmp_path / "trait.csv")
+        assert [row[2:] for row in rows] == \
+            [["nan", "nan", "false", "1", "MaxIterationsExceeded"]] * 2
+        assert read_csv(tmp_path / "region.csv") == (["param1", "param2", "unstable"], [])
+        assert read_csv(tmp_path / "boundary.csv") == \
+            (["param1_a", "param2_a", "param1_b", "param2_b"], [])
 
     def test_model_file_sweep_independent_of_workers(self, tmp_path):
         # a builder loaded from a model file cannot be pickled; forked pool
@@ -326,11 +349,14 @@ MALFORMED_CONFIGS = {
     "solver_period": ("solve", {"solver": {"period": 0.025}}),
     "oracle_growth_fit": ("verify", {"oracle": {"growth_fit": True}}),
     "axis_unit": ("sweep", {"sweep": {"axis1": {"unit": "Hz"}}}),
-    # NaN is no float setting; grids and case parameters must be finite
+    # NaN and ±Infinity are no float settings; grids and case parameters
+    # must be finite
     "oracle_step_nan": ("verify", {"oracle": {"step": math.nan}}),
     "horizon_periods_nan": ("verify", {"oracle": {"horizon_periods": math.nan}}),
     "solver_step_nan": ("solve", {"solver": {"step": math.nan}}),
     "tolerance_nan": ("solve", {"solver": {"tolerance": math.nan}}),
+    "tolerance_inf": ("solve", {"solver": {"tolerance": math.inf}}),
+    "horizon_periods_inf": ("verify", {"oracle": {"horizon_periods": math.inf}}),
     "frequency_nan": ("impedance", {"analysis": {"frequencies_hz": [math.nan, 10]}}),
     "frequency_stop_inf": ("impedance", {"analysis": {"frequencies_hz": {
         "start": 1, "stop": math.inf, "count": 3}}}),
@@ -338,6 +364,21 @@ MALFORMED_CONFIGS = {
     "set_nan": ("solve", {"set": {"alpha_pll": math.nan}}),
     "set_inf": ("solve", {"set": {"alpha_pll": -math.inf}}),
 }
+
+
+class TestWriteCsv:
+    def test_columns_match_per_value_formatting(self, tmp_path):
+        # the per-value reference: floats round-trip through format(v, ".17g")
+        floats = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                  sys.float_info.max, 0.1, -1.0 / 3.0, 1e22]
+        n = len(floats)
+        _write_csv(tmp_path / "t.csv", {
+            "x": np.array(floats), "k": np.arange(-2, n - 2),
+            "flag": np.arange(n) % 3 == 0, "name": [f"s{i}" for i in range(n)]})
+        expect = ["x,k,flag,name"] + [
+            f"{format(v, '.17g')},{i - 2},{'true' if i % 3 == 0 else 'false'},s{i}"
+            for i, v in enumerate(floats)]
+        assert (tmp_path / "t.csv").read_text().splitlines() == expect
 
 
 class TestConfigHandling:

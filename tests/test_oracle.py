@@ -206,5 +206,5 @@ class TestSettling:
         scale = np.maximum(np.max(np.abs(x_last), axis=0), 0.1)
         assert np.all(p2p["rms_error"] / scale < 5e-3)
         # and the attractor is the solver's periodic solution
-        err = compare_waveforms((t_last, x_last), (result.times, result.waveforms))
+        err = compare_waveforms((t_last, x_last), (result.grid.times, result.waveforms))
         assert np.all(err["rms_error"] / scale < 0.01)

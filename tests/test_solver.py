@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import ltpkit.solver
 from conftest import diverging_after
 from ltpkit import (
     DivergedTrajectory,
+    HssMatrices,
     MaxIterationsExceeded,
     SingularIterationMatrix,
     SolverConfig,
@@ -15,8 +17,10 @@ from ltpkit import (
     build_case2,
     initial_guess,
     linear_model,
+    newton_step,
     pss_residual,
     solve_pss,
+    spectrum_to_samples,
 )
 from ltpkit.solver import residual_norm
 
@@ -47,9 +51,11 @@ class TestSolverConfig:
             SolverConfig(damping=0.0)
 
     def test_grid_matches_benchmark(self):
-        g = SolverConfig().grid(build_case1()["closed_loop"])
+        model = build_case1()["closed_loop"]
+        g = SolverConfig().grid(model)
         assert g.n_samples == 400
-        assert g.omega1 == pytest.approx(OM1)
+        assert g.period == model.period
+        assert model.omega1 == pytest.approx(OM1)
 
 
 class TestResidualNorm:
@@ -105,8 +111,7 @@ class TestLinearExactness:
     def test_forced_lti_solves_in_one_step(self):
         model = forced_lti(lam=-40.0, amp=2.0)
         result = solve_pss(model)
-        assert result.converged
-        assert result.iterations <= 2
+        assert len(result.residual_history) <= 2
         # closed form: X_{+1} = λ·(-λ + jω₁)⁻¹·... → x(t) tracks the drive
         lam = -40.0
         expect = -lam / (1j * OM1 - lam) * 2.0
@@ -138,10 +143,43 @@ class TestLinearExactness:
         assert abs(c[4 + 2]) < 1e-12      # second harmonic
 
 
+class TestIterationMatrix:
+    def test_newton_factors_negated_hss_matrix(self, monkeypatch):
+        # at 60 Hz, 2π/(2π/ω₁) misses ω₁ by 5.7e-14, so an N_blk built from
+        # any fundamental other than model.omega1 shows in the last bits
+        om1 = 2.0 * np.pi * 60.0
+        a = np.array([[-30.0, 5.0], [-2.0, -60.0]], dtype=complex)
+
+        def forcing(t):
+            t = np.asarray(t, dtype=float)
+            return np.stack([np.exp(1j * om1 * t), np.cos(2 * om1 * t)], axis=-1)
+
+        model = linear_model(a, forcing, omega1=om1)
+        config = SolverConfig(step=model.period / 400)
+        grid = config.grid(model)
+        u = np.asarray(model.input_fn(grid.times), dtype=complex)
+        x = initial_guess(model, config)
+        x.coeffs[config.n_harmonics + 1] = [1.0, 0.5j]
+        x.coeffs[config.n_harmonics - 2] = [0.25, -0.125]
+
+        factored = []
+        lu_factor = ltpkit.solver.lu_factor
+
+        def capture(matrix, **kwargs):
+            factored.append(matrix.copy())
+            return lu_factor(matrix, **kwargs)
+
+        monkeypatch.setattr(ltpkit.solver, "lu_factor", capture)
+        newton_step(model, x, grid, config, u)
+        x_t = spectrum_to_samples(x.coeffs, grid.n_samples)
+        hss = HssMatrices(model, grid.times, x_t, u, config.n_harmonics)
+        assert len(factored) == 1
+        assert factored[0].tobytes() == (-hss.stability_matrix()).tobytes()
+
+
 class TestBenchmarkConvergence:
     def test_case1_balanced_monotone_after_first(self, case1_balanced):
         _, result = case1_balanced
-        assert result.converged
         hist = result.residual_history
         assert all(b < a for a, b in zip(hist[1:], hist[2:]))
 
@@ -194,6 +232,5 @@ class TestFailureModes:
         # cannot settle
         model = build_case2({"alpha_c": 150.0, "k_sym_g": 2.8})["closed_loop"]
         result = solve_pss(model)
-        assert result.converged
         defect, nx = pss_residual(model, result.spectrum, result.grid)
         assert defect <= 1e-3 * (1.0 + nx)

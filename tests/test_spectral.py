@@ -13,6 +13,7 @@ from ltpkit import (
     build_nblk,
     build_toeplitz,
     samples_to_spectrum,
+    linear_model,
     spectrum_to_samples,
 )
 from ltpkit.spectral import _phase_matrix
@@ -29,7 +30,10 @@ class TestHarmonicGrid:
     def test_sample_count_and_times(self):
         g = grid()
         assert g.n_samples == 400
-        assert g.omega1 == pytest.approx(OM1)
+        # the grid spans one period of a model whose fundamental is ω₁
+        model = linear_model(np.array([[-1.0]], dtype=complex), omega1=OM1)
+        assert g.n_samples * g.step == pytest.approx(model.period)
+        assert model.omega1 == pytest.approx(OM1)
         t = g.times
         assert t.shape == (400,)
         assert t[0] == 0.0
