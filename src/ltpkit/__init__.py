@@ -13,7 +13,6 @@ from .analysis import (
     HssMatrices,
     ModeSet,
     ScanResult,
-    classify_stability,
     frequency_scan,
     interior_modes,
     harmonic_transfer_function,
@@ -104,7 +103,6 @@ __all__ = [
     "build_nblk",
     "build_toeplitz",
     "case_builder",
-    "classify_stability",
     "compare_waveforms",
     "extract_region",
     "frequency_scan",

@@ -192,7 +192,11 @@ class ModeSet:
 
     eigenvalues: np.ndarray
     weakest: complex
-    classification: str
+
+    @property
+    def classification(self) -> str:
+        """'Unstable' if the weakest mode grows (Re > 0), else 'Stable'."""
+        return "Unstable" if self.weakest.real > 0.0 else "Stable"
 
 
 def hss_eigenvalues(hss: HssMatrices) -> np.ndarray:
@@ -225,20 +229,15 @@ def interior_modes(eigenvalues: np.ndarray, omega1: float,
     return kept if kept.size else eigenvalues
 
 
-def weakest_mode(eigenvalues: np.ndarray, omega1: float | None = None,
-                 n_harmonics: int | None = None) -> complex:
+def weakest_mode(eigenvalues: np.ndarray) -> complex:
     """Mode with the largest real part.
 
-    With ``omega1`` and ``n_harmonics`` given, the outermost harmonic band
-    is excluded (see :func:`interior_modes`) so truncation-edge artifacts
-    cannot masquerade as the weakest mode.  Ties (within relative 1e-9)
-    break toward the smallest |Im|, then toward nonnegative Im.
+    Ties (within relative 1e-9) break toward the smallest |Im|, then toward
+    nonnegative Im.
     """
     eigenvalues = np.asarray(eigenvalues)
     if eigenvalues.size == 0:
         raise UsageError("empty eigenvalue set")
-    if omega1 is not None and n_harmonics is not None:
-        eigenvalues = interior_modes(eigenvalues, omega1, n_harmonics)
     re_max = float(np.max(eigenvalues.real))
     tol = 1e-9 * (1.0 + abs(re_max))
     tied = eigenvalues[eigenvalues.real >= re_max - tol]
@@ -250,23 +249,16 @@ def weakest_mode(eigenvalues: np.ndarray, omega1: float | None = None,
     return complex(pick)
 
 
-def classify_stability(weakest: complex, marginal_band: float = 0.0) -> str:
-    """'Stable' / 'Unstable' / 'Marginal' from the weakest mode's real part."""
-    if marginal_band < 0:
-        raise UsageError("marginal_band must be nonnegative")
-    re = weakest.real
-    if re > marginal_band:
-        return "Unstable"
-    if re < -marginal_band:
-        return "Stable"
-    return "Marginal"
+def mode_set(hss: HssMatrices) -> ModeSet:
+    """Full spectrum plus the weakest mode outside the truncation edge band
+    (see :func:`interior_modes`) and its verdict.
 
-
-def mode_set(hss: HssMatrices, marginal_band: float = 0.0) -> ModeSet:
-    """Full spectrum plus the edge-filtered weakest mode and its verdict."""
+    The one route from an HSS to a weakest mode and verdict: ``eig``,
+    ``verify`` and the sweep all read it.
+    """
     eigs = hss_eigenvalues(hss)
-    weak = weakest_mode(eigs, omega1=hss.omega1, n_harmonics=hss.n_harmonics)
-    return ModeSet(eigs, weak, classify_stability(weak, marginal_band))
+    return ModeSet(eigs, weakest_mode(interior_modes(eigs, hss.omega1,
+                                                     hss.n_harmonics)))
 
 
 def harmonic_transfer_function(hss: HssMatrices, s: complex,

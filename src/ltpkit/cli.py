@@ -24,7 +24,12 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .analysis import frequency_scan, hss_eigenvalues, mode_set, weakest_mode
+from .analysis import (
+    frequency_scan,
+    hss_eigenvalues,  # noqa: F401  uncalled here; bench/tracing.py wraps this name
+    mode_set,
+    weakest_mode,  # noqa: F401  uncalled here; bench/tracing.py wraps this name
+)
 from .cases import case_builder
 from .errors import SOLVER_ERRORS, MaxIterationsExceeded, UsageError
 from .oracle import compare_waveforms, growth_rate_fit, integrate, \
@@ -39,7 +44,6 @@ from .sweep import SweepAxis, SweepSpec, extract_region, run_sweep
 # 2*omega1-offset coupling in the mirror columns of the scan.  The principal
 # same-frequency admittance is the (0, 0) pair; select it via the config.
 _ANALYSIS_DEFAULTS = {
-    "marginal_band": 0.0,
     "frequencies_hz": {"start": 5.0, "stop": 2000.0, "count": 60, "spacing": "log"},
     "output_index": 1,
     "input_index": 0,
@@ -380,7 +384,7 @@ def cmd_eig(config: dict, out: Path, workers: int) -> int:
     _, result = _solve(_model(config), config, partial)
     if result is None:
         return 2
-    modes = mode_set(result.hss, marginal_band=config["analysis"]["marginal_band"])
+    modes = mode_set(result.hss)
     _write_csv(out / "eigenvalues.csv",
                {"re": modes.eigenvalues.real, "im": modes.eigenvalues.imag})
     weakest = modes.weakest
@@ -460,17 +464,16 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
         return 2
     labels = _labels(model)
     period = model.period
-    weakest = weakest_mode(hss_eigenvalues(result.hss), omega1=result.hss.omega1,
-                           n_harmonics=result.hss.n_harmonics)
-    unstable = weakest.real > 0.0
+    modes = mode_set(result.hss)
+    weakest = modes.weakest
     report.update(converged=True, iterations=len(result.residual_history),
                   weakest=[weakest.real, weakest.imag],
                   hss_symmetry_defect=result.hss.symmetry_defect,
                   hss_real_form=result.hss.real_form,
-                  solver_verdict="Unstable" if unstable else "Stable")
+                  solver_verdict=modes.classification)
     checks = []
 
-    if not unstable:
+    if modes.classification == "Stable":
         # integrate starting on the computed orbit: a correct periodic
         # solution is invariant, so any drift over the horizon exposes an
         # inconsistent solve (cold-start settling would instead measure the

@@ -69,12 +69,6 @@ class SpectralVector:
     def n_states(self) -> int:
         return self.coeffs.shape[1]
 
-    def coeff(self, k: int) -> np.ndarray:
-        """Coefficient vector at harmonic k."""
-        if abs(k) > self.n_harmonics:
-            raise UsageError(f"harmonic {k} outside truncation |k| <= {self.n_harmonics}")
-        return self.coeffs[k + self.n_harmonics]
-
     def stacked(self) -> np.ndarray:
         """Flatten harmonic-major: entry (k+N)*n + i."""
         return self.coeffs.reshape(-1)

@@ -15,7 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import hss_eigenvalues, weakest_mode
+from .analysis import (
+    hss_eigenvalues,  # noqa: F401  uncalled here; bench/tracing.py wraps this name
+    mode_set,
+    weakest_mode,  # noqa: F401  uncalled here; bench/tracing.py wraps this name
+)
 from .errors import SOLVER_ERRORS, UsageError
 from .solver import SolverConfig, solve_pss
 from .spectral import SpectralVector
@@ -91,8 +95,7 @@ def _solve_cell(case_builder, spec: SweepSpec, value1: float, value2: float,
         result = solve_pss(model, spec.solver_config, initial=initial)
     except SOLVER_ERRORS as exc:
         return np.nan, np.nan, len(exc.residual_history), None, type(exc).__name__
-    weakest = weakest_mode(hss_eigenvalues(result.hss), omega1=result.hss.omega1,
-                           n_harmonics=result.hss.n_harmonics)
+    weakest = mode_set(result.hss).weakest
     return (weakest.real, weakest.imag, len(result.residual_history),
             result.spectrum, "")
 

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from ltpkit import (
     BlockToeplitz,
+    ModeSet,
     SingularAtFrequency,
     SolverConfig,
     UsageError,
     build_case1,
     build_case2,
-    classify_stability,
     frequency_scan,
     harmonic_transfer_function,
     hss_eigenvalues,
@@ -96,7 +96,7 @@ class TestRealForm:
     def test_weakest_mode_unchanged(self, solved, request):
         hss = request.getfixturevalue(solved)[1].hss
         ref = scipy.linalg.eigvals(hss.stability_matrix())
-        expect = weakest_mode(ref, omega1=hss.omega1, n_harmonics=hss.n_harmonics)
+        expect = weakest_mode(interior_modes(ref, hss.omega1, hss.n_harmonics))
         got = mode_set(hss).weakest
         assert abs(got - expect) <= 1e-10 * (1.0 + abs(expect))
 
@@ -156,11 +156,12 @@ class TestWeakestMode:
             weakest_mode(np.array([]))
 
     def test_edge_band_excluded_when_grid_given(self):
-        # artifact at the outermost band has the largest real part but must
-        # lose to an interior mode once the filter is active
+        # artifact at the outermost band has the largest real part; the
+        # tie-break alone keeps it, and it loses to an interior mode once
+        # the grid's edge band is dropped first, as mode_set does
         eigs = np.array([0.5 + 1j * 4.0 * OM1, -1.0 + 0j])
         assert weakest_mode(eigs) == pytest.approx(0.5 + 4j * OM1)
-        assert weakest_mode(eigs, omega1=OM1, n_harmonics=4) == pytest.approx(-1.0)
+        assert weakest_mode(interior_modes(eigs, OM1, 4)) == pytest.approx(-1.0)
 
 
 class TestInteriorModes:
@@ -203,22 +204,30 @@ class TestInteriorModes:
 
 class TestClassification:
     def test_signs(self):
-        assert classify_stability(complex(-3.0, 5.0)) == "Stable"
-        assert classify_stability(complex(0.065, 900.0)) == "Unstable"
+        def verdict(weakest):
+            return ModeSet(np.array([weakest]), weakest).classification
 
-    def test_marginal_band(self):
-        assert classify_stability(complex(0.01, 0.0), marginal_band=0.05) == "Marginal"
-        assert classify_stability(complex(-0.2, 0.0), marginal_band=0.05) == "Stable"
-        assert classify_stability(complex(0.2, 0.0), marginal_band=0.05) == "Unstable"
-        with pytest.raises(UsageError):
-            classify_stability(0.0 + 0j, marginal_band=-1.0)
+        assert verdict(complex(-3.0, 5.0)) == "Stable"
+        assert verdict(complex(0.065, 900.0)) == "Unstable"
+        assert verdict(complex(0.0, 0.0)) == "Stable"
 
     def test_mode_set_consistent(self, case2_default):
         _, result = case2_default
         modes = mode_set(result.hss)
-        assert modes.weakest == weakest_mode(hss_eigenvalues(result.hss),
-                                             omega1=OM1, n_harmonics=4)
-        assert modes.classification == classify_stability(modes.weakest)
+        assert modes.weakest == weakest_mode(
+            interior_modes(hss_eigenvalues(result.hss), OM1, 4))
+        assert modes.classification == "Stable"
+
+    def test_mode_set_drops_truncation_edge(self):
+        # at this point the largest real part of the whole spectrum belongs
+        # to a +7e-7 artifact at |Im| = N·ω₁; mode_set must not report it
+        model = build_case2({"alpha_c": 170.0, "k_sym_g": 2.8})["closed_loop"]
+        hss = solve_pss(model).hss
+        raw = weakest_mode(hss.eigenvalues)
+        assert raw.real > 0.0
+        assert abs(abs(raw.imag) / OM1 - 4.0) < 0.5
+        modes = mode_set(hss)
+        assert abs(modes.weakest.imag) / OM1 < 3.5
         assert modes.classification == "Stable"
 
 

@@ -14,10 +14,12 @@ from ltpkit.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# a backticked call form such as `weakest_mode(eigenvalues)`
+CALL = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(([A-Za-z0-9_, ]*)\)")
 
 
-def library_overview():
-    """{module name: backticked identifiers of its row} from the README's
+def overview_cells():
+    """{module name: backticked entries of its row} from the README's
     "Library overview" table."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("## Library overview", 1)[1].split("\n## ", 1)[0]
@@ -26,10 +28,16 @@ def library_overview():
         cells = line.split("|")
         if len(cells) < 4 or not cells[1].strip().startswith("`ltpkit."):
             continue
-        module = cells[1].strip().strip("`")
-        names = re.findall(r"`([^`]+)`", cells[2])
-        rows[module] = [n for n in names if IDENTIFIER.fullmatch(n)]
+        rows[cells[1].strip().strip("`")] = re.findall(r"`([^`]+)`", cells[2])
     return rows
+
+
+def library_overview():
+    """{module name: identifiers of its row}; a call form contributes its
+    function name."""
+    return {module: [n if IDENTIFIER.fullmatch(n) else CALL.fullmatch(n)[1]
+                     for n in entries if IDENTIFIER.fullmatch(n) or CALL.fullmatch(n)]
+            for module, entries in overview_cells().items()}
 
 
 def readme_config() -> dict:
@@ -74,6 +82,16 @@ class TestReadme:
                     known |= members(obj)
             unknown = [n for n in names if n not in known]
             assert not unknown, f"{module_name}: {unknown}"
+
+    def test_call_forms_match_signatures(self):
+        calls = [(module_name, *call.groups())
+                 for module_name, entries in overview_cells().items()
+                 for call in map(CALL.fullmatch, entries) if call]
+        assert calls
+        for module_name, name, params in calls:
+            func = getattr(importlib.import_module(module_name), name)
+            documented = [p.strip() for p in params.split(",") if p.strip()]
+            assert list(inspect.signature(func).parameters) == documented, name
 
     def test_every_export_documented(self):
         documented = {n for names in library_overview().values() for n in names}

@@ -129,7 +129,8 @@ class TestOperatingPoints:
     def test_case1_current_tracks_reference(self, case1_balanced):
         model, result = case1_balanced
         ic = list(model.state_labels).index("i_c")
-        assert abs(result.spectrum.coeff(1)[ic]) == pytest.approx(1.0, abs=1e-6)
+        s = result.spectrum
+        assert abs(s.coeffs[s.n_harmonics + 1, ic]) == pytest.approx(1.0, abs=1e-6)
 
     def test_case1_pll_locked(self, case1_balanced):
         model, result = case1_balanced
@@ -145,8 +146,8 @@ class TestOperatingPoints:
         model, result = case2_default
         labels = list(model.state_labels)
         uf, xs = labels.index("u_fc"), labels.index("x_sogi")
-        u1 = result.spectrum.coeff(1)[uf]
-        s1 = result.spectrum.coeff(1)[xs]
+        first = result.spectrum.coeffs[result.spectrum.n_harmonics + 1]
+        u1, s1 = first[uf], first[xs]
         assert abs(u1) > 0.9
         assert abs(s1 - u1) < 0.01 * abs(u1)
 
@@ -157,7 +158,8 @@ class TestOperatingPoints:
         labels = list(model.state_labels)
         ic, ig = labels.index("i_c"), labels.index("i_g")
         s = result.spectrum
-        ratio_ic = abs(s.coeff(-1)[ic]) / abs(s.coeff(1)[ic])
-        ratio_ig = abs(s.coeff(-1)[ig]) / abs(s.coeff(1)[ig])
+        neg, pos = s.coeffs[s.n_harmonics - 1], s.coeffs[s.n_harmonics + 1]
+        ratio_ic = abs(neg[ic]) / abs(pos[ic])
+        ratio_ig = abs(neg[ig]) / abs(pos[ig])
         assert ratio_ic < 1e-8
         assert ratio_ig > 5e-3

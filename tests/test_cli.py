@@ -110,7 +110,7 @@ class TestSolve:
 class TestEig:
     WEAKEST = re.compile(
         r"^weakest: (?P<re>[-+0-9.e]+) (?P<im>[-+0-9.e]+) "
-        r"verdict: (?P<verdict>Stable|Unstable|Marginal)$")
+        r"verdict: (?P<verdict>Stable|Unstable)$")
 
     def run_eig(self, args, tmp_path, capsys):
         rc = main(["eig", *args, "--out", str(tmp_path)])
@@ -301,6 +301,43 @@ class TestVerify:
         assert rc == 0
 
 
+class TestOneVerdict:
+    # (case, the point as values of its two default sweep axes)
+    POINTS = {
+        "case1_defaults": ("case1", {"alpha_pll": 20.0, "u_gbeta_mag": 1.0}),
+        "case2_unstable": ("case2", {"alpha_c": 150.0, "k_sym_g": 2.8}),
+    }
+
+    @pytest.mark.parametrize("case, point", POINTS.values(), ids=POINTS.keys())
+    def test_eig_verify_sweep_agree(self, case, point, tmp_path, capsys):
+        # eig, verify and a 1x1 sweep read the weakest mode and the verdict
+        # of one point through the same path
+        flags = [arg for name, value in point.items()
+                 for arg in ("--set", f"{name}={value}")]
+        rc, match = TestEig().run_eig(["--case", case, *flags],
+                                      tmp_path / "eig", capsys)
+        assert rc == 0
+
+        main(["verify", "--case", case, *flags, "--out", str(tmp_path / "verify")])
+        report = json.loads((tmp_path / "verify" / "verify_report.json").read_text())
+
+        (name1, value1), (name2, value2) = point.items()
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"case": case, "sweep": {
+            "axis1": {"name": name1, "values": [value1]},
+            "axis2": {"name": name2, "values": [value2]}}}))
+        assert main(["sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "sweep")]) == 0
+        _, trait = read_csv(tmp_path / "sweep" / "trait.csv")
+        _, region = read_csv(tmp_path / "sweep" / "region.csv")
+
+        weakest = [float(match["re"]), float(match["im"])]
+        assert report["weakest"] == weakest
+        assert [float(v) for v in trait[0][2:4]] == weakest
+        assert report["solver_verdict"] == match["verdict"]
+        assert region[0][2] == ("true" if match["verdict"] == "Unstable" else "false")
+
+
 class TestSolverFailure:
     PARTIAL = {"solve": "run_report.json", "eig": "eigenvalues.csv",
                "impedance": "scan.csv", "verify": "verify_report.json"}
@@ -413,6 +450,18 @@ class TestConfigHandling:
         rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 1
         assert "kick" in capsys.readouterr().err
+
+    def test_marginal_band_key_rejected(self, tmp_path, capsys):
+        # the verdict is the sign of the weakest mode alone; a config asking
+        # for a band around zero is rejected, not silently ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"case": "case2",
+                                   "set": {"alpha_c": 150, "k_sym_g": 1.4},
+                                   "analysis": {"marginal_band": 0.5}}))
+        rc = main(["eig", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: unknown analysis config key 'marginal_band'\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["solve", "--config", str(tmp_path / "nope.json"),

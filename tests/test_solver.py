@@ -87,8 +87,9 @@ class TestInitialGuess:
         guess = initial_guess(model, SolverConfig())
         labels = list(model.state_labels)
         ic, icc = labels.index("i_c"), labels.index("i_c_conj")
-        assert guess.coeff(1)[ic] == pytest.approx(1.0)
-        assert guess.coeff(-1)[icc] == pytest.approx(1.0)
+        n = guess.n_harmonics
+        assert guess.coeffs[n + 1, ic] == pytest.approx(1.0)
+        assert guess.coeffs[n - 1, icc] == pytest.approx(1.0)
         # seeded guesses must already be conjugate-consistent
         assert guess.conjugate_defect(model.conjugate_pairs) < 1e-14
 
@@ -98,7 +99,8 @@ class TestInitialGuess:
         labels = list(model.state_labels)
         ic = labels.index("i_c")
         # P+jQ = 0.5: positive-sequence current reference magnitude 0.5 p.u.
-        assert abs(guess.coeff(1)[ic]) == pytest.approx(0.5, rel=1e-6)
+        n = guess.n_harmonics
+        assert abs(guess.coeffs[n + 1, ic]) == pytest.approx(0.5, rel=1e-6)
         assert guess.conjugate_defect(model.conjugate_pairs) < 1e-14
 
     def test_no_seeds_gives_zeros(self):
@@ -115,7 +117,7 @@ class TestLinearExactness:
         # closed form: X_{+1} = λ·(-λ + jω₁)⁻¹·... → x(t) tracks the drive
         lam = -40.0
         expect = -lam / (1j * OM1 - lam) * 2.0
-        assert result.spectrum.coeff(1)[0] == pytest.approx(expect, abs=1e-9)
+        assert result.spectrum.coeffs[4 + 1, 0] == pytest.approx(expect, abs=1e-9)
         mask = np.ones(9, dtype=bool)
         mask[4 + 1] = False
         assert np.max(np.abs(result.spectrum.coeffs[mask, 0])) < 1e-9
@@ -134,7 +136,8 @@ class TestLinearExactness:
         result = solve_pss(model)
         assert result.grid.period == model.period
         expect = np.linalg.solve(1j * om1 * np.eye(2) - a, b[:, 0])
-        assert np.max(np.abs(result.spectrum.coeff(1) - expect)) < 1e-9
+        first = result.spectrum.coeffs[result.spectrum.n_harmonics + 1]
+        assert np.max(np.abs(first - expect)) < 1e-9
 
     def test_unforced_harmonics_stay_zero(self):
         result = solve_pss(forced_lti())

@@ -139,15 +139,6 @@ class TestTransformProperties:
 
 
 class TestSpectralVector:
-    def test_coeff_indexing(self, rng):
-        coeffs = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
-        v = SpectralVector(coeffs, 4)
-        assert np.array_equal(v.coeff(0), coeffs[4])
-        assert np.array_equal(v.coeff(-4), coeffs[0])
-        assert np.array_equal(v.coeff(3), coeffs[7])
-        with pytest.raises(UsageError):
-            v.coeff(5)
-
     def test_stacked_round_trip(self, rng):
         coeffs = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
         v = SpectralVector(coeffs, 4)

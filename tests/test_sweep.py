@@ -14,9 +14,8 @@ from ltpkit import (
     build_case1,
     build_case2,
     extract_region,
-    hss_eigenvalues,
+    mode_set,
     run_sweep,
-    weakest_mode,
 )
 
 
@@ -68,8 +67,7 @@ class TestRunSweep:
         spec = SweepSpec(SweepAxis("alpha_c", (200.0,)), SweepAxis("k_sym_g", (1.0,)))
         result = run_sweep(build_case2, spec)
         assert result.converged[0, 0]
-        expect = weakest_mode(hss_eigenvalues(direct.hss), omega1=direct.hss.omega1,
-                              n_harmonics=direct.hss.n_harmonics)
+        expect = mode_set(direct.hss).weakest
         assert result.re_weakest[0, 0] == pytest.approx(expect.real, abs=1e-9)
         assert result.im_weakest[0, 0] == pytest.approx(expect.imag, abs=1e-6)
         assert not result.region[0, 0]
