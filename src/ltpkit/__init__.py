@@ -63,7 +63,6 @@ from .solver import (
 from .spectral import (
     BlockToeplitz,
     HarmonicGrid,
-    SpectralVector,
     build_nblk,
     build_toeplitz,
     samples_to_spectrum,
@@ -90,7 +89,6 @@ __all__ = [
     "SingularIterationMatrix",
     "SolverConfig",
     "SolverResult",
-    "SpectralVector",
     "SweepAxis",
     "SweepResult",
     "SweepSpec",

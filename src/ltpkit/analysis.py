@@ -215,7 +215,12 @@ def interior_modes(eigenvalues: np.ndarray, omega1: float,
     harmonic of N·ω₁ — they sit there for every N, unlike genuine modes,
     whose copies shift with N).  Every true family keeps at least one
     interior representative with the same real part, so dropping the edge
-    band removes the artifacts without hiding any genuine dynamics.
+    band hides no genuine dynamics.
+
+    It does not remove every artifact: one that moves with N can survive in
+    the interior.  On case 2 at (α_c 170, k_sym_g 2.8) the weakest survivor
+    is −0.3553 against a monodromy exponent of −2.27838, and at (150, 2.8)
+    +3.8217 against +2.80136.  Item 1 of ROADMAP.md replaces this filter.
     """
     eigenvalues = np.asarray(eigenvalues)
     if omega1 <= 0:

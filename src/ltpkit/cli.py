@@ -285,8 +285,8 @@ def _labels(model):
 
 
 def _write_spectrum(path: Path, labels, spectrum):
-    n = spectrum.n_harmonics
-    by_state = spectrum.coeffs.T.reshape(-1)   # state-major, k = -N..N
+    n = spectrum.shape[0] // 2
+    by_state = spectrum.T.reshape(-1)   # state-major, k = -N..N
     _write_csv(path, {"state": np.repeat(labels, 2 * n + 1),
                       "k": np.tile(np.arange(-n, n + 1), len(labels)),
                       "re": by_state.real, "im": by_state.imag})
@@ -355,7 +355,7 @@ def cmd_solve(config: dict, out: Path, workers: int) -> int:
         if isinstance(exc, MaxIterationsExceeded):
             labels, grid = _labels(model), solver_cfg.grid(model)
             _write_spectrum(out / "pss_spectrum.csv", labels, exc.last_spectrum)
-            waveforms = spectrum_to_samples(exc.last_spectrum.coeffs, grid.n_samples)
+            waveforms = spectrum_to_samples(exc.last_spectrum, grid.n_samples)
             _write_waveforms(out / "pss_waveforms.csv", grid.times, waveforms, labels)
         report.update(converged=False, iterations=len(exc.residual_history),
                       residual_history=exc.residual_history,

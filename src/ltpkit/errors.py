@@ -46,7 +46,7 @@ class MaxIterationsExceeded(RuntimeError):
     """Newton failed to reach tolerance within the iteration budget.
 
     ``residual_history`` holds the step norms recorded before giving up;
-    ``last_spectrum`` the final (non-converged) iterate for inspection;
+    ``last_spectrum`` the final (non-converged) iterate, a (2N+1, n) array;
     ``elapsed_s`` the seconds the solve ran (set by
     :func:`ltpkit.solver.solve_pss`).
     """

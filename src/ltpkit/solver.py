@@ -30,7 +30,6 @@ from .errors import (
 from .model import SystemModel
 from .spectral import (
     HarmonicGrid,
-    SpectralVector,
     build_nblk,
     build_toeplitz,  # noqa: F401  uncalled here; bench/tracing.py wraps this name
     samples_to_spectrum,
@@ -46,14 +45,11 @@ class SolverConfig:
     step: float = 50e-6
     tolerance: float = 1e-3
     max_iterations: int = 50
-    damping: float = 1.0
     cond_limit: float = 1e12
 
     def __post_init__(self):
         if self.n_harmonics < 1:
             raise UsageError("n_harmonics must be >= 1")
-        if not (0.0 < self.damping <= 1.0):
-            raise UsageError("damping must lie in (0, 1]")
         if self.tolerance <= 0 or self.max_iterations < 1:
             raise UsageError("tolerance must be positive, max_iterations >= 1")
 
@@ -64,7 +60,7 @@ class SolverConfig:
 
 @dataclass
 class SolverResult:
-    spectrum: SpectralVector
+    spectrum: np.ndarray           # (2N+1, n); row k+N holds harmonic k
     waveforms: np.ndarray          # (M, n) reconstructed states over one period
     residual_history: list         # one step norm per Newton iteration
     hss: HssMatrices
@@ -72,34 +68,31 @@ class SolverResult:
     elapsed_s: float = 0.0
 
 
-def residual_norm(delta: SpectralVector, scales: np.ndarray | None = None) -> float:
+def residual_norm(delta: np.ndarray, scales: np.ndarray) -> float:
     """∞-norm of a spectral update, states divided by their per-unit scales."""
-    coeffs = delta.coeffs
-    if scales is not None:
-        coeffs = coeffs / scales
-    return float(np.max(np.abs(coeffs)))
+    return float(np.max(np.abs(delta / scales)))
 
 
-def initial_guess(model: SystemModel, config: SolverConfig) -> SpectralVector:
+def initial_guess(model: SystemModel, config: SolverConfig) -> np.ndarray:
     """Materialize the model's reference seeds into a starting spectrum.
 
     Current-type rotating-frame states carry their setpoints at harmonic +1
     (conjugate partners at -1); controller and synchronization states start
     at zero.  The seed triples are attached by the case builders.
     """
-    guess = SpectralVector.zeros(config.n_harmonics, model.n_states)
+    guess = np.zeros((2 * config.n_harmonics + 1, model.n_states), dtype=complex)
     for state, harmonic, value in model.spectral_seeds:
         if abs(harmonic) > config.n_harmonics:
             raise UsageError(
                 f"seed harmonic {harmonic} outside truncation N={config.n_harmonics}"
             )
-        guess.coeffs[harmonic + config.n_harmonics, state] = value
+        guess[harmonic + config.n_harmonics, state] = value
     return guess
 
 
 def _evaluate(model, grid, x_spec, u_samples):
     t = grid.times
-    x_t = spectrum_to_samples(x_spec.coeffs, grid.n_samples)
+    x_t = spectrum_to_samples(x_spec, grid.n_samples)
     f_t = model.dynamics(t, x_t, u_samples)
     if not np.all(np.isfinite(f_t)):
         raise DivergedTrajectory("non-finite dynamics along reconstructed trajectory")
@@ -108,7 +101,7 @@ def _evaluate(model, grid, x_spec, u_samples):
 
 def newton_step(
     model: SystemModel,
-    x_spec: SpectralVector,
+    x_spec: np.ndarray,
     grid: HarmonicGrid,
     config: SolverConfig,
     u_samples: np.ndarray,
@@ -118,12 +111,11 @@ def newton_step(
     Returns ``(delta, step_norm)`` where ``delta`` solves
     (N_blk - A) delta = F - N_blk X at the supplied iterate.
     """
-    n = model.n_states
-    big_n = x_spec.n_harmonics
+    big_n = x_spec.shape[0] // 2
 
     x_t, f_t = _evaluate(model, grid, x_spec, u_samples)
     hss = HssMatrices(model, grid.times, x_t, u_samples, big_n)
-    rhs = samples_to_spectrum(f_t, big_n).reshape(-1) - hss.nblk * x_spec.stacked()
+    rhs = samples_to_spectrum(f_t, big_n).reshape(-1) - hss.nblk * x_spec.reshape(-1)
     lhs = -hss.stability_matrix()
     del hss  # frees H, so only -H and its LU are alive across the factorization
 
@@ -134,15 +126,14 @@ def newton_step(
     if not np.isfinite(cond_est) or cond_est > config.cond_limit:
         raise SingularIterationMatrix(cond_est)
 
-    delta_vec = lu_solve((lu, piv), rhs, check_finite=False)
-    delta = SpectralVector.from_stacked(delta_vec, big_n, n)
+    delta = lu_solve((lu, piv), rhs, check_finite=False).reshape(x_spec.shape)
     return delta, residual_norm(delta, model.state_scales)
 
 
 def solve_pss(
     model: SystemModel,
     config: SolverConfig | None = None,
-    initial: SpectralVector | None = None,
+    initial: np.ndarray | None = None,
     u_samples: np.ndarray | None = None,
 ) -> SolverResult:
     """Newton iteration to the periodic steady state.
@@ -151,7 +142,8 @@ def solve_pss(
     ----------
     model : system to solve, with input drive attached.
     config : solver settings; defaults to the benchmark configuration.
-    initial : warm-start spectrum; defaults to the model's seeded guess.
+    initial : warm-start spectrum of shape (2N+1, n), read and never
+        written; defaults to the model's seeded guess.
     u_samples : pre-sampled input waveform (M, m); sampled from
         ``model.input_fn`` when omitted.
 
@@ -170,9 +162,10 @@ def solve_pss(
     -----
     Convergence is declared when the ∞-norm of the per-unit-scaled update
     drops to ``config.tolerance``; the final small update is applied.  When a
-    step norm increases, the step is retried at half the damping (at most
-    four halvings) and the best candidate is kept — with default damping 1.0
-    and monotone convergence this is plain Newton.
+    step norm exceeds the previous one, the step is retried at half its
+    length, at most four times; the fourth halving (a sixteenth of the full
+    step) is taken whatever its norm.  With monotone convergence this is
+    plain Newton.
     """
     t0 = time.perf_counter()
     if config is None:
@@ -185,9 +178,14 @@ def solve_pss(
             f"input samples shape {u_samples.shape} does not match "
             f"({grid.n_samples}, {model.n_inputs})"
         )
-    x = initial.copy() if initial is not None else initial_guess(model, config)
-    if x.n_harmonics != config.n_harmonics or x.n_states != model.n_states:
-        raise UsageError("initial spectrum shape does not match model/config")
+    if initial is None:
+        x = initial_guess(model, config)
+    else:
+        x = np.asarray(initial, dtype=complex)
+        shape = (2 * config.n_harmonics + 1, model.n_states)
+        if x.shape != shape:
+            raise UsageError(f"initial spectrum shape {x.shape} does not match "
+                             f"(2N+1, n) = {shape}")
 
     history = []
     try:
@@ -196,10 +194,10 @@ def solve_pss(
         converged = norm <= config.tolerance
 
         while not converged and len(history) < config.max_iterations:
-            lam = config.damping
+            lam = 1.0
             halvings = 0
             while True:
-                trial = SpectralVector(x.coeffs + lam * delta.coeffs, x.n_harmonics)
+                trial = x + lam * delta
                 delta_t, norm_t = newton_step(model, trial, grid, config, u_samples)
                 if norm_t <= history[-1] or halvings >= 4:
                     break
@@ -218,8 +216,8 @@ def solve_pss(
         raise
 
     # apply the final (sub-tolerance) correction; the HSS linearizes there
-    x = SpectralVector(x.coeffs + delta.coeffs, x.n_harmonics)
-    waveforms = spectrum_to_samples(x.coeffs, grid.n_samples)
+    x = x + delta
+    waveforms = spectrum_to_samples(x, grid.n_samples)
     return SolverResult(
         spectrum=x,
         waveforms=waveforms,
@@ -233,7 +231,7 @@ def solve_pss(
 
 def pss_residual(
     model: SystemModel,
-    x_spec: SpectralVector,
+    x_spec: np.ndarray,
     grid: HarmonicGrid,
     u_samples: np.ndarray | None = None,
 ):
@@ -246,7 +244,8 @@ def pss_residual(
     if u_samples is None:
         u_samples = np.asarray(model.input_fn(grid.times), dtype=complex)
     _, f_t = _evaluate(model, grid, x_spec, u_samples)
-    f_spec = samples_to_spectrum(f_t, x_spec.n_harmonics)
-    nx = build_nblk(model.n_states, x_spec.n_harmonics, model.omega1) * x_spec.stacked()
+    big_n = x_spec.shape[0] // 2
+    f_spec = samples_to_spectrum(f_t, big_n)
+    nx = build_nblk(model.n_states, big_n, model.omega1) * x_spec.reshape(-1)
     defect = float(np.max(np.abs(nx - f_spec.reshape(-1))))
     return defect, float(np.max(np.abs(nx)))

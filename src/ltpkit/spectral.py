@@ -1,9 +1,10 @@
 """Fourier-coefficient machinery on the uniform one-period grid.
 
 Signals live on a fixed sampling grid of M points covering one fundamental
-period T.  A truncated spectrum keeps harmonics k = -N..N of each (complex)
-state; time-periodic matrices are expanded to order 2N for the block-Toeplitz
-operator so that products with the state band stay exact.
+period T.  A truncated spectrum of an n-state signal is a complex (2N+1, n)
+array whose row k+N holds harmonic k, k = -N..N.  Time-periodic matrices are
+expanded to order 2N for the block-Toeplitz operator so that products with
+the state band stay exact.
 """
 
 from __future__ import annotations
@@ -44,56 +45,6 @@ class HarmonicGrid:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples) * self.step
-
-
-@dataclass
-class SpectralVector:
-    """Stacked truncated spectrum of an n-state signal.
-
-    ``coeffs[k + n_harmonics, i]`` is the Fourier coefficient of state i at
-    harmonic k (k = -N..N).
-    """
-
-    coeffs: np.ndarray  # (2N+1, n) complex
-    n_harmonics: int
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.ndim != 2 or self.coeffs.shape[0] != 2 * self.n_harmonics + 1:
-            raise UsageError(
-                f"coefficient array shape {self.coeffs.shape} does not match "
-                f"N={self.n_harmonics}"
-            )
-
-    @property
-    def n_states(self) -> int:
-        return self.coeffs.shape[1]
-
-    def stacked(self) -> np.ndarray:
-        """Flatten harmonic-major: entry (k+N)*n + i."""
-        return self.coeffs.reshape(-1)
-
-    @classmethod
-    def from_stacked(cls, vec: np.ndarray, n_harmonics: int, n_states: int) -> "SpectralVector":
-        vec = np.asarray(vec, dtype=complex)
-        if vec.size != (2 * n_harmonics + 1) * n_states:
-            raise UsageError("stacked vector length does not match (2N+1)*n")
-        return cls(vec.reshape(2 * n_harmonics + 1, n_states), n_harmonics)
-
-    @classmethod
-    def zeros(cls, n_harmonics: int, n_states: int) -> "SpectralVector":
-        return cls(np.zeros((2 * n_harmonics + 1, n_states), dtype=complex), n_harmonics)
-
-    def copy(self) -> "SpectralVector":
-        return SpectralVector(self.coeffs.copy(), self.n_harmonics)
-
-    def conjugate_defect(self, pairs) -> float:
-        """Max |X_k[j] - conj(X_{-k}[i])| over conjugate pairs (i, j)."""
-        worst = 0.0
-        flipped = np.conj(self.coeffs[::-1])
-        for i, j in pairs:
-            worst = max(worst, float(np.max(np.abs(self.coeffs[:, j] - flipped[:, i]))))
-        return worst
 
 
 @functools.lru_cache(maxsize=16)
@@ -183,7 +134,8 @@ def build_toeplitz(matrix_samples: np.ndarray, n_harmonics: int) -> BlockToeplit
 
 def build_nblk(n_states: int, n_harmonics: int, omega1: float) -> np.ndarray:
     """Diagonal of the frequency-shift operator N_blk: jkω₁ for each of the
-    n states of harmonic k, k = -N..N, laid out like ``SpectralVector.stacked``.
+    n states of harmonic k, k = -N..N, laid out like ``spectrum.reshape(-1)``
+    of a (2N+1, n) spectrum.
     """
     ks = np.arange(-n_harmonics, n_harmonics + 1)
     return np.repeat(1j * ks * omega1, n_states)

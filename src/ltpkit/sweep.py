@@ -22,7 +22,6 @@ from .analysis import (
 )
 from .errors import SOLVER_ERRORS, UsageError
 from .solver import SolverConfig, solve_pss
-from .spectral import SpectralVector
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ class SweepResult:
 
 
 def _solve_cell(case_builder, spec: SweepSpec, value1: float, value2: float,
-                initial: SpectralVector | None):
+                initial: np.ndarray | None):
     """``(re, im, iterations, spectrum, failure)`` of one grid cell.
 
     ``failure`` is the class name of the solver error that stopped the cell,

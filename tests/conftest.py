@@ -48,6 +48,14 @@ def fd_jacobian(model, t, x, u, which="state", step=1e-6):
     return np.stack(cols, axis=-1)
 
 
+def conjugate_defect(spectrum, pairs):
+    """Max |X_k[j] − conj(X_{−k}[i])| over the conjugate pairs (i, j) of a
+    (2N+1, n) spectrum; 0 when every pair holds exactly."""
+    flipped = np.conj(spectrum[::-1])
+    return max((float(np.max(np.abs(spectrum[:, j] - flipped[:, i])))
+                for i, j in pairs), default=0.0)
+
+
 def diverging_after(model, steps):
     """Copy of ``model`` whose dynamics turn non-finite after ``steps`` calls."""
     calls = [0]

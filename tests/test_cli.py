@@ -445,11 +445,18 @@ class TestConfigHandling:
         assert "bogus" in capsys.readouterr().err
 
     def test_unknown_section_key(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"oracle": {"kick": 1.0}}))
-        rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
-        assert rc == 1
-        assert "kick" in capsys.readouterr().err
+        # no damping key: the step-halving line search shortens a step whose
+        # norm grows
+        for command, payload, message in (
+                ("verify", {"oracle": {"kick": 1.0}},
+                 "error: unknown oracle config key 'kick'\n"),
+                ("solve", {"solver": {"damping": 0.5}},
+                 "error: unknown solver config key 'damping'\n")):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(payload))
+            rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+            assert rc == 1
+            assert capsys.readouterr().err == message
 
     def test_marginal_band_key_rejected(self, tmp_path, capsys):
         # the verdict is the sign of the weakest mode alone; a config asking

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import ltpkit.solver
-from conftest import diverging_after
+from conftest import conjugate_defect, diverging_after
 from ltpkit import (
     DivergedTrajectory,
     HssMatrices,
     MaxIterationsExceeded,
     SingularIterationMatrix,
     SolverConfig,
-    SpectralVector,
     UsageError,
     build_case1,
     build_case2,
@@ -47,8 +46,6 @@ class TestSolverConfig:
             SolverConfig(tolerance=-1.0)
         with pytest.raises(UsageError):
             SolverConfig(max_iterations=0)
-        with pytest.raises(UsageError):
-            SolverConfig(damping=0.0)
 
     def test_grid_matches_benchmark(self):
         model = build_case1()["closed_loop"]
@@ -60,23 +57,22 @@ class TestSolverConfig:
 
 class TestResidualNorm:
     def test_zeros(self):
-        assert residual_norm(SpectralVector.zeros(4, 3)) == 0.0
+        assert residual_norm(np.zeros((9, 3), dtype=complex), np.ones(3)) == 0.0
 
     def test_single_entry(self):
-        v = SpectralVector.zeros(4, 3)
-        v.coeffs[2, 1] = 0.5 + 0.0j
-        assert residual_norm(v) == pytest.approx(0.5)
+        v = np.zeros((9, 3), dtype=complex)
+        v[2, 1] = 0.5 + 0.0j
+        assert residual_norm(v, np.ones(3)) == pytest.approx(0.5)
 
     def test_matches_exhaustive_scan(self, rng):
         coeffs = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
-        v = SpectralVector(coeffs, 4)
         brute = max(abs(coeffs[i, j]) for i in range(9) for j in range(4))
-        assert residual_norm(v) == pytest.approx(brute)
+        assert residual_norm(coeffs, np.ones(4)) == pytest.approx(brute)
 
     def test_scales_divide_states(self):
-        v = SpectralVector.zeros(1, 2)
-        v.coeffs[0, 0] = 1.0
-        v.coeffs[2, 1] = 1.0
+        v = np.zeros((3, 2), dtype=complex)
+        v[0, 0] = 1.0
+        v[2, 1] = 1.0
         assert residual_norm(v, scales=np.array([10.0, 1.0])) == pytest.approx(1.0)
         assert residual_norm(v, scales=np.array([10.0, 0.1])) == pytest.approx(10.0)
 
@@ -87,11 +83,12 @@ class TestInitialGuess:
         guess = initial_guess(model, SolverConfig())
         labels = list(model.state_labels)
         ic, icc = labels.index("i_c"), labels.index("i_c_conj")
-        n = guess.n_harmonics
-        assert guess.coeffs[n + 1, ic] == pytest.approx(1.0)
-        assert guess.coeffs[n - 1, icc] == pytest.approx(1.0)
+        n = SolverConfig().n_harmonics
+        assert guess.shape == (2 * n + 1, model.n_states)
+        assert guess[n + 1, ic] == pytest.approx(1.0)
+        assert guess[n - 1, icc] == pytest.approx(1.0)
         # seeded guesses must already be conjugate-consistent
-        assert guess.conjugate_defect(model.conjugate_pairs) < 1e-14
+        assert conjugate_defect(guess, model.conjugate_pairs) < 1e-14
 
     def test_case2_power_reference_seeding(self):
         model = build_case2()["closed_loop"]
@@ -99,14 +96,30 @@ class TestInitialGuess:
         labels = list(model.state_labels)
         ic = labels.index("i_c")
         # P+jQ = 0.5: positive-sequence current reference magnitude 0.5 p.u.
-        n = guess.n_harmonics
-        assert abs(guess.coeffs[n + 1, ic]) == pytest.approx(0.5, rel=1e-6)
-        assert guess.conjugate_defect(model.conjugate_pairs) < 1e-14
+        n = SolverConfig().n_harmonics
+        assert abs(guess[n + 1, ic]) == pytest.approx(0.5, rel=1e-6)
+        assert conjugate_defect(guess, model.conjugate_pairs) < 1e-14
 
     def test_no_seeds_gives_zeros(self):
         model = forced_lti()
         guess = initial_guess(model, SolverConfig())
-        assert np.max(np.abs(guess.coeffs)) == 0.0
+        assert np.max(np.abs(guess)) == 0.0
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("shape", [(7, 6), (9, 5), (54,)],
+                             ids=["wrong_N", "wrong_n", "flat"])
+    def test_wrong_shape_is_usage_error(self, shape):
+        model = build_case1()["closed_loop"]
+        with pytest.raises(UsageError, match="does not match"):
+            solve_pss(model, SolverConfig(), initial=np.zeros(shape, dtype=complex))
+
+    def test_caller_array_is_read_only(self, case1_balanced):
+        model, cold = case1_balanced
+        initial = cold.spectrum.copy()
+        warm = solve_pss(model, SolverConfig(), initial=initial)
+        assert np.array_equal(initial, cold.spectrum)
+        assert np.max(np.abs(warm.spectrum - cold.spectrum)) < 1e-6
 
 
 class TestLinearExactness:
@@ -117,10 +130,10 @@ class TestLinearExactness:
         # closed form: X_{+1} = λ·(-λ + jω₁)⁻¹·... → x(t) tracks the drive
         lam = -40.0
         expect = -lam / (1j * OM1 - lam) * 2.0
-        assert result.spectrum.coeffs[4 + 1, 0] == pytest.approx(expect, abs=1e-9)
+        assert result.spectrum[4 + 1, 0] == pytest.approx(expect, abs=1e-9)
         mask = np.ones(9, dtype=bool)
         mask[4 + 1] = False
-        assert np.max(np.abs(result.spectrum.coeffs[mask, 0])) < 1e-9
+        assert np.max(np.abs(result.spectrum[mask, 0])) < 1e-9
 
     def test_fundamental_comes_from_model(self):
         # a 40 Hz model under the default config: the grid spans the model's
@@ -136,12 +149,12 @@ class TestLinearExactness:
         result = solve_pss(model)
         assert result.grid.period == model.period
         expect = np.linalg.solve(1j * om1 * np.eye(2) - a, b[:, 0])
-        first = result.spectrum.coeffs[result.spectrum.n_harmonics + 1]
+        first = result.spectrum[result.spectrum.shape[0] // 2 + 1]
         assert np.max(np.abs(first - expect)) < 1e-9
 
     def test_unforced_harmonics_stay_zero(self):
         result = solve_pss(forced_lti())
-        c = result.spectrum.coeffs[:, 0]
+        c = result.spectrum[:, 0]
         assert abs(c[4]) < 1e-12          # DC
         assert abs(c[4 + 2]) < 1e-12      # second harmonic
 
@@ -162,8 +175,8 @@ class TestIterationMatrix:
         grid = config.grid(model)
         u = np.asarray(model.input_fn(grid.times), dtype=complex)
         x = initial_guess(model, config)
-        x.coeffs[config.n_harmonics + 1] = [1.0, 0.5j]
-        x.coeffs[config.n_harmonics - 2] = [0.25, -0.125]
+        x[config.n_harmonics + 1] = [1.0, 0.5j]
+        x[config.n_harmonics - 2] = [0.25, -0.125]
 
         factored = []
         lu_factor = ltpkit.solver.lu_factor
@@ -174,7 +187,7 @@ class TestIterationMatrix:
 
         monkeypatch.setattr(ltpkit.solver, "lu_factor", capture)
         newton_step(model, x, grid, config, u)
-        x_t = spectrum_to_samples(x.coeffs, grid.n_samples)
+        x_t = spectrum_to_samples(x, grid.n_samples)
         hss = HssMatrices(model, grid.times, x_t, u, config.n_harmonics)
         assert len(factored) == 1
         assert factored[0].tobytes() == (-hss.stability_matrix()).tobytes()
@@ -199,12 +212,12 @@ class TestBenchmarkConvergence:
 
     def test_conjugate_structure_preserved(self, case1_unbalanced, case2_unbalanced):
         for model, result in (case1_unbalanced, case2_unbalanced):
-            assert result.spectrum.conjugate_defect(model.conjugate_pairs) < 1e-10
+            assert conjugate_defect(result.spectrum, model.conjugate_pairs) < 1e-10
 
     def test_waveforms_match_spectrum(self, case1_balanced):
         from ltpkit import spectrum_to_samples
         _, result = case1_balanced
-        rebuilt = spectrum_to_samples(result.spectrum.coeffs, result.grid.n_samples)
+        rebuilt = spectrum_to_samples(result.spectrum, result.grid.n_samples)
         assert np.max(np.abs(rebuilt - result.waveforms)) < 1e-12
 
 

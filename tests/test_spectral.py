@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import conjugate_defect
 from ltpkit import (
     BlockToeplitz,
     HarmonicGrid,
-    SpectralVector,
     UsageError,
     build_nblk,
     build_toeplitz,
@@ -138,26 +138,15 @@ class TestTransformProperties:
             phase[0, 0] = 0.0
 
 
-class TestSpectralVector:
-    def test_stacked_round_trip(self, rng):
-        coeffs = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
-        v = SpectralVector(coeffs, 4)
-        w = SpectralVector.from_stacked(v.stacked(), 4, 3)
-        assert np.array_equal(v.coeffs, w.coeffs)
-
-    def test_conjugate_defect(self):
+class TestConjugateDefect:
+    def test_measures_broken_pair(self):
         # states (0, 1) conjugate-paired: X_k[1] = conj(X_{-k}[0])
         coeffs = np.zeros((9, 2), dtype=complex)
         coeffs[4 + 1, 0] = 1.0 + 2.0j
         coeffs[4 - 1, 1] = 1.0 - 2.0j
-        v = SpectralVector(coeffs, 4)
-        assert v.conjugate_defect(((0, 1),)) < 1e-15
+        assert conjugate_defect(coeffs, ((0, 1),)) < 1e-15
         coeffs[4 - 1, 1] += 0.25
-        assert SpectralVector(coeffs, 4).conjugate_defect(((0, 1),)) == pytest.approx(0.25)
-
-    def test_shape_validation(self):
-        with pytest.raises(UsageError):
-            SpectralVector(np.zeros((8, 2)), 4)
+        assert conjugate_defect(coeffs, ((0, 1),)) == pytest.approx(0.25)
 
 
 def block(tp, k, l):
@@ -232,7 +221,7 @@ class TestNblk:
         assert np.allclose(ratios, np.round(ratios), atol=1e-12)
 
     def test_harmonic_major_layout(self):
-        # entry (k+N)*n + i belongs to harmonic k, as in SpectralVector.stacked
+        # entry (k+N)*n + i belongs to harmonic k, as in spectrum.reshape(-1)
         d = build_nblk(3, 2, OM1)
         assert np.allclose(d.reshape(5, 3).imag / OM1,
                            np.repeat(np.arange(-2, 3), 3).reshape(5, 3), atol=1e-12)
