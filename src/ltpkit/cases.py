@@ -14,8 +14,9 @@ Two converter benchmarks are provided as model factories:
 
 Both factories return closed-loop and open-loop variants.  The closed loop
 is driven by the grid-voltage complex pair; the open loop is the converter
-subsystem driven directly by its terminal-bus voltage, which is the model an
-impedance/frequency scan linearizes.
+subsystem, PLL included, driven directly by its terminal-bus voltage, which is
+the model an impedance/frequency scan linearizes.  Case I's open loop is its
+closed loop at zero grid inductance; case II's drops the grid-current states.
 
 All states are per-unit (voltage base = peak phase voltage, current base =
 peak phase current, time in seconds), so solver norms and waveform
@@ -158,17 +159,12 @@ def make_params(case: str, overrides: dict | None = None) -> dict:
 
 
 def _validate_params(case: str, p: dict):
+    # case 2's open loop drives its capacitor through r_cf, so r_cf = 0 is out
+    case2 = ("c_f", "r_cf", "alpha_s", "k_sogi") if case == "case2" else ()
     for key in ("l_fa", "l_ga", "k_sym_c", "k_sym_g", "u_base", "i_base",
-                "s_base", "l_base", "f_base", "u_n", "alpha_c", "alpha_pll"):
+                "s_base", "l_base", "f_base", "u_n", "alpha_c", "alpha_pll") + case2:
         if p[key] <= 0:
             raise UsageError(f"parameter {key} must be positive (got {p[key]})")
-    if case == "case2":
-        if p["c_f"] <= 0:
-            raise UsageError("c_f must be positive")
-        if p["r_cf"] < 0:
-            raise UsageError("r_cf must be nonnegative")
-        if p["alpha_s"] <= 0 or p["k_sogi"] <= 0:
-            raise UsageError("alpha_s and k_sogi must be positive")
 
 
 def _phasor(mag: float, deg: float) -> complex:
@@ -246,20 +242,18 @@ def _current_output(n_states):
 def build_case1(params: dict | None = None) -> dict:
     """Case system I models (closed loop: grid-driven; open loop: bus-driven).
 
-    Closed loop: with no shunt between converter and grid the two series
-    inductances carry one current, so the bus (POC) voltage is the algebraic
-    divider u_poc = u_g + L_g(L_f+L_g)⁻¹(u_c − u_g); the PLL senses its
-    rotating-frame q component.  Open loop: the converter sees u_poc as an
-    ideal input; output is the converter current pair (admittance-type scan).
+    With no shunt between converter and grid the two series inductances carry
+    one current, so the bus (POC) voltage is the algebraic divider
+    u_poc = u_g + L_g(L_f+L_g)⁻¹(u_c − u_g); the PLL senses its rotating-frame
+    q component.  The open loop is the same model at L_g = 0: its input is the
+    bus voltage itself, and the grid inductance and its asymmetry do not reach
+    it.  Output is the converter current pair (admittance-type scan).
     """
     p = make_params("case1", params)
     nn = _norms(p)
     om1, kp, ki, kpp, kip, ff = (nn[k] for k in ("omega1", "kp", "ki", "kpp", "kip", "ff"))
     i_ref = nn["i_ref"]
     i_ref_c = np.conj(i_ref)
-    gsum = np.linalg.inv(nn["lf_c"] + nn["lg_c"])   # 1/s
-    kdiv = nn["lg_c"] @ gsum                        # dimensionless divider
-    gf = np.linalg.inv(nn["lf_c"])
 
     # Seed the iteration near the physical operating point: several distinct
     # periodic solutions coexist under severe unbalance, and a zero start can
@@ -269,133 +263,6 @@ def build_case1(params: dict | None = None) -> dict:
     xc0 = u_pos0 * np.exp(-1j * delta0)
 
     IC, ICC, XC, XCC, DELTA, XPLL = range(6)
-
-    def _uc_pair(t, xs):
-        e = np.exp(1j * (om1 * t + xs[DELTA]))
-        em = 1.0 / e
-        uc = kp * (i_ref * e - xs[IC]) + xs[XC] * e + 1j * ff * xs[IC]
-        ucc = kp * (i_ref_c * em - xs[ICC]) + xs[XCC] * em - 1j * ff * xs[ICC]
-        return e, em, uc, ucc
-
-    def _uc_columns(xs, e, em):
-        """∂(uc, ucc)/∂x by column; the columns left out are zero."""
-        zero = np.zeros(e.shape, dtype=complex)
-        return {
-            IC: (-kp + 1j * ff + zero, zero),
-            ICC: (zero, -kp - 1j * ff + zero),
-            XC: (e, zero),
-            XCC: (zero, em),
-            DELTA: (1j * e * (kp * i_ref + xs[XC]),
-                    -1j * em * (kp * i_ref_c + xs[XCC])),
-        }
-
-    def _control_rows(out, xs, e, em, uq):
-        """Current-controller integrator and PLL rows of f (both loops)."""
-        out[..., XC] = ki * (i_ref - em * xs[IC])
-        out[..., XCC] = ki * (i_ref_c - e * xs[ICC])
-        out[..., DELTA] = kpp * uq + xs[XPLL]
-        out[..., XPLL] = kip * uq
-
-    def _control_jac_rows(jac, xs, e, em, upoc, upocc):
-        """Jacobian of :func:`_control_rows` at a given bus voltage.  The PLL
-        rows' dependence on the states through the bus voltage is each loop's
-        own; this adds to those rows."""
-        # rotation of the demodulators with the PLL angle
-        upocd = (em * upoc + e * upocc) / 2.0
-        jac[..., DELTA, DELTA] += -kpp * upocd
-        jac[..., XPLL, DELTA] += -kip * upocd
-        jac[..., XC, IC] = -ki * em
-        jac[..., XC, DELTA] = 1j * ki * em * xs[IC]
-        jac[..., XCC, ICC] = -ki * e
-        jac[..., XCC, DELTA] = -1j * ki * e * xs[ICC]
-        jac[..., DELTA, XPLL] += 1.0
-
-    # -- closed loop -------------------------------------------------------
-    def cl_dynamics(t, x, u):
-        xs, us = _columns(x), _columns(u)
-        e, em, uc, ucc = _uc_pair(t, xs)
-        ug, ugc = us[0], us[1]
-        d1, d2 = uc - ug, ucc - ugc
-        upoc = ug + kdiv[0, 0] * d1 + kdiv[0, 1] * d2
-        upocc = ugc + kdiv[1, 0] * d1 + kdiv[1, 1] * d2
-        uq = (em * upoc - e * upocc) / 2j
-        out = np.zeros(e.shape + (6,), dtype=complex)
-        out[..., IC] = gsum[0, 0] * d1 + gsum[0, 1] * d2
-        out[..., ICC] = gsum[1, 0] * d1 + gsum[1, 1] * d2
-        _control_rows(out, xs, e, em, uq)
-        return out
-
-    def cl_jac_state(t, x, u):
-        xs, us = _columns(x), _columns(u)
-        e, em, uc, ucc = _uc_pair(t, xs)
-        ug, ugc = us[0], us[1]
-        d1, d2 = uc - ug, ucc - ugc
-        upoc = ug + kdiv[0, 0] * d1 + kdiv[0, 1] * d2
-        upocc = ugc + kdiv[1, 0] * d1 + kdiv[1, 1] * d2
-        jac = np.zeros(e.shape + (6, 6), dtype=complex)
-        for col, (a, b) in _uc_columns(xs, e, em).items():
-            jac[..., IC, col] = gsum[0, 0] * a + gsum[0, 1] * b
-            jac[..., ICC, col] = gsum[1, 0] * a + gsum[1, 1] * b
-            dup = kdiv[0, 0] * a + kdiv[0, 1] * b
-            dupc = kdiv[1, 0] * a + kdiv[1, 1] * b
-            duq = (em * dup - e * dupc) / 2j
-            jac[..., DELTA, col] = kpp * duq
-            jac[..., XPLL, col] = kip * duq
-        _control_jac_rows(jac, xs, e, em, upoc, upocc)
-        return jac
-
-    def cl_jac_input(t, x, u):
-        e = np.exp(1j * (om1 * t + _columns(x)[DELTA]))
-        em = 1.0 / e
-        jac = np.zeros(e.shape + (6, 2), dtype=complex)
-        jac[..., IC, 0] = -gsum[0, 0]
-        jac[..., IC, 1] = -gsum[0, 1]
-        jac[..., ICC, 0] = -gsum[1, 0]
-        jac[..., ICC, 1] = -gsum[1, 1]
-        for col in (0, 1):
-            dup = (1.0 if col == 0 else 0.0) - kdiv[0, col]
-            dupc = (1.0 if col == 1 else 0.0) - kdiv[1, col]
-            duq = (em * dup - e * dupc) / 2j
-            jac[..., DELTA, col] = kpp * duq
-            jac[..., XPLL, col] = kip * duq
-        return jac
-
-    # -- open loop (bus voltage as input) ----------------------------------
-    def ol_dynamics(t, x, u):
-        xs, us = _columns(x), _columns(u)
-        e, em, uc, ucc = _uc_pair(t, xs)
-        upoc, upocc = us[0], us[1]
-        d1, d2 = uc - upoc, ucc - upocc
-        uq = (em * upoc - e * upocc) / 2j
-        out = np.zeros(e.shape + (6,), dtype=complex)
-        out[..., IC] = gf[0, 0] * d1 + gf[0, 1] * d2
-        out[..., ICC] = gf[1, 0] * d1 + gf[1, 1] * d2
-        _control_rows(out, xs, e, em, uq)
-        return out
-
-    def ol_jac_state(t, x, u):
-        xs, us = _columns(x), _columns(u)
-        e, em, _, _ = _uc_pair(t, xs)
-        jac = np.zeros(e.shape + (6, 6), dtype=complex)
-        for col, (a, b) in _uc_columns(xs, e, em).items():
-            jac[..., IC, col] = gf[0, 0] * a + gf[0, 1] * b
-            jac[..., ICC, col] = gf[1, 0] * a + gf[1, 1] * b
-        _control_jac_rows(jac, xs, e, em, us[0], us[1])
-        return jac
-
-    def ol_jac_input(t, x, u):
-        e = np.exp(1j * (om1 * t + _columns(x)[DELTA]))
-        em = 1.0 / e
-        jac = np.zeros(e.shape + (6, 2), dtype=complex)
-        jac[..., IC, 0] = -gf[0, 0]
-        jac[..., IC, 1] = -gf[0, 1]
-        jac[..., ICC, 0] = -gf[1, 0]
-        jac[..., ICC, 1] = -gf[1, 1]
-        jac[..., DELTA, 0] = kpp * em / 2j
-        jac[..., DELTA, 1] = -kpp * e / 2j
-        jac[..., XPLL, 0] = kip * em / 2j
-        jac[..., XPLL, 1] = -kip * e / 2j
-        return jac
 
     output, out_js, out_ji = _current_output(6)
     shared = dict(
@@ -408,11 +275,88 @@ def build_case1(params: dict | None = None) -> dict:
                         (XC, 0, xc0), (XCC, 0, np.conj(xc0)),
                         (DELTA, 0, delta0)),
     )
-    closed = SystemModel(dynamics=cl_dynamics, jac_state=cl_jac_state,
-                         jac_input=cl_jac_input, name="case1", **shared)
-    open_loop = SystemModel(dynamics=ol_dynamics, jac_state=ol_jac_state,
-                            jac_input=ol_jac_input, name="case1_open", **shared)
-    return {"closed_loop": closed, "open_loop": open_loop}
+
+    def _loop(lg_c, name):
+        """The converter behind the series inductance ``lg_c`` from its input
+        voltage: the grid's for the closed loop, zero for the open loop."""
+        gsum = np.linalg.inv(nn["lf_c"] + lg_c)   # 1/s
+        kdiv = lg_c @ gsum                        # dimensionless divider
+
+        def _bus(t, x, u):
+            """State columns, rotations e^{±j(ω₁t+δ)}, the voltage pair across
+            the series inductances and the bus voltage pair."""
+            xs, us = _columns(x), _columns(u)
+            e = np.exp(1j * (om1 * t + xs[DELTA]))
+            em = 1.0 / e
+            uc = kp * (i_ref * e - xs[IC]) + xs[XC] * e + 1j * ff * xs[IC]
+            ucc = kp * (i_ref_c * em - xs[ICC]) + xs[XCC] * em - 1j * ff * xs[ICC]
+            ug, ugc = us[0], us[1]
+            d1, d2 = uc - ug, ucc - ugc
+            upoc = ug + kdiv[0, 0] * d1 + kdiv[0, 1] * d2
+            upocc = ugc + kdiv[1, 0] * d1 + kdiv[1, 1] * d2
+            return xs, e, em, d1, d2, upoc, upocc
+
+        def dynamics(t, x, u):
+            xs, e, em, d1, d2, upoc, upocc = _bus(t, x, u)
+            uq = (em * upoc - e * upocc) / 2j
+            out = np.zeros(e.shape + (6,), dtype=complex)
+            out[..., IC] = gsum[0, 0] * d1 + gsum[0, 1] * d2
+            out[..., ICC] = gsum[1, 0] * d1 + gsum[1, 1] * d2
+            out[..., XC] = ki * (i_ref - em * xs[IC])
+            out[..., XCC] = ki * (i_ref_c - e * xs[ICC])
+            out[..., DELTA] = kpp * uq + xs[XPLL]
+            out[..., XPLL] = kip * uq
+            return out
+
+        def jac_state(t, x, u):
+            xs, e, em, _, _, upoc, upocc = _bus(t, x, u)
+            jac = np.zeros(e.shape + (6, 6), dtype=complex)
+            # ∂(uc, ucc)/∂x by column; the columns left out are zero
+            zero = np.zeros(e.shape, dtype=complex)
+            for col, (a, b) in {
+                IC: (-kp + 1j * ff + zero, zero),
+                ICC: (zero, -kp - 1j * ff + zero),
+                XC: (e, zero),
+                XCC: (zero, em),
+                DELTA: (1j * e * (kp * i_ref + xs[XC]),
+                        -1j * em * (kp * i_ref_c + xs[XCC])),
+            }.items():
+                jac[..., IC, col] = gsum[0, 0] * a + gsum[0, 1] * b
+                jac[..., ICC, col] = gsum[1, 0] * a + gsum[1, 1] * b
+                dup = kdiv[0, 0] * a + kdiv[0, 1] * b
+                dupc = kdiv[1, 0] * a + kdiv[1, 1] * b
+                duq = (em * dup - e * dupc) / 2j
+                jac[..., DELTA, col] = kpp * duq
+                jac[..., XPLL, col] = kip * duq
+            # rotation of the demodulators with the PLL angle
+            upocd = (em * upoc + e * upocc) / 2.0
+            jac[..., DELTA, DELTA] += -kpp * upocd
+            jac[..., XPLL, DELTA] += -kip * upocd
+            jac[..., XC, IC] = -ki * em
+            jac[..., XC, DELTA] = 1j * ki * em * xs[IC]
+            jac[..., XCC, ICC] = -ki * e
+            jac[..., XCC, DELTA] = -1j * ki * e * xs[ICC]
+            jac[..., DELTA, XPLL] += 1.0
+            return jac
+
+        def jac_input(t, x, u):
+            e = np.exp(1j * (om1 * t + _columns(x)[DELTA]))
+            em = 1.0 / e
+            jac = np.zeros(e.shape + (6, 2), dtype=complex)
+            jac[..., IC:ICC + 1, :] = -gsum
+            for col in (0, 1):
+                dup = (1.0 if col == 0 else 0.0) - kdiv[0, col]
+                dupc = (1.0 if col == 1 else 0.0) - kdiv[1, col]
+                duq = (em * dup - e * dupc) / 2j
+                jac[..., DELTA, col] = kpp * duq
+                jac[..., XPLL, col] = kip * duq
+            return jac
+
+        return SystemModel(dynamics=dynamics, jac_state=jac_state,
+                           jac_input=jac_input, name=name, **shared)
+
+    return {"closed_loop": _loop(nn["lg_c"], "case1"),
+            "open_loop": _loop(np.zeros((2, 2)), "case1_open")}
 
 
 # ---------------------------------------------------------------------------

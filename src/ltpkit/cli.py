@@ -156,6 +156,9 @@ def _resolve_axis(which: str, given: dict | None, default: dict) -> dict:
         if key not in ("name", "values"):
             raise UsageError(f"unknown sweep {which} key {key!r}")
         axis[key] = value
+    for key in ("name", "values"):
+        if key not in axis:
+            raise UsageError(f"sweep {which}: missing key {key!r}")
     axis["values"] = _resolve_grid(f"sweep {which} values", axis["values"], 11)
     return axis
 

@@ -35,8 +35,6 @@ class SystemModel:
         states appear in no pair.
     spectral_seeds : (state, harmonic, value) triples materialized by
         ``initial_guess``.
-    state_scales : per-state magnitudes used for per-unit norms; case models
-        are already per-unit so these default to ones.
     """
 
     n_states: int
@@ -53,7 +51,6 @@ class SystemModel:
     state_labels: tuple = ()
     conjugate_pairs: tuple = ()
     spectral_seeds: tuple = ()
-    state_scales: np.ndarray | None = None
     name: str = "model"
 
     def __post_init__(self):
@@ -65,13 +62,6 @@ class SystemModel:
         paired = [k for pair in self.conjugate_pairs for k in set(pair)]
         if len(paired) != len(set(paired)):
             raise UsageError("a state appears in more than one conjugate pair")
-        scales = self.state_scales
-        if scales is None:
-            scales = np.ones(self.n_states)
-        scales = np.asarray(scales, dtype=float)
-        if scales.shape != (self.n_states,) or np.any(scales <= 0):
-            raise UsageError("state_scales must be positive, one per state")
-        object.__setattr__(self, "state_scales", scales)
 
     @property
     def period(self) -> float:
@@ -91,7 +81,6 @@ def _const_jac(mat):
 
 def linear_model(
     a: Array,
-    forcing: Callable[[Array], Array] | None = None,
     omega1: float = 2.0 * np.pi * 50.0,
     b: Array | None = None,
     c: Array | None = None,
@@ -118,12 +107,9 @@ def linear_model(
         d = np.zeros((p, m), dtype=complex)
     d = np.asarray(d, dtype=complex)
     if input_fn is None:
-        if forcing is not None:
-            input_fn = forcing
-        else:
-            def input_fn(t):
-                t = np.asarray(t, dtype=float)
-                return np.zeros(t.shape + (m,), dtype=complex)
+        def input_fn(t):
+            t = np.asarray(t, dtype=float)
+            return np.zeros(t.shape + (m,), dtype=complex)
 
     def dynamics(t, x, u):
         return x @ a.T + u @ b.T

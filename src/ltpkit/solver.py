@@ -68,9 +68,9 @@ class SolverResult:
     elapsed_s: float = 0.0
 
 
-def residual_norm(delta: np.ndarray, scales: np.ndarray) -> float:
-    """∞-norm of a spectral update, states divided by their per-unit scales."""
-    return float(np.max(np.abs(delta / scales)))
+def residual_norm(delta: np.ndarray) -> float:
+    """∞-norm of a spectral update (the case states are per-unit)."""
+    return float(np.max(np.abs(delta)))
 
 
 def initial_guess(model: SystemModel, config: SolverConfig) -> np.ndarray:
@@ -127,7 +127,7 @@ def newton_step(
         raise SingularIterationMatrix(cond_est)
 
     delta = lu_solve((lu, piv), rhs, check_finite=False).reshape(x_spec.shape)
-    return delta, residual_norm(delta, model.state_scales)
+    return delta, residual_norm(delta)
 
 
 def solve_pss(
@@ -160,7 +160,7 @@ def solve_pss(
 
     Notes
     -----
-    Convergence is declared when the ∞-norm of the per-unit-scaled update
+    Convergence is declared when the ∞-norm of the Newton update
     drops to ``config.tolerance``; the final small update is applied.  When a
     step norm exceeds the previous one, the step is retried at half its
     length, at most four times; the fourth halving (a sixteenth of the full

@@ -1,6 +1,7 @@
 """The public API against what documents and instruments it: the README's
 library table and config schema, and the benchmark tracer's wrap targets."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -104,15 +105,21 @@ class TestReadme:
         assert key_paths(readme_config()) == key_paths(dumped)
 
 
-def test_tracer_targets_resolve():
-    # bench/tracing.py wraps these names where they are bound; a name that no
-    # longer resolves fails the traced benchmark's "wrappers installed" check
+def tracer_targets():
+    """``TARGETS`` of bench/tracing.py: (module, attribute, span) triples."""
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.TARGETS
+    return tracing.TARGETS
+
+
+def test_tracer_targets_resolve():
+    # bench/tracing.py wraps these names where they are bound; a name that no
+    # longer resolves fails the traced benchmark's "wrappers installed" check
+    targets = tracer_targets()
+    assert targets
     missing = []
-    for module_name, attr, _span in tracing.TARGETS + (("ltpkit.cli", "case_builder", ""),):
+    for module_name, attr, _span in targets + (("ltpkit.cli", "case_builder", ""),):
         owner = importlib.import_module(module_name)
         *path, leaf = attr.split(".")
         for part in path:
@@ -120,3 +127,24 @@ def test_tracer_targets_resolve():
         if owner is None or leaf not in vars(owner):
             missing.append(f"{module_name}.{attr}")
     assert not missing
+
+
+def test_unused_imports_are_tracer_targets():
+    # a name imported but uncalled (marked noqa: F401) is kept only for
+    # bench/tracing.py to wrap; once the tracer stops wrapping it there, the
+    # import is stale and must go
+    targets = {(module_name, attr) for module_name, attr, _span in tracer_targets()}
+    stale = []
+    for path in sorted((ROOT / "src" / "ltpkit").glob("*.py")):
+        module_name = f"ltpkit.{path.stem}"
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if "noqa: F401" in lines[alias.lineno - 1] \
+                        and (module_name, name) not in targets:
+                    stale.append(f"{module_name}.{name}")
+    assert not stale

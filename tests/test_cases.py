@@ -104,6 +104,9 @@ class TestParameterHandling:
             make_params("case2", {"c_f": 0.0})
         with pytest.raises(UsageError):
             make_params("case3")
+        # the open loop feeds its capacitor through r_cf
+        with pytest.raises(UsageError, match="parameter r_cf must be positive"):
+            build_case2({"r_cf": 0.0})
 
 
 class TestBuilders:
@@ -118,6 +121,21 @@ class TestBuilders:
         for m in (*c1.values(), *c2.values()):
             assert m.n_inputs == 2
             assert len(m.state_labels) == m.n_states
+
+    @pytest.mark.parametrize("builder", [build_case1, build_case2])
+    def test_open_loop_ignores_grid_inductance(self, builder, rng):
+        # the open loop is driven by its bus voltage: neither the grid
+        # inductance nor its asymmetry reaches it
+        base = builder()["open_loop"]
+        t = rng.uniform(0.0, base.period, size=40)
+        x = rng.standard_normal((40, base.n_states)) \
+            + 1j * rng.standard_normal((40, base.n_states))
+        u = rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2))
+        for params in ({"k_sym_g": 2.5}, {"l_ga": 4e-4}, {"k_sym_g": 0.3, "l_ga": 1e-5}):
+            model = builder(params)["open_loop"]
+            for name in ("dynamics", "jac_state", "jac_input"):
+                assert np.array_equal(getattr(model, name)(t, x, u),
+                                      getattr(base, name)(t, x, u)), (params, name)
 
     def test_conjugate_pairs_match_labels(self):
         for m in (build_case1()["closed_loop"], build_case2()["closed_loop"]):

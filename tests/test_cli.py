@@ -32,6 +32,12 @@ def read_csv(path):
     return header, rows
 
 
+# a model file: a builder with no default sweep axes
+MODEL_FILE = ("from ltpkit import build_case1\n\n\n"
+              "def build(overrides):\n"
+              "    return build_case1(overrides)\n")
+
+
 class TestSolve:
     def test_defaults_write_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
@@ -203,9 +209,7 @@ class TestSweep:
         # a builder loaded from a model file cannot be pickled; forked pool
         # processes inherit it
         model = tmp_path / "model.py"
-        model.write_text("from ltpkit import build_case1\n\n\n"
-                         "def build(overrides):\n"
-                         "    return build_case1(overrides)\n")
+        model.write_text(MODEL_FILE)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sweep": {
             "axis1": {"name": "alpha_pll", "values": [10.0, 20.0]},
@@ -400,6 +404,8 @@ MALFORMED_CONFIGS = {
     "axis_value_inf": ("sweep", {"sweep": {"axis1": {"values": [math.inf]}}}),
     "set_nan": ("solve", {"set": {"alpha_pll": math.nan}}),
     "set_inf": ("solve", {"set": {"alpha_pll": -math.inf}}),
+    # every case-2 command builds the open loop, which needs r_cf > 0
+    "r_cf_zero": ("solve", {"case": "case2", "set": {"r_cf": 0}}),
 }
 
 
@@ -469,6 +475,22 @@ class TestConfigHandling:
         assert rc == 1
         assert capsys.readouterr().err == \
             "error: unknown analysis config key 'marginal_band'\n"
+
+    @pytest.mark.parametrize("missing", ["name", "values"])
+    def test_model_file_axis_missing_key(self, missing, tmp_path, capsys):
+        # a model file has no default axes to fill the gap from
+        model = tmp_path / "model.py"
+        model.write_text(MODEL_FILE)
+        axis1 = {"name": "alpha_pll", "values": [20.0, 30.0]}
+        del axis1[missing]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {
+            "axis1": axis1, "axis2": {"name": "u_gbeta_mag", "values": [0.0]}}}))
+        rc = main(["sweep", "--case", str(model), "--config", str(cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: sweep axis1: missing key {missing!r}\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["solve", "--config", str(tmp_path / "nope.json"),

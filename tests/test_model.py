@@ -31,18 +31,6 @@ class TestValidation:
         with pytest.raises(UsageError, match="more than one conjugate pair"):
             SystemModel(conjugate_pairs=((0, 1), (1, 1)), **kwargs)
 
-    def test_state_scales_must_be_positive(self):
-        a = np.eye(2, dtype=complex)
-        kwargs = dict(
-            n_states=2, n_inputs=1, n_outputs=1, omega1=OM1,
-            dynamics=lambda t, x, u: x, output=lambda t, x, u: x[..., :1],
-            jac_state=lambda t, x, u: a, jac_input=lambda t, x, u: a[:, :1],
-            out_jac_state=lambda t, x, u: a[:1], out_jac_input=lambda t, x, u: a[:1, :1],
-            input_fn=lambda t: np.zeros(np.shape(t) + (1,)),
-        )
-        with pytest.raises(UsageError):
-            SystemModel(state_scales=np.array([1.0, -1.0]), **kwargs)
-
 
 class TestInputPeriodicity:
     @pytest.mark.parametrize("builder", [build_case1, build_case2])
