@@ -119,42 +119,124 @@ class HssMatrices:
         return _read_only((rows + sigma).reshape(-1))
 
     @cached_property
+    def _block_of(self) -> np.ndarray:
+        """Index into :attr:`blocks` of each HSS coordinate."""
+        return _read_only(_invariant_blocks(self._stability, self.partner))
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """Coordinate indices of the invariant blocks of the stability matrix.
+
+        The blocks are the connected components of H's coupling pattern,
+        where an entry couples two coordinates when it exceeds
+        ``REAL_FORM_TOL``·max|H| (the round-off gate of :attr:`real_form`),
+        closed under :attr:`partner` so that every block keeps its real form.
+        A coordinate's harmonic parity, for instance, splits the built-in
+        cases into at least two blocks: stationary-frame states carry only
+        odd harmonics and rotating-frame ones only even.  H restricted to the
+        blocks has the spectrum of H up to the dropped entries (see
+        :attr:`decoupling_defect`).  Sorted ascending, in order of each
+        block's first coordinate; read-only.
+        """
+        block_of = self._block_of
+        return tuple(_read_only(np.flatnonzero(block_of == i))
+                     for i in range(block_of.max() + 1))
+
+    @property
+    def decoupling_defect(self) -> float:
+        """Largest |H| entry that couples two :attr:`blocks`, over max|H|."""
+        mag = np.abs(self._stability)
+        between = mag[self._block_of[:, None] != self._block_of]
+        return float(np.max(between, initial=0.0)) / float(np.max(mag))
+
+    @cached_property
     def _similar(self) -> tuple:
-        """(W, defect): the similar form W = Tᴴ H T of :attr:`eigenvalues`,
-        real (Re W) when the defect max|Im W| / max|W| passes the gate."""
+        """(forms, defect): per block of :attr:`blocks`, its coordinates,
+        its columns of T and the similar form W_b = T_bᴴ H_b T_b of
+        :attr:`eigenvalues`, real (Re W_b) when the defect max|Im W| / max|W|
+        of the whole W = Tᴴ H T passes the gate.
+
+        T maps each block onto its own columns, so W_b is the (cols, cols)
+        slice of W, entry for entry the same arithmetic.
+        """
         w = _similar_form(self._stability, self.partner)
         scale = float(np.max(np.abs(w)))
         defect = float(np.max(np.abs(w.imag))) / scale if scale > 0.0 else 0.0
         if defect <= REAL_FORM_TOL:
-            w = np.ascontiguousarray(w.real)
-        return _read_only(w), defect
+            w = w.real
+        # T's columns: one per fixed coordinate, then for each pair (a, b)
+        # one (e_a + e_b) column and, after all of those, one i(e_a − e_b)
+        fixed, a, _ = _pairs(self.partner)
+        col_block = self._block_of[np.concatenate((fixed, a, a))]
+        forms = []
+        for i, block in enumerate(self.blocks):
+            cols = np.flatnonzero(col_block == i)
+            forms.append((block, cols, _read_only(w[np.ix_(cols, cols)])))
+        return tuple(forms), defect
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Spectrum of the stability matrix, sorted by descending real part
         (ties by ascending imaginary part); computed once, read-only.
 
-        The eigen-solve runs on W = Tᴴ H T, unitarily similar to H.  The
-        columns of T are e_f for each coordinate that is its own
-        :attr:`partner`, and (e_a + e_b)/√2 and i(e_a − e_b)/√2 for each
-        partner pair (a, b).  A conjugate-symmetric H makes W real; then the
-        real eigen-solver runs on Re W and returns exact conjugate pairs.
-        Otherwise (complex LTI models, for instance) W itself is solved.
+        One eigen-solve runs per invariant block (:attr:`blocks`), on
+        W_b = T_bᴴ H_b T_b, unitarily similar to H_b.  The columns of T are
+        e_f for each coordinate that is its own :attr:`partner`, and
+        (e_a + e_b)/√2 and i(e_a − e_b)/√2 for each partner pair (a, b);
+        T_b holds those of the block's coordinates.  A conjugate-symmetric H
+        makes W_b real; then the real eigen-solver runs on Re W_b and
+        returns exact conjugate pairs.  Otherwise (complex LTI models, for
+        instance) W_b itself is solved.
         """
-        eigs = scipy.linalg.eigvals(self._similar[0])
+        eigs = np.concatenate([scipy.linalg.eigvals(w_b)
+                               for _, _, w_b in self._similar[0]])
         order = np.lexsort((eigs.imag, -eigs.real))
         return _read_only(eigs[order])
 
     @property
     def symmetry_defect(self) -> float:
-        """max|Im W| / max|W| of the similar form behind :attr:`eigenvalues`."""
+        """max|Im W| / max|W| of the similar form W = Tᴴ H T whose blocks
+        W_b are behind :attr:`eigenvalues`."""
         return self._similar[1]
 
     @property
     def real_form(self) -> bool:
         """Whether :attr:`eigenvalues` and :func:`frequency_scan` work on the
-        real matrix Re W."""
+        real matrices Re W_b."""
         return self.symmetry_defect <= REAL_FORM_TOL
+
+
+def _invariant_blocks(h: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """Block index of each coordinate: the connected components of the
+    coupling pattern of ``h`` (entries above the round-off gate), closed
+    under ``partner``, numbered in order of their first coordinate.
+
+    The graph joins partner classes {a, partner[a]} rather than coordinates,
+    at about half the dimension; repeated squaring of its reachability
+    matrix finds the components in O(log(diameter)) matrix products.
+    """
+    mag = np.abs(h)
+    coupled = mag > REAL_FORM_TOL * np.max(mag)
+    coupled |= coupled[partner]
+    coupled |= coupled[:, partner]
+    idx = np.arange(partner.size)
+    named = idx <= partner   # a class is named by its lower coordinate
+    classes = np.flatnonzero(named)
+    class_of = (np.cumsum(named) - 1)[np.minimum(idx, partner)]
+    reach = coupled[np.ix_(classes, classes)]
+    reach |= reach.T
+    reach[np.diag_indices(classes.size)] = True
+    # real rather than boolean matrices, so the products run in BLAS; the
+    # path counts they hold stay exact far beyond any HSS dimension
+    reach = reach.astype(float)
+    while True:
+        grown = (reach @ reach > 0.0).astype(float)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    first = np.argmax(reach, axis=1)   # the lowest class of its component
+    number = np.cumsum(first == np.arange(classes.size)) - 1
+    return number[first][class_of]
 
 
 def _similar_form(h: np.ndarray, partner: np.ndarray) -> np.ndarray:
@@ -309,16 +391,19 @@ def frequency_scan(
     component pair.  Frequencies within the :func:`harmonic_transfer_function`
     guard of an HSS eigenvalue are flagged (entries NaN), not fatal.
 
-    The scan works on the similar form W = Tᴴ H T of
-    :attr:`HssMatrices.eigenvalues`, reduced once to Schur form Q R Qᴴ
-    (Laub 1981, IEEE TAC 26(2)): real quasi-triangular R and real Q when
-    :attr:`HssMatrices.real_form` holds (Golub & Van Loan, Matrix
-    Computations, §7.4), complex triangular otherwise.  The single l = 0
-    input column b enters as Qᴴ Tᴴ b and the three reported output rows c
-    as c T Q.  All probes then share one O(dim²) back-substitution of
-    (sI − R) z = Qᴴ Tᴴ b, with a closed-form solve per 2×2 diagonal block
-    of R; the poles behind the singular guard are the eigenvalues of those
-    blocks.
+    The scan works block by block on the similar forms W_b = T_bᴴ H_b T_b
+    of :attr:`HssMatrices.eigenvalues`, and only on the blocks that the
+    single l = 0 input column b touches (an entry above ``REAL_FORM_TOL``
+    of max|b|): the others contribute nothing to the entry.  Each touched
+    W_b is reduced to Schur form Q R Qᴴ (Laub 1981, IEEE TAC 26(2)): real
+    quasi-triangular R and real Q when :attr:`HssMatrices.real_form` holds
+    (Golub & Van Loan, Matrix Computations, §7.4), complex triangular
+    otherwise.  b enters as Qᴴ T_bᴴ b_b and the three reported output rows c
+    as c_b T_b Q.  All probes then share one O(dim_b²) back-substitution of
+    (sI − R) z = Qᴴ T_bᴴ b_b, with a closed-form solve per 2×2 diagonal
+    block of R, and the blocks' output rows are summed.  The poles behind
+    the singular guard are the eigenvalues of the touched blocks: a pole in
+    an untouched block cannot reach the entry.
     """
     if hss.n_harmonics < 2:
         raise UsageError("need n_harmonics >= 2 to expose the ±2 coupling blocks")
@@ -329,37 +414,55 @@ def frequency_scan(
     if not np.all(np.isfinite(freqs)):
         raise UsageError("scan frequencies must be finite")
     s = 2j * np.pi * freqs
-    tri, q = scipy.linalg.schur(hss._similar[0],
-                                output="real" if hss.real_form else "complex")
-    sizes, poles = _diagonal_blocks(tri)
-    dist = np.min(np.abs(poles[:, None] - s), axis=0)
-    singular = dist < _SINGULAR_GUARD * hss.omega1
-    s_ok = s[~singular]
 
     col = n * m + input_index
     rows = [(n + k) * p + output_index for k in (0, +2, -2)]
-    y = q.conj().T @ _left_t(hss.b_full[:, col], hss.partner)
-    z = np.empty((poles.size, s_ok.size), dtype=complex)
+    b = hss.b_full[:, col]
+    mag = np.abs(b)
+    touched = mag > REAL_FORM_TOL * np.max(mag)
+    b_t = _left_t(b, hss.partner)
+    c_t = _right_t(hss.c_full[rows], hss.partner)
+    factors = []
+    for block, cols, w_b in hss._similar[0]:
+        if not touched[block].any():
+            continue
+        tri, q = scipy.linalg.schur(w_b, output="real" if hss.real_form else "complex")
+        sizes, poles = _diagonal_blocks(tri)
+        factors.append((tri, sizes, poles, q.conj().T @ b_t[cols], c_t[:, cols] @ q))
+    poles = np.concatenate([f[2] for f in factors] + [np.empty(0, dtype=complex)])
+    dist = np.min(np.abs(poles[:, None] - s), axis=0, initial=np.inf)
+    singular = dist < _SINGULAR_GUARD * hss.omega1
+    s_ok = s[~singular]
+
+    h = np.full((len(rows), freqs.size), complex(np.nan, np.nan))
+    h[:, ~singular] = hss.d_full[rows, col][:, None]
+    for tri, sizes, poles, y, c in factors:
+        h[:, ~singular] += c @ _back_substitute(tri, sizes, poles, y, s_ok)
+    diag, mplus, mminus = h
+    return ScanResult(freqs, diag, mplus, mminus, singular)
+
+
+def _back_substitute(tri: np.ndarray, sizes: np.ndarray, poles: np.ndarray,
+                     y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """z with (s I − R) z = y for each probe s, by back-substitution on the
+    (quasi-)triangular R = ``tri`` with blocks ``sizes`` and ``poles`` (see
+    :func:`_diagonal_blocks`); one column of z per probe."""
+    z = np.empty((poles.size, s.size), dtype=complex)
     # a real R multiplies the real and imaginary parts of z as one real matrix
     z_parts = z.view(float) if tri.dtype == float else z
     for i in np.flatnonzero(sizes)[::-1]:
         j = i + sizes[i]
         rhs = y[i:j, None] + (tri[i:j, j:] @ z_parts[j:]).view(complex)
         if j == i + 1:
-            z[i] = rhs[0] / (s_ok - poles[i])
+            z[i] = rhs[0] / (s - poles[i])
             continue
         # (sI − B) z = rhs for the 2×2 block B, whose determinant is
         # (s − λ₁)(s − λ₂) over its two eigenvalues
         (b11, b12), (b21, b22) = tri[i:j, i:j]
-        det = (s_ok - poles[i]) * (s_ok - poles[i + 1])
-        z[i] = ((s_ok - b22) * rhs[0] + b12 * rhs[1]) / det
-        z[i + 1] = (b21 * rhs[0] + (s_ok - b11) * rhs[1]) / det
-
-    h = np.full((len(rows), freqs.size), complex(np.nan, np.nan))
-    c = _right_t(hss.c_full[rows], hss.partner) @ q
-    h[:, ~singular] = c @ z + hss.d_full[rows, col][:, None]
-    diag, mplus, mminus = h
-    return ScanResult(freqs, diag, mplus, mminus, singular)
+        det = (s - poles[i]) * (s - poles[i + 1])
+        z[i] = ((s - b22) * rhs[0] + b12 * rhs[1]) / det
+        z[i + 1] = (b21 * rhs[0] + (s - b11) * rhs[1]) / det
+    return z
 
 
 def _diagonal_blocks(tri: np.ndarray) -> tuple:

@@ -472,6 +472,8 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
     report.update(converged=True, iterations=len(result.residual_history),
                   weakest=[weakest.real, weakest.imag],
                   hss_symmetry_defect=result.hss.symmetry_defect,
+                  hss_blocks=[int(b.size) for b in result.hss.blocks],
+                  hss_decoupling_defect=result.hss.decoupling_defect,
                   hss_real_form=result.hss.real_form,
                   solver_verdict=modes.classification)
     checks = []

@@ -4,8 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ltpkit import build_case1, build_case2, solve_pss
+from ltpkit import (ModeSet, build_case1, build_case2, interior_modes,
+                    solve_pss, weakest_mode)
+from ltpkit.analysis import _similar_form
 
 UNBALANCED = {"u_gbeta_mag": 0.5, "u_gbeta_deg": -90.0}
 
@@ -68,6 +71,24 @@ def diverging_after(model, steps):
     return dataclasses.replace(model, dynamics=dynamics)
 
 
+def dense_eigenvalues(hss):
+    """Spectrum of the whole stability matrix from one eigen-solve of its
+    similar form W = Tᴴ H T (real part when ``hss.real_form``), sorted like
+    ``hss.eigenvalues``: the reference for the block-by-block solve."""
+    w = _similar_form(hss.stability_matrix(), hss.partner)
+    if hss.real_form:
+        w = np.ascontiguousarray(w.real)
+    eigs = scipy.linalg.eigvals(w)
+    return eigs[np.lexsort((eigs.imag, -eigs.real))]
+
+
+def dense_mode_set(hss):
+    """``mode_set`` read from :func:`dense_eigenvalues`."""
+    eigs = dense_eigenvalues(hss)
+    return ModeSet(eigs, weakest_mode(interior_modes(eigs, hss.omega1,
+                                                     hss.n_harmonics)))
+
+
 @pytest.fixture(scope="session")
 def case1_balanced():
     model = build_case1()["closed_loop"]
@@ -89,6 +110,30 @@ def case2_default():
 @pytest.fixture(scope="session")
 def case2_unbalanced():
     model = build_case2(dict(UNBALANCED))["closed_loop"]
+    return model, solve_pss(model)
+
+
+@pytest.fixture(scope="session")
+def case1_open_balanced():
+    model = build_case1()["open_loop"]
+    return model, solve_pss(model)
+
+
+@pytest.fixture(scope="session")
+def case1_open_unbalanced():
+    model = build_case1(dict(UNBALANCED))["open_loop"]
+    return model, solve_pss(model)
+
+
+@pytest.fixture(scope="session")
+def case2_open_default():
+    model = build_case2()["open_loop"]
+    return model, solve_pss(model)
+
+
+@pytest.fixture(scope="session")
+def case2_open_unbalanced():
+    model = build_case2(dict(UNBALANCED))["open_loop"]
     return model, solve_pss(model)
 
 

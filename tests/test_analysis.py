@@ -10,6 +10,8 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ltpkit.sweep
+from conftest import dense_eigenvalues, dense_mode_set
 from ltpkit import (
     BlockToeplitz,
     ModeSet,
@@ -28,6 +30,7 @@ from ltpkit import (
     weakest_mode,
 )
 from ltpkit.analysis import REAL_FORM_TOL
+from ltpkit.cli import main
 
 OM1 = 2.0 * np.pi * 50.0
 
@@ -80,12 +83,17 @@ def multiset_gap(a, b):
     return float(np.max(cost[rows, cols]))
 
 
-SOLVED = ["case1_balanced", "case1_unbalanced", "case2_default", "case2_unbalanced"]
+SOLVED = ["case1_balanced", "case1_unbalanced", "case2_default", "case2_unbalanced",
+          "case1_open_balanced", "case1_open_unbalanced", "case2_open_default",
+          "case2_open_unbalanced"]
 
 
 class TestRealForm:
     @pytest.mark.parametrize("solved", SOLVED)
     def test_matches_complex_eigen_solve(self, solved, request):
+        # relative to max|H|: on case 2 a near-defective pair at the
+        # truncation edge (condition ~5e7) moves by ~3e-6 between any two
+        # eigen-solvers, the dense ones included
         hss = request.getfixturevalue(solved)[1].hss
         assert hss.real_form
         h = hss.stability_matrix()
@@ -126,20 +134,98 @@ class TestRealForm:
             eigs[0] = 0.0
 
     def test_one_eigen_solve_per_hss(self, monkeypatch):
+        # one real eigen-solve per invariant block, run once for every read
         hss = lti_hss([[-30.0, 10.0], [0.0, -80.0]], n_harmonics=2)
         calls = []
         eigvals = scipy.linalg.eigvals
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigvals(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            calls.append((a.shape[0], a.dtype))
+            return eigvals(a, *args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eigvals", counted)
         for f_hz in (3.0, 11.0, 90.0):
             harmonic_transfer_function(hss, 2j * np.pi * f_hz)
         mode_set(hss)
         assert hss_eigenvalues(hss) is hss.eigenvalues
-        assert len(calls) == 1
+        # an LTI model couples harmonic k only with its partner −k
+        assert [b.size for b in hss.blocks] == [4, 4, 2]
+        assert sorted(calls) == [(2, np.float64), (4, np.float64), (4, np.float64)]
+
+
+def explicit_t(partner):
+    """The unitary T of HssMatrices.eigenvalues as a dense matrix."""
+    eye = np.eye(partner.size)
+    idx = np.arange(partner.size)
+    a = idx[idx < partner]
+    b = partner[a]
+    r = np.sqrt(0.5)
+    return np.hstack((eye[:, partner == idx], r * (eye[:, a] + eye[:, b]),
+                      1j * r * (eye[:, a] - eye[:, b])))
+
+
+def time_varying_hss(n_harmonics=3):
+    """HSS of x' = A(t) x with a dense A(t) = A0 + A1 cos ω₁t: every state
+    couples to every other, and harmonic k to k ± 1."""
+    a0 = np.array([[-30.0, 4.0, -2.0], [3.0, -50.0, 5.0], [1.0, -6.0, -70.0]])
+    a1 = np.array([[8.0, -1.0, 2.0], [0.5, 6.0, -3.0], [2.0, 1.0, 4.0]])
+    base = linear_model(a0, omega1=OM1)
+
+    def a_of(t):
+        return a0 + np.cos(OM1 * np.asarray(t))[..., None, None] * a1
+
+    def dynamics(t, x, u):
+        return np.einsum("...ij,...j->...i", a_of(t), x) + u
+
+    def jac_state(t, x, u):
+        return np.broadcast_to(a_of(t), np.shape(x)[:-1] + a0.shape).astype(complex)
+
+    model = dataclasses.replace(base, dynamics=dynamics, jac_state=jac_state)
+    return solve_pss(model, SolverConfig(n_harmonics=n_harmonics)).hss
+
+
+class TestInvariantBlocks:
+    @pytest.mark.parametrize("solved", SOLVED)
+    def test_blocks_partition_and_keep_real_form(self, solved, request):
+        hss = request.getfixturevalue(solved)[1].hss
+        assert len(hss.blocks) > 1
+        everything = np.concatenate(hss.blocks)
+        assert np.array_equal(np.sort(everything), np.arange(hss.dim))
+        h = hss.stability_matrix()
+        for block in hss.blocks:
+            assert np.array_equal(np.sort(hss.partner[block]), block)
+            t = explicit_t(np.searchsorted(block, hss.partner[block]))
+            w = t.conj().T @ h[np.ix_(block, block)] @ t
+            assert np.max(np.abs(w.imag)) <= REAL_FORM_TOL * np.max(np.abs(w))
+        assert hss.real_form
+        assert 0.0 <= hss.decoupling_defect <= REAL_FORM_TOL
+
+    def test_fully_coupled_model_is_one_block(self):
+        hss = time_varying_hss()
+        assert [b.size for b in hss.blocks] == [hss.dim]
+        assert hss.real_form
+        assert hss.decoupling_defect == 0.0
+        assert np.array_equal(hss_eigenvalues(hss), dense_eigenvalues(hss))
+
+    @pytest.mark.parametrize("case, cells", [("case1", 253), ("case2", 121)])
+    def test_default_sweep_matches_dense_path(self, case, cells, tmp_path,
+                                              monkeypatch):
+        pairs = []
+        block_mode_set = ltpkit.sweep.mode_set
+
+        def both(hss):
+            modes = block_mode_set(hss)
+            pairs.append((modes, dense_mode_set(hss)))
+            return modes
+
+        monkeypatch.setattr(ltpkit.sweep, "mode_set", both)
+        assert main(["sweep", "--case", case, "--workers", "1",
+                     "--out", str(tmp_path)]) == 0
+        assert len(pairs) == cells
+        for modes, dense in pairs:
+            lam = dense.weakest
+            assert abs(modes.weakest - lam) <= 1e-9 * (1.0 + abs(lam))
+            assert modes.classification == dense.classification
 
 
 class TestWeakestMode:
@@ -293,13 +379,20 @@ class TestFrequencyScan:
 
     @pytest.mark.parametrize("builder", [build_case1, build_case2])
     def test_one_real_schur_and_no_eigen_solve(self, builder, monkeypatch):
+        # one real Schur form per block that the input column touches, and
+        # none for the blocks it does not reach
         hss = solve_pss(builder()["open_loop"]).hss
-        schur_dtypes, eig_calls = [], []
+        b = np.abs(hss.b_full[:, hss.n_harmonics * hss.n_inputs])
+        touched = sorted(block.size for block in hss.blocks
+                         if np.max(b[block]) > REAL_FORM_TOL * np.max(b))
+        assert 0 < sum(touched) < hss.dim
+        schur_dtypes, sizes, eig_calls = [], [], []
         schur, eigvals = scipy.linalg.schur, scipy.linalg.eigvals
 
         def counted_schur(a, *args, **kwargs):
             tri, q = schur(a, *args, **kwargs)
             schur_dtypes.append((np.asarray(a).dtype, tri.dtype, q.dtype))
+            sizes.append(a.shape[0])
             return tri, q
 
         def counted_eigvals(*args, **kwargs):
@@ -312,7 +405,8 @@ class TestFrequencyScan:
         assert eig_calls == []
         scan = frequency_scan(hss, np.geomspace(1.0, 2500.0, 50))
         assert not scan.singular.any()
-        assert schur_dtypes == [(np.float64, np.float64, np.float64)]
+        assert schur_dtypes == [(np.float64, np.float64, np.float64)] * len(touched)
+        assert sorted(sizes) == touched
         assert eig_calls == []
 
     @pytest.mark.parametrize("builder", [build_case1, build_case2])

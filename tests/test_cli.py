@@ -283,6 +283,9 @@ class TestVerify:
         assert report["solver_verdict"] == "Stable"
         assert report["hss_real_form"] is True
         assert 0.0 <= report["hss_symmetry_defect"] <= 1e-13
+        # balanced case 1: six invariant blocks, split at round-off entries
+        assert sorted(report["hss_blocks"]) == [2, 6, 10, 12, 12, 12]
+        assert 0.0 <= report["hss_decoupling_defect"] <= 1e-13
         assert_environment(report, os.environ)
 
     def test_unstable_point_growth_sign_agreement(self, tmp_path):
