@@ -2,9 +2,9 @@
 
 Each grid cell overrides two named parameters, rebuilds the case model,
 solves its periodic steady state, and records the weakest eigenvalue of the
-periodic linearization.  Warm starts chain strictly backwards in row order
-(a cell may only seed from rows already finished), so results are identical
-for any worker count or scheduling.
+periodic linearization.  Each column is solved from the top row down, every
+cell warm-starting from the nearest converged cell above it, so results are
+identical for any worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class SweepResult:
 
 def _solve_cell(case_builder, spec: SweepSpec, value1: float, value2: float,
                 initial: np.ndarray | None):
-    """``(re, im, iterations, spectrum, failure)`` of one grid cell.
+    """``(re, im, iterations, failure, spectrum)`` of one grid cell.
 
     ``failure`` is the class name of the solver error that stopped the cell,
     ``""`` when it converged.
@@ -93,10 +93,22 @@ def _solve_cell(case_builder, spec: SweepSpec, value1: float, value2: float,
     try:
         result = solve_pss(model, spec.solver_config, initial=initial)
     except SOLVER_ERRORS as exc:
-        return np.nan, np.nan, len(exc.residual_history), None, type(exc).__name__
+        return np.nan, np.nan, len(exc.residual_history), type(exc).__name__, None
     weakest = mode_set(result.hss).weakest
-    return (weakest.real, weakest.imag, len(result.residual_history),
-            result.spectrum, "")
+    return weakest.real, weakest.imag, len(result.residual_history), "", result.spectrum
+
+
+def _solve_column(case_builder, spec: SweepSpec, j: int):
+    """``(re, im, iterations, failure)`` of each cell of column ``j``, top row
+    first; a cell warm-starts from the nearest converged cell above it, or
+    from the model's seeds when there is none."""
+    value2 = spec.axis2.values[j]
+    initial, cells = None, []
+    for value1 in spec.axis1.values:
+        *cell, spectrum = _solve_cell(case_builder, spec, value1, value2, initial)
+        initial = initial if spectrum is None else spectrum
+        cells.append(cell)
+    return cells
 
 
 # (case_builder, spec) of the sweep a forked pool process serves; set by the
@@ -109,8 +121,8 @@ def _bind_pool_sweep(case_builder, spec):
     _pool_sweep = (case_builder, spec)
 
 
-def _solve_pool_cell(task):
-    return _solve_cell(*_pool_sweep, *task)
+def _solve_pool_column(j):
+    return _solve_column(*_pool_sweep, j)
 
 
 def _forked_pool(case_builder, spec: SweepSpec, processes: int):
@@ -118,7 +130,7 @@ def _forked_pool(case_builder, spec: SweepSpec, processes: int):
 
     Forked workers receive the initializer arguments without pickling, so
     closures and builders loaded from ``.py`` model files work; each task
-    carries only its two parameter values and its warm-start spectrum.
+    carries only a column index, and no spectrum crosses a process boundary.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -129,15 +141,6 @@ def _forked_pool(case_builder, spec: SweepSpec, processes: int):
     return ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
                                initializer=_bind_pool_sweep,
                                initargs=(case_builder, spec))
-
-
-def _warm_start(spectra, i, j, n_cols):
-    """Nearest converged spectrum from earlier rows (deterministic order)."""
-    for row in range(i - 1, -1, -1):
-        for col in sorted(range(n_cols), key=lambda c: (abs(c - j), c)):
-            if spectra[row][col] is not None:
-                return spectra[row][col]
-    return None
 
 
 def run_sweep(case_builder, spec: SweepSpec, workers: int = 1) -> SweepResult:
@@ -151,12 +154,12 @@ def run_sweep(case_builder, spec: SweepSpec, workers: int = 1) -> SweepResult:
     spec : SweepSpec
         Grid, base overrides, solver configuration, model variant.
     workers : int
-        Processes for the cells of a row.  With ``p = min(workers, columns)``
-        above one, a pool of ``p - 1`` processes is forked once per sweep and
-        the calling process solves the last ``columns // p`` cells of each
-        row while the pool solves the others.  Rows stay sequential and each
-        cell warm-starts only from finished rows, so results do not depend
-        on the worker count.
+        Processes for the columns.  With ``p = min(workers, columns)`` above
+        one, a pool of ``p - 1`` processes is forked once per sweep and takes
+        the first ``columns - columns // p`` columns, one task per column,
+        while the calling process solves the rest.  Every column is solved
+        top to bottom with warm starts from its own cells only, so results
+        do not depend on the worker count.
 
     Returns
     -------
@@ -179,21 +182,17 @@ def run_sweep(case_builder, spec: SweepSpec, workers: int = 1) -> SweepResult:
     im_w = np.full((n_rows, n_cols), np.nan)
     iters = np.zeros((n_rows, n_cols), dtype=int)
     failure = np.full((n_rows, n_cols), "", dtype=object)
-    spectra = [[None] * n_cols for _ in range(n_rows)]
 
     processes = min(workers, n_cols)
-    # the pool solves the first `split` cells of a row while the calling
-    # process solves the rest instead of idling
+    # the pool takes the first `split` columns; the calling process solves the rest
     split = n_cols - n_cols // processes
     with (_forked_pool(case_builder, spec, processes - 1) if processes > 1
           else contextlib.nullcontext()) as pool:
-        for i, value1 in enumerate(spec.axis1.values):
-            tasks = [(value1, value2, _warm_start(spectra, i, j, n_cols))
-                     for j, value2 in enumerate(spec.axis2.values)]
-            pooled = pool.map(_solve_pool_cell, tasks[:split]) if pool else ()
-            own = [_solve_cell(case_builder, spec, *task) for task in tasks[split:]]
-            for j, cell in enumerate(itertools.chain(pooled, own)):
-                re_w[i, j], im_w[i, j], iters[i, j], spectra[i][j], failure[i, j] = cell
+        pooled = pool.map(_solve_pool_column, range(split)) if pool else ()
+        own = [_solve_column(case_builder, spec, j) for j in range(split, n_cols)]
+        for j, column in enumerate(itertools.chain(pooled, own)):
+            for i, cell in enumerate(column):
+                re_w[i, j], im_w[i, j], iters[i, j], failure[i, j] = cell
     return SweepResult(spec=spec, re_weakest=re_w, im_weakest=im_w,
                        iterations=iters, failure=failure)
 
@@ -243,10 +242,11 @@ def extract_region(result: SweepResult):
                 segments.append((crossings[0][1], crossings[1][1]))
             elif len(crossings) == 4:
                 center_pos = np.mean([c[1] for c in corners]) > 0.0
+                # cut off the two corners whose sign differs from the centre's
                 if (corners[0][1] > 0.0) == center_pos:
-                    pairs = ((3, 0), (1, 2))
-                else:
                     pairs = ((0, 1), (2, 3))
+                else:
+                    pairs = ((3, 0), (1, 2))
                 by_edge = dict(crossings)
                 for a, b in pairs:
                     segments.append((by_edge[a], by_edge[b]))

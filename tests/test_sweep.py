@@ -87,7 +87,7 @@ class TestRunSweep:
         assert serial.converged.all()
         assert (serial.failure == "").all()
 
-    def test_pool_never_larger_than_a_row(self, monkeypatch):
+    def test_pool_never_larger_than_the_columns(self, monkeypatch):
         import concurrent.futures
 
         sizes = []
@@ -112,13 +112,15 @@ class TestRunSweep:
         three = SweepSpec(SweepAxis("alpha_pll", (20.0,)),
                           SweepAxis("u_gbeta_mag", (0.0, 0.1, 0.2)))
         assert run_sweep(build_case1, three, workers=64).converged.all()
-        assert sizes == [2]   # the calling process solves the third cell
+        assert sizes == [2]   # the calling process solves the third column
         one = SweepSpec(SweepAxis("alpha_pll", (20.0, 25.0)),
                         SweepAxis("u_gbeta_mag", (0.0,)))
         assert run_sweep(build_case1, one, workers=64).converged.all()
         assert sizes == [2]   # a single column needs no pool
 
-    def test_calling_process_solves_its_share(self, monkeypatch):
+    def test_calling_process_solves_its_columns(self, monkeypatch):
+        # with two workers the pool takes the first two columns and the
+        # calling process the last one, top row first
         solved = []
         solve_cell = ltpkit.sweep._solve_cell
 
@@ -132,6 +134,51 @@ class TestRunSweep:
                          SweepAxis("u_gbeta_mag", (0.0, 0.1, 0.2)))
         assert run_sweep(build_case1, spec, workers=2).converged.all()
         assert solved == [(15.0, 0.2), (20.0, 0.2)]
+
+    def test_warm_start_from_nearest_converged_cell_above(self, monkeypatch):
+        # the closure builder diverges at the interior cell (20, 0.1) and at
+        # the top cell (15, 0.2) of the last column
+        failing = {(20.0, 0.1), (15.0, 0.2)}
+        built, seen = [], {}
+
+        def builder(overrides):
+            cell = (overrides["alpha_pll"], overrides["u_gbeta_mag"])
+            built.append(cell)
+            models = build_case1(overrides)
+            if cell in failing:
+                return {"closed_loop": diverging_after(models["closed_loop"], 2)}
+            return models
+
+        solve_pss = ltpkit.sweep.solve_pss
+
+        def recording_solve_pss(model, config, initial=None):
+            # cell -> (warm start it got, its converged spectrum or None)
+            seen[built[-1]] = (initial, None)
+            result = solve_pss(model, config, initial=initial)
+            seen[built[-1]] = (initial, result.spectrum)
+            return result
+
+        monkeypatch.setattr(ltpkit.sweep, "solve_pss", recording_solve_pss)
+        spec = SweepSpec(SweepAxis("alpha_pll", (15.0, 20.0, 25.0)),
+                         SweepAxis("u_gbeta_mag", (0.0, 0.1, 0.2)),
+                         solver_config=SolverConfig(tolerance=1e-13))
+        serial = run_sweep(builder, spec, workers=1)
+        assert serial.failure.tolist() == [["", "", "DivergedTrajectory"],
+                                           ["", "DivergedTrajectory", ""],
+                                           ["", "", ""]]
+        assert all(seen[(15.0, b)][0] is None for b in (0.0, 0.1, 0.2))
+        # below the failed (20, 0.1): the spectrum of (15, 0.1) above it
+        assert seen[(25.0, 0.1)][0] is seen[(15.0, 0.1)][1]
+        assert seen[(20.0, 0.0)][0] is seen[(15.0, 0.0)][1]
+        # the last column's top cell failed: its next cell starts cold
+        assert seen[(20.0, 0.2)][0] is None
+        assert seen[(25.0, 0.2)][0] is seen[(20.0, 0.2)][1]
+        for workers in (2, 3):
+            pooled = run_sweep(builder, spec, workers=workers)
+            np.testing.assert_array_equal(serial.re_weakest, pooled.re_weakest)
+            np.testing.assert_array_equal(serial.im_weakest, pooled.im_weakest)
+            np.testing.assert_array_equal(serial.iterations, pooled.iterations)
+            np.testing.assert_array_equal(serial.failure, pooled.failure)
 
     def test_pool_needs_fork(self, monkeypatch):
         import multiprocessing
@@ -210,6 +257,17 @@ class TestRegion:
             manual_result([[-1.0, -1.0], [3.0, 3.0]], v1=(0.0, 1.0), v2=(0.0, 1.0)))
         for point in segments[0]:
             assert point[0] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("z, expect", [
+        ([[2.0, -1.0], [-1.0, 2.0]], [((0, 2 / 3), (1 / 3, 1)), ((1, 1 / 3), (2 / 3, 0))]),
+        ([[-2.0, 1.0], [1.0, -2.0]], [((0, 2 / 3), (1 / 3, 1)), ((1, 1 / 3), (2 / 3, 0))]),
+        ([[1.0, -2.0], [-2.0, 1.0]], [((1 / 3, 0), (0, 1 / 3)), ((2 / 3, 1), (1, 2 / 3))]),
+    ], ids=["positive_centre", "negative_centre", "negative_centre_positive_corner"])
+    def test_saddle_cuts_off_corners_unlike_centre(self, z, expect):
+        # four crossings: the centre (corner mean) joins the two corners of
+        # its own sign, so each segment cuts off one corner of the other sign
+        _, segments = extract_region(manual_result(z, v1=(0.0, 1.0), v2=(0.0, 1.0)))
+        np.testing.assert_allclose(np.array(segments), np.array(expect), rtol=0, atol=1e-15)
 
     def test_cells_with_unconverged_corner_skipped(self):
         result = manual_result([[-1.0, -1.0], [1.0, np.nan]],
