@@ -2,9 +2,12 @@
 
 Each grid cell overrides two named parameters, rebuilds the case model,
 solves its periodic steady state, and records the weakest eigenvalue of the
-periodic linearization.  Each column is solved from the top row down, every
-cell warm-starting from the nearest converged cell above it, so results are
-identical for any worker count or scheduling.
+periodic linearization.  Each column is solved from the top row down.  A
+cell's warm start is extrapolated along axis 1 from the (up to) three
+nearest converged cells above it in its column, the predictor of numerical
+continuation, so most cells converge in one Newton step.  A column reads
+only its own cells, so results are identical for any worker count or
+scheduling.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ class SweepAxis:
         object.__setattr__(self, "values", values)
         if len(values) < 1:
             raise UsageError(f"axis {self.name!r} needs at least one value")
+        if not np.all(np.isfinite(values)):
+            raise UsageError(f"axis {self.name!r} values must be finite")
         diffs = np.diff(values)
         if len(values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise UsageError(f"axis {self.name!r} values must be strictly monotone")
@@ -98,15 +103,36 @@ def _solve_cell(case_builder, spec: SweepSpec, value1: float, value2: float,
     return weakest.real, weakest.imag, len(result.residual_history), "", result.spectrum
 
 
+def _predict(above, value1: float) -> np.ndarray:
+    """Lagrange polynomial through the ``(value1, spectrum)`` pairs ``above``,
+    evaluated at ``value1``; a single pair gives its spectrum itself."""
+    if len(above) == 1:
+        return above[0][1]
+    initial = 0.0
+    for v_k, x_k in above:
+        weight = np.prod([(value1 - v_m) / (v_k - v_m) for v_m, _ in above if v_m != v_k])
+        initial = initial + weight * x_k
+    return initial
+
+
 def _solve_column(case_builder, spec: SweepSpec, j: int):
     """``(re, im, iterations, failure)`` of each cell of column ``j``, top row
-    first; a cell warm-starts from the nearest converged cell above it, or
-    from the model's seeds when there is none."""
+    first.
+
+    A cell warm-starts from the polynomial in the axis-1 value through the
+    (up to) three nearest converged cells above it, evaluated at its own
+    axis-1 value: with one converged cell above, that cell's spectrum; with
+    none, the model's seeds.  Failed cells are skipped over, so the
+    prediction uses only converged orbits of the column itself.
+    """
     value2 = spec.axis2.values[j]
-    initial, cells = None, []
+    # (value1, spectrum) of the three nearest converged cells above
+    above, cells = [], []
     for value1 in spec.axis1.values:
+        initial = _predict(above, value1) if above else None
         *cell, spectrum = _solve_cell(case_builder, spec, value1, value2, initial)
-        initial = initial if spectrum is None else spectrum
+        if spectrum is not None:
+            above = above[-2:] + [(value1, spectrum)]
         cells.append(cell)
     return cells
 
@@ -158,8 +184,8 @@ def run_sweep(case_builder, spec: SweepSpec, workers: int = 1) -> SweepResult:
         one, a pool of ``p - 1`` processes is forked once per sweep and takes
         the first ``columns - columns // p`` columns, one task per column,
         while the calling process solves the rest.  Every column is solved
-        top to bottom with warm starts from its own cells only, so results
-        do not depend on the worker count.
+        top to bottom with warm starts predicted from its own converged
+        cells only, so results do not depend on the worker count.
 
     Returns
     -------

@@ -46,6 +46,14 @@ class TestAxes:
         with pytest.raises(UsageError):
             SweepAxis("alpha_pll", ())
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_finite_required(self, bad):
+        # the warm-start predictor divides by axis differences
+        with pytest.raises(UsageError, match="finite"):
+            SweepAxis("alpha_pll", (1.0, bad))
+        with pytest.raises(UsageError, match="finite"):
+            SweepAxis("alpha_pll", (bad,))
+
 
 class TestRunSweep:
     def test_input_validation(self):
@@ -191,13 +199,89 @@ class TestRunSweep:
         assert run_sweep(build_case1, spec, workers=1).converged.all()
 
     def test_warm_start_reduces_iterations(self):
+        # a column across the stability boundary: from the fourth row on,
+        # each cell's warm start is extrapolated from three converged cells
         spec = SweepSpec(
-            SweepAxis("alpha_pll", (15.0, 20.0)),
-            SweepAxis("u_gbeta_mag", (0.1, 0.2)),
+            SweepAxis("alpha_pll", (20.0, 25.0, 30.0, 35.0, 40.0, 45.0)),
+            SweepAxis("u_gbeta_mag", (0.2,)),
         )
         result = run_sweep(build_case1, spec)
         assert result.converged.all()
-        assert result.iterations[1].max() <= result.iterations[0].max()
+        assert (result.re_weakest[0] < 0.0) and (result.re_weakest[-1] > 0.0)
+        assert result.iterations[3:, 0].tolist() == [1, 1, 1]
+
+    @staticmethod
+    def record_warm_starts(monkeypatch, failing):
+        """Sweep builder whose cells in ``failing`` diverge after one Newton
+        step, and a dict ``cell -> (warm start, spectrum or None)`` that a
+        recording ``solve_pss`` fills in."""
+        built, seen = [], {}
+
+        def builder(overrides):
+            cell = (overrides["alpha_pll"], overrides["u_gbeta_mag"])
+            built.append(cell)
+            models = build_case1(overrides)
+            if cell in failing:
+                return {"closed_loop": diverging_after(models["closed_loop"], 1)}
+            return models
+
+        solve_pss = ltpkit.sweep.solve_pss
+
+        def recording_solve_pss(model, config, initial=None):
+            seen[built[-1]] = (initial, None)
+            result = solve_pss(model, config, initial=initial)
+            seen[built[-1]] = (initial, result.spectrum)
+            return result
+
+        monkeypatch.setattr(ltpkit.sweep, "solve_pss", recording_solve_pss)
+        return builder, seen
+
+    @staticmethod
+    def lagrange(seen, column, rows, value1):
+        """Lagrange combination of the spectra of ``rows`` of ``column`` at
+        ``value1``, written out term by term."""
+        total = 0.0
+        for k in rows:
+            weight = np.prod([(value1 - m) / (k - m) for m in rows if m != k])
+            total = total + weight * seen[(k, column)][1]
+        return total
+
+    def test_warm_start_is_quadratic_through_three_nearest_converged(self, monkeypatch):
+        # (30, 0.1) diverges; the rows are unevenly spaced below it
+        builder, seen = self.record_warm_starts(monkeypatch, {(30.0, 0.1)})
+        spec = SweepSpec(SweepAxis("alpha_pll", (15.0, 20.0, 25.0, 30.0, 35.0, 42.0)),
+                         SweepAxis("u_gbeta_mag", (0.1,)),
+                         solver_config=SolverConfig(tolerance=1e-13))
+        result = run_sweep(builder, spec)
+        assert result.failure[:, 0].tolist() == ["", "", "", "DivergedTrajectory", "", ""]
+        assert seen[(20.0, 0.1)][0] is seen[(15.0, 0.1)][1]
+        for value1, rows in ((30.0, (15.0, 20.0, 25.0)),
+                             (35.0, (15.0, 20.0, 25.0)),   # across the failed cell
+                             (42.0, (20.0, 25.0, 35.0))):  # the three nearest
+            initial = seen[(value1, 0.1)][0]
+            expect = self.lagrange(seen, 0.1, rows, value1)
+            scale = np.max(np.abs(expect))
+            np.testing.assert_allclose(initial, expect, rtol=0, atol=1e-13 * scale)
+            # not the nearest cell's spectrum, nor the line through two
+            nearest = seen[(rows[-1], 0.1)][1]
+            assert np.max(np.abs(initial - nearest)) > 1e-6 * scale
+            line = self.lagrange(seen, 0.1, rows[1:], value1)
+            assert np.max(np.abs(initial - line)) > 1e-6 * scale
+
+    def test_warm_start_is_linear_through_two_converged(self, monkeypatch):
+        # (20, 0.1) diverges, so (30, 0.1) has two converged cells above it
+        builder, seen = self.record_warm_starts(monkeypatch, {(20.0, 0.1)})
+        spec = SweepSpec(SweepAxis("alpha_pll", (15.0, 20.0, 25.0, 30.0)),
+                         SweepAxis("u_gbeta_mag", (0.1,)),
+                         solver_config=SolverConfig(tolerance=1e-13))
+        result = run_sweep(builder, spec)
+        assert result.failure[:, 0].tolist() == ["", "DivergedTrajectory", "", ""]
+        assert seen[(25.0, 0.1)][0] is seen[(15.0, 0.1)][1]
+        x15, x25 = seen[(15.0, 0.1)][1], seen[(25.0, 0.1)][1]
+        expect = x25 + (30.0 - 25.0) / (25.0 - 15.0) * (x25 - x15)
+        np.testing.assert_allclose(seen[(30.0, 0.1)][0], expect, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(expect)))
+        assert np.max(np.abs(seen[(30.0, 0.1)][0] - x25)) > 1e-6 * np.max(np.abs(x25))
 
     def test_nonconvergent_cells_recorded(self):
         spec = SweepSpec(
