@@ -16,7 +16,8 @@ Both factories return closed-loop and open-loop variants.  The closed loop
 is driven by the grid-voltage complex pair; the open loop is the converter
 subsystem, PLL included, driven directly by its terminal-bus voltage, which is
 the model an impedance/frequency scan linearizes.  Case I's open loop is its
-closed loop at zero grid inductance; case II's drops the grid-current states.
+closed loop at zero grid inductance; case II's drops the grid-current states
+and evaluates the shared equations on its own 16-state layout.
 
 All states are per-unit (voltage base = peak phase voltage, current base =
 peak phase current, time in seconds), so solver norms and waveform
@@ -377,7 +378,9 @@ def build_case2(params: dict | None = None) -> dict:
     Open loop (16 states): the grid current pair is removed and the bus is
     driven by the input voltage; the capacitor branch stays on the converter
     side, so the exported current is i_c − i_cap with i_cap flowing through
-    the damping resistor — a genuine feedthrough term in the scan.
+    the damping resistor — a genuine feedthrough term in the scan.  It
+    evaluates the equations it shares with the closed loop on its own
+    16-state layout, so its callables fill arrays of their own size.
     """
     p = make_params("case2", params)
     nn = _norms(p)
@@ -397,114 +400,133 @@ def build_case2(params: dict | None = None) -> dict:
     (IC, ICC, XCP, XCPC, XCN, XCNC, UF, UFC, IG, IGC,
      XS, XSC, XQ, XQC, XPLL, DELTA, XSD, XSDC) = range(18)
 
-    def _pieces(t, xs):
-        """Shared algebraic intermediates (everything except the bus voltage)
-        of the state columns ``xs``."""
-        e = np.exp(1j * (om1 * t + xs[DELTA]))
-        em = 1.0 / e
-        up = 0.5 * (xs[XS] + 1j * om1 * xs[XQ])
-        upc = 0.5 * (xs[XSC] - 1j * om1 * xs[XQC])
-        s = up * xs[ICC]
-        sc = upc * xs[IC]
-        iref = kps * (s_ref_c - sc) + xs[XSD]
-        irefc = kps * (s_ref - s) + xs[XSDC]
-        uq = (em * up - e * upc) / 2j
-        uc = kp * (iref * e - xs[IC]) + e * xs[XCP] + 1j * ff * xs[IC] \
-            - kp * xs[IC] + em * xs[XCN]
-        ucc = kp * (irefc * em - xs[ICC]) + em * xs[XCPC] - 1j * ff * xs[ICC] \
-            - kp * xs[ICC] + e * xs[XCNC]
-        return e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc
+    SHARED = (IC, ICC, XCP, XCPC, XCN, XCNC, XS, XSC, XQ, XQC, XPLL, DELTA, XSD, XSDC)
 
-    def _common_rows(out, xs, e, em, up, upc, s, sc, iref, irefc, uq):
-        out[..., XCP] = ki * (iref - em * xs[IC])
-        out[..., XCPC] = ki * (irefc - e * xs[ICC])
-        out[..., XCN] = -ki * e * xs[IC]
-        out[..., XCNC] = -ki * em * xs[ICC]
-        out[..., XQ] = xs[XS]
-        out[..., XQC] = xs[XSC]
-        out[..., XPLL] = kip * uq
-        out[..., DELTA] = kpp * uq + xs[XPLL]
-        # Both channels of the reference PI must act on the conjugated power
-        # error (i* ∝ conj of the power mismatch); integrating the plain error
-        # instead turns the loop into ẋ ∝ -x*, a saddle with eigenvalues ±k.
-        out[..., XSD] = kis * (s_ref_c - sc)
-        out[..., XSDC] = kis * (s_ref - s)
+    def _shared_equations(n, IC, ICC, XCP, XCPC, XCN, XCNC, XS, XSC, XQ, XQC,
+                          XPLL, DELTA, XSD, XSDC):
+        """The equations both loops share, on a layout of ``n`` states that
+        puts each state of ``SHARED`` at the index passed for it."""
+
+        def _pieces(t, xs):
+            """Shared algebraic intermediates (everything except the bus voltage)
+            of the state columns ``xs``."""
+            e = np.exp(1j * (om1 * t + xs[DELTA]))
+            em = 1.0 / e
+            up = 0.5 * (xs[XS] + 1j * om1 * xs[XQ])
+            upc = 0.5 * (xs[XSC] - 1j * om1 * xs[XQC])
+            s = up * xs[ICC]
+            sc = upc * xs[IC]
+            iref = kps * (s_ref_c - sc) + xs[XSD]
+            irefc = kps * (s_ref - s) + xs[XSDC]
+            uq = (em * up - e * upc) / 2j
+            uc = kp * (iref * e - xs[IC]) + e * xs[XCP] + 1j * ff * xs[IC] \
+                - kp * xs[IC] + em * xs[XCN]
+            ucc = kp * (irefc * em - xs[ICC]) + em * xs[XCPC] - 1j * ff * xs[ICC] \
+                - kp * xs[ICC] + e * xs[XCNC]
+            return e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc
+
+        def _rows(t, xs, upoc, upocc):
+            """The shared rows of f, in a fresh (..., n) array, at the state
+            columns ``xs`` and the bus voltage pair (upoc, upocc)."""
+            e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
+            out = np.zeros(e.shape + (n,), dtype=complex)
+            out[..., IC] = gf[0, 0] * (uc - upoc) + gf[0, 1] * (ucc - upocc)
+            out[..., ICC] = gf[1, 0] * (uc - upoc) + gf[1, 1] * (ucc - upocc)
+            out[..., XS] = om1 * ksogi * (upoc - xs[XS]) - om1**2 * xs[XQ]
+            out[..., XSC] = om1 * ksogi * (upocc - xs[XSC]) - om1**2 * xs[XQC]
+            out[..., XCP] = ki * (iref - em * xs[IC])
+            out[..., XCPC] = ki * (irefc - e * xs[ICC])
+            out[..., XCN] = -ki * e * xs[IC]
+            out[..., XCNC] = -ki * em * xs[ICC]
+            out[..., XQ] = xs[XS]
+            out[..., XQC] = xs[XSC]
+            out[..., XPLL] = kip * uq
+            out[..., DELTA] = kpp * uq + xs[XPLL]
+            # Both channels of the reference PI must act on the conjugated power
+            # error (i* ∝ conj of the power mismatch); integrating the plain error
+            # instead turns the loop into ẋ ∝ -x*, a saddle with eigenvalues ±k.
+            out[..., XSD] = kis * (s_ref_c - sc)
+            out[..., XSDC] = kis * (s_ref - s)
+            return out
+
+        def _jac_rows(t, xs):
+            """Jacobian twin of :func:`_rows`: a fresh (..., n, n) state
+            Jacobian holding its rows less their bus-voltage terms and less the
+            converter-current rows, plus the gradient rows ∂uc/∂x and ∂ucc/∂x
+            that each loop builds its converter-current rows from."""
+            e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
+            z = np.zeros(e.shape + (n,), dtype=complex)
+            dup, dupc = z.copy(), z.copy()
+            dup[..., XS] = 0.5
+            dup[..., XQ] = 0.5j * om1
+            dupc[..., XSC] = 0.5
+            dupc[..., XQC] = -0.5j * om1
+            ds, dsc = z.copy(), z.copy()
+            ds[..., XS] = 0.5 * xs[ICC]
+            ds[..., XQ] = 0.5j * om1 * xs[ICC]
+            ds[..., ICC] = up
+            dsc[..., XSC] = 0.5 * xs[IC]
+            dsc[..., XQC] = -0.5j * om1 * xs[IC]
+            dsc[..., IC] = upc
+            diref = -kps * dsc
+            diref[..., XSD] += 1.0
+            direfc = -kps * ds
+            direfc[..., XSDC] += 1.0
+            duq = (em[..., None] * dup - e[..., None] * dupc) / 2j
+            duq[..., DELTA] += -(em * up + e * upc) / 2.0
+            duc = kp * e[..., None] * diref
+            duc[..., IC] += -2.0 * kp + 1j * ff
+            duc[..., XCP] += e
+            duc[..., XCN] += em
+            duc[..., DELTA] += 1j * e * (kp * iref + xs[XCP]) - 1j * em * xs[XCN]
+            ducc = kp * em[..., None] * direfc
+            ducc[..., ICC] += -2.0 * kp - 1j * ff
+            ducc[..., XCPC] += em
+            ducc[..., XCNC] += e
+            ducc[..., DELTA] += -1j * em * (kp * irefc + xs[XCPC]) + 1j * e * xs[XCNC]
+
+            jac = np.zeros(e.shape + (n, n), dtype=complex)
+            jac[..., XCP, :] = ki * diref
+            jac[..., XCP, IC] += -ki * em
+            jac[..., XCP, DELTA] += 1j * ki * em * xs[IC]
+            jac[..., XCPC, :] = ki * direfc
+            jac[..., XCPC, ICC] += -ki * e
+            jac[..., XCPC, DELTA] += -1j * ki * e * xs[ICC]
+            jac[..., XCN, IC] = -ki * e
+            jac[..., XCN, DELTA] = -1j * ki * e * xs[IC]
+            jac[..., XCNC, ICC] = -ki * em
+            jac[..., XCNC, DELTA] = 1j * ki * em * xs[ICC]
+            jac[..., XS, XS] = -om1 * ksogi
+            jac[..., XS, XQ] = -om1**2
+            jac[..., XSC, XSC] = -om1 * ksogi
+            jac[..., XSC, XQC] = -om1**2
+            jac[..., XQ, XS] = 1.0
+            jac[..., XQC, XSC] = 1.0
+            jac[..., XPLL, :] = kip * duq
+            jac[..., DELTA, :] = kpp * duq
+            jac[..., DELTA, XPLL] += 1.0
+            jac[..., XSD, :] = -kis * dsc
+            jac[..., XSDC, :] = -kis * ds
+            return jac, duc, ducc
+
+        return _rows, _jac_rows
+
+    cl_rows, cl_jac_rows = _shared_equations(18, *SHARED)
 
     def cl_dynamics(t, x, u):
         xs, us = _columns(x), _columns(u)
-        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
         upoc = xs[UF] + rt * (xs[IC] - xs[IG])
         upocc = xs[UFC] + rt * (xs[ICC] - xs[IGC])
         ug, ugc = us[0], us[1]
-        out = np.zeros(e.shape + (18,), dtype=complex)
-        out[..., IC] = gf[0, 0] * (uc - upoc) + gf[0, 1] * (ucc - upocc)
-        out[..., ICC] = gf[1, 0] * (uc - upoc) + gf[1, 1] * (ucc - upocc)
+        out = cl_rows(t, xs, upoc, upocc)
         out[..., UF] = (xs[IC] - xs[IG]) / c_sec
         out[..., UFC] = (xs[ICC] - xs[IGC]) / c_sec
         out[..., IG] = gg[0, 0] * (upoc - ug) + gg[0, 1] * (upocc - ugc)
         out[..., IGC] = gg[1, 0] * (upoc - ug) + gg[1, 1] * (upocc - ugc)
-        out[..., XS] = om1 * ksogi * (upoc - xs[XS]) - om1**2 * xs[XQ]
-        out[..., XSC] = om1 * ksogi * (upocc - xs[XSC]) - om1**2 * xs[XQC]
-        _common_rows(out, xs, e, em, up, upc, s, sc, iref, irefc, uq)
         return out
 
-    def _common_jac_rows(t, xs):
-        """Jacobian twin of :func:`_common_rows`: a fresh (..., 18, 18) state
-        Jacobian holding those rows, plus the gradient rows ∂uc/∂x and
-        ∂ucc/∂x that the converter-current rows of each loop are built from."""
-        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
-        z = np.zeros(e.shape + (18,), dtype=complex)
-        dup, dupc = z.copy(), z.copy()
-        dup[..., XS] = 0.5
-        dup[..., XQ] = 0.5j * om1
-        dupc[..., XSC] = 0.5
-        dupc[..., XQC] = -0.5j * om1
-        ds, dsc = z.copy(), z.copy()
-        ds[..., XS] = 0.5 * xs[ICC]
-        ds[..., XQ] = 0.5j * om1 * xs[ICC]
-        ds[..., ICC] = up
-        dsc[..., XSC] = 0.5 * xs[IC]
-        dsc[..., XQC] = -0.5j * om1 * xs[IC]
-        dsc[..., IC] = upc
-        diref = -kps * dsc
-        diref[..., XSD] += 1.0
-        direfc = -kps * ds
-        direfc[..., XSDC] += 1.0
-        duq = (em[..., None] * dup - e[..., None] * dupc) / 2j
-        duq[..., DELTA] += -(em * up + e * upc) / 2.0
-        duc = kp * e[..., None] * diref
-        duc[..., IC] += -2.0 * kp + 1j * ff
-        duc[..., XCP] += e
-        duc[..., XCN] += em
-        duc[..., DELTA] += 1j * e * (kp * iref + xs[XCP]) - 1j * em * xs[XCN]
-        ducc = kp * em[..., None] * direfc
-        ducc[..., ICC] += -2.0 * kp - 1j * ff
-        ducc[..., XCPC] += em
-        ducc[..., XCNC] += e
-        ducc[..., DELTA] += -1j * em * (kp * irefc + xs[XCPC]) + 1j * e * xs[XCNC]
-
-        jac = np.zeros(e.shape + (18, 18), dtype=complex)
-        jac[..., XCP, :] = ki * diref
-        jac[..., XCP, IC] += -ki * em
-        jac[..., XCP, DELTA] += 1j * ki * em * xs[IC]
-        jac[..., XCPC, :] = ki * direfc
-        jac[..., XCPC, ICC] += -ki * e
-        jac[..., XCPC, DELTA] += -1j * ki * e * xs[ICC]
-        jac[..., XCN, IC] = -ki * e
-        jac[..., XCN, DELTA] = -1j * ki * e * xs[IC]
-        jac[..., XCNC, ICC] = -ki * em
-        jac[..., XCNC, DELTA] = 1j * ki * em * xs[ICC]
-        jac[..., XQ, XS] = 1.0
-        jac[..., XQC, XSC] = 1.0
-        jac[..., XPLL, :] = kip * duq
-        jac[..., DELTA, :] = kpp * duq
-        jac[..., DELTA, XPLL] += 1.0
-        jac[..., XSD, :] = -kis * dsc
-        jac[..., XSDC, :] = -kis * ds
-        return jac, duc, ducc
-
     def cl_jac_state(t, x, u):
-        jac, duc, ducc = _common_jac_rows(t, _columns(x))
+        jac, duc, ducc = cl_jac_rows(t, _columns(x))
         dupoc = np.zeros(duc.shape, dtype=complex)
         dupoc[..., UF] = 1.0
         dupoc[..., IC] = rt
@@ -521,12 +543,8 @@ def build_case2(params: dict | None = None) -> dict:
         jac[..., UFC, IGC] = -1.0 / c_sec
         jac[..., IG, :] = gg[0, 0] * dupoc + gg[0, 1] * dupocc
         jac[..., IGC, :] = gg[1, 0] * dupoc + gg[1, 1] * dupocc
-        jac[..., XS, :] = om1 * ksogi * dupoc
-        jac[..., XS, XS] += -om1 * ksogi
-        jac[..., XS, XQ] += -om1**2
-        jac[..., XSC, :] = om1 * ksogi * dupocc
-        jac[..., XSC, XSC] += -om1 * ksogi
-        jac[..., XSC, XQC] += -om1**2
+        jac[..., XS, :] += om1 * ksogi * dupoc
+        jac[..., XSC, :] += om1 * ksogi * dupocc
         return jac
 
     cl_b = np.zeros((18, 2), dtype=complex)
@@ -557,47 +575,26 @@ def build_case2(params: dict | None = None) -> dict:
     )
 
     # -- open loop: drop grid current, drive the bus directly ---------------
-    # map open-loop indices onto the shared closed-loop piece indices
-    _omap = np.array([IC, ICC, XCP, XCPC, XCN, XCNC, UF, UFC, XS, XSC, XQ, XQC,
-                      XPLL, DELTA, XSD, XSDC])
-    _slot = {int(full): i for i, full in enumerate(_omap)}
+    # the open loop's states in their closed-loop order, grid current left out
+    _omap = tuple(k for k in range(18) if k not in (IG, IGC))
+    _slot = {full: i for i, full in enumerate(_omap)}
     oIC, oICC, oUF, oUFC, oXS, oXSC = (_slot[k] for k in (IC, ICC, UF, UFC, XS, XSC))
-
-    def _expand(x16):
-        """The state columns of the 16-state vector as 18 slots (grid current
-        zero)."""
-        x18 = np.zeros(x16.shape[:-1] + (18,), dtype=complex)
-        x18[..., _omap] = x16
-        return x18.T
+    ol_rows, ol_jac_rows = _shared_equations(16, *(_slot[k] for k in SHARED))
 
     def ol_dynamics(t, x, u):
-        xs, us = _expand(np.asarray(x, dtype=complex)), _columns(u)
-        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
-        upoc, upocc = us[0], us[1]
-        icap = (upoc - xs[UF]) / rt
-        icapc = (upocc - xs[UFC]) / rt
-        out18 = np.zeros(e.shape + (18,), dtype=complex)
-        out18[..., IC] = gf[0, 0] * (uc - upoc) + gf[0, 1] * (ucc - upocc)
-        out18[..., ICC] = gf[1, 0] * (uc - upoc) + gf[1, 1] * (ucc - upocc)
-        out18[..., UF] = icap / c_sec
-        out18[..., UFC] = icapc / c_sec
-        out18[..., XS] = om1 * ksogi * (upoc - xs[XS]) - om1**2 * xs[XQ]
-        out18[..., XSC] = om1 * ksogi * (upocc - xs[XSC]) - om1**2 * xs[XQC]
-        _common_rows(out18, xs, e, em, up, upc, s, sc, iref, irefc, uq)
-        return out18[..., _omap]
+        xs, us = _columns(x), _columns(u)
+        out = ol_rows(t, xs, us[0], us[1])
+        out[..., oUF] = (us[0] - xs[oUF]) / rt / c_sec
+        out[..., oUFC] = (us[1] - xs[oUFC]) / rt / c_sec
+        return out
 
     def ol_jac_state(t, x, u):
-        jac18, duc, ducc = _common_jac_rows(t, _expand(np.asarray(x, dtype=complex)))
-        jac18[..., IC, :] = gf[0, 0] * duc + gf[0, 1] * ducc
-        jac18[..., ICC, :] = gf[1, 0] * duc + gf[1, 1] * ducc
-        jac18[..., UF, UF] = -1.0 / (rt * c_sec)
-        jac18[..., UFC, UFC] = -1.0 / (rt * c_sec)
-        jac18[..., XS, XS] = -om1 * ksogi
-        jac18[..., XS, XQ] = -om1**2
-        jac18[..., XSC, XSC] = -om1 * ksogi
-        jac18[..., XSC, XQC] = -om1**2
-        rows = np.ix_(_omap, _omap)
-        return jac18[..., rows[0], rows[1]]
+        jac, duc, ducc = ol_jac_rows(t, _columns(x))
+        jac[..., oIC, :] = gf[0, 0] * duc + gf[0, 1] * ducc
+        jac[..., oICC, :] = gf[1, 0] * duc + gf[1, 1] * ducc
+        jac[..., oUF, oUF] = -1.0 / (rt * c_sec)
+        jac[..., oUFC, oUFC] = -1.0 / (rt * c_sec)
+        return jac
 
     ol_b = np.zeros((16, 2), dtype=complex)
     ol_b[oIC, 0] = -gf[0, 0]

@@ -112,12 +112,11 @@ class BlockToeplitz:
         n = self.n_harmonics
         r, c = self.block_shape
         dim = 2 * n + 1
-        out = np.empty((dim * r, dim * c), dtype=complex)
-        for row in range(dim):
-            for col in range(dim):
-                out[row * r:(row + 1) * r, col * c:(col + 1) * c] = \
-                    self.blocks[(row - col) + 2 * n]
-        return out
+        # one copy of a view whose element (row, i, col, j) is blocks[row - col + 2N, i, j]
+        s0, s1, s2 = self.blocks.strides
+        lagged = np.lib.stride_tricks.as_strided(
+            self.blocks[2 * n], (dim, r, dim, c), (s0, s1, -s0, s2), writeable=False)
+        return np.array(lagged, dtype=complex, order="C").reshape(dim * r, dim * c)
 
 
 def build_toeplitz(matrix_samples: np.ndarray, n_harmonics: int) -> BlockToeplitz:

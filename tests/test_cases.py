@@ -137,6 +137,37 @@ class TestBuilders:
                 assert np.array_equal(getattr(model, name)(t, x, u),
                                       getattr(base, name)(t, x, u)), (params, name)
 
+    @pytest.mark.parametrize("params", [{}, {"u_gbeta_mag": 0.7}, {"k_sym_c": 1.4}],
+                             ids=["balanced", "unbalanced", "asym_filter"])
+    def test_case2_open_loop_is_closed_loop_at_matching_grid_current(self, params, rng):
+        # with i_g = i_c - (u - u_f)/r_t (and its conjugate partner) the closed
+        # loop's bus voltage is u, so its rows of the shared states must be
+        # the open loop's: one copy of the converter equations serves both
+        built = build_case2(params)
+        closed, open_loop = built["closed_loop"], built["open_loop"]
+        p = make_params("case2", params)
+        rt = p["r_cf"] / (p["u_base"] / p["i_base"])
+        shared = [closed.state_labels.index(label) for label in open_loop.state_labels]
+        ic, icc, uf, ufc, ig, igc = (closed.state_labels.index(k) for k in (
+            "i_c", "i_c_conj", "u_fc", "u_fc_conj", "i_g", "i_g_conj"))
+        m = 40
+        t = rng.uniform(0.0, closed.period, size=m)
+        x = rng.standard_normal((m, 16)) + 1j * rng.standard_normal((m, 16))
+        u = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+        x_cl = np.zeros((m, 18), dtype=complex)
+        x_cl[:, shared] = x
+        x_cl[:, ig] = x_cl[:, ic] - (u[:, 0] - x_cl[:, uf]) / rt
+        x_cl[:, igc] = x_cl[:, icc] - (u[:, 1] - x_cl[:, ufc]) / rt
+        u_grid = closed.input_fn(t)
+        f_open = open_loop.dynamics(t, x, u)
+        f_closed = closed.dynamics(t, x_cl, u_grid)[:, shared]
+        scale = np.max(np.abs(f_open), axis=1, keepdims=True)
+        assert np.max(np.abs(f_closed - f_open) / scale) < 1e-12
+        for k in range(3):
+            single_open = open_loop.dynamics(t[k], x[k], u[k])
+            single_closed = closed.dynamics(t[k], x_cl[k], u_grid[k])[shared]
+            assert np.max(np.abs(single_closed - single_open)) < 1e-12 * scale[k, 0]
+
     def test_conjugate_pairs_match_labels(self):
         for m in (build_case1()["closed_loop"], build_case2()["closed_loop"]):
             for i, j in m.conjugate_pairs:

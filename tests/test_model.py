@@ -74,6 +74,26 @@ class TestSingleStateCalls:
             assert err <= 1e-14 * np.max(np.abs(batch[k]))
 
 
+class TestBatchedLayout:
+    @pytest.mark.parametrize("model", list(all_variants()), ids=lambda m: m.name)
+    def test_batched_results_are_c_ordered(self, model, rng):
+        # every batched callable returns a C-ordered array of its own size:
+        # the transforms reshape samples to (M, -1), which copies a strided
+        # array first
+        m = 40
+        t = rng.uniform(0.0, model.period, size=m)
+        x = rng.standard_normal((m, model.n_states)) \
+            + 1j * rng.standard_normal((m, model.n_states))
+        u = model.input_fn(t)
+        n, k, p = model.n_states, model.n_inputs, model.n_outputs
+        for name, shape in (("dynamics", (m, n)), ("output", (m, p)),
+                            ("jac_state", (m, n, n)), ("jac_input", (m, n, k)),
+                            ("out_jac_state", (m, p, n)), ("out_jac_input", (m, p, k))):
+            result = getattr(model, name)(t, x, u)
+            assert result.shape == shape, name
+            assert result.flags.c_contiguous, (name, result.strides)
+
+
 class TestJacobians:
     @pytest.mark.parametrize("model", list(all_variants()), ids=lambda m: m.name)
     @pytest.mark.parametrize("which", ["state", "input", "out_state", "out_input"])

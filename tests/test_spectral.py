@@ -185,6 +185,28 @@ class TestBlockToeplitz:
         tp = build_toeplitz(samples, 4)
         assert tp.full().shape == (9 * 3, 9 * 2)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(16, 2), (2, 16), (3, 3)])
+    def test_full_equals_block_loop(self, n, shape, rng):
+        # the dense operator is copied in one pass from a strided view; it
+        # must equal the block-by-block assembly exactly, for non-square
+        # blocks such as the open loop's (16, 2) input operator too
+        r, c = shape
+        blocks = rng.standard_normal((4 * n + 1, r, c)) \
+            + 1j * rng.standard_normal((4 * n + 1, r, c))
+        tp = BlockToeplitz(blocks, n)
+        dim = 2 * n + 1
+        reference = np.empty((dim * r, dim * c), dtype=complex)
+        for row in range(dim):
+            for col in range(dim):
+                reference[row * r:(row + 1) * r, col * c:(col + 1) * c] = \
+                    blocks[row - col + 2 * n]
+        full = tp.full()
+        assert full.flags.c_contiguous and full.flags.writeable
+        assert np.array_equal(full, reference)
+        full[...] = 0.0   # a fresh array: writing it leaves the blocks alone
+        assert np.max(np.abs(tp.full() - reference)) == 0.0
+
     def test_convolution_property(self, rng):
         # Toeplitz(A) @ X equals the spectrum of the time product A(t)x(t)
         # for band-limited x — the frequency-domain product rule.
