@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
-Subcommands bind a JSON/flag config to the solver, analysis, sweep, and
-time-domain verification modules and emit plot-ready CSV/JSON artifacts.
+Each command binds a JSON/flag config to the solver, analysis, sweep, and
+time-domain verification modules and emits plot-ready CSV/JSON artifacts.
 All CSV output uses 17-significant-digit round-trip formatting and fixed
 iteration orders, so identical configs produce byte-identical files.
 
@@ -48,7 +48,7 @@ _ANALYSIS_DEFAULTS = {
     "output_index": 1,
     "input_index": 0,
 }
-_PERTURB_DEFAULTS = {"magnitude": 1e-3, "onset_periods": 10.0, "state_index": 0}
+_PERTURB_DEFAULTS = {"onset_periods": 10.0}
 _ORACLE_DEFAULTS = {
     "horizon_periods": 25.0,
     "step": 5e-5,
@@ -139,14 +139,14 @@ def _resolve_grid(section: str, spec, default_count: int) -> list:
     return [float(v) for v in values]
 
 
-def _override(where: str, key: str, value) -> float:
-    """A case-parameter override as a finite float."""
+def _override(key: str, value) -> float:
+    """A ``--set`` case-parameter override as a finite float."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number):
-        raise UsageError(f"{where} value for {key!r} is not a finite number: {value!r}")
+        raise UsageError(f"--set value for {key!r} is not a finite number: {value!r}")
     return number
 
 
@@ -159,6 +159,8 @@ def _resolve_axis(which: str, given: dict | None, default: dict) -> dict:
     for key in ("name", "values"):
         if key not in axis:
             raise UsageError(f"sweep {which}: missing key {key!r}")
+    if not isinstance(axis["name"], str):
+        raise UsageError(f"sweep {which} name must be a string")
     axis["values"] = _resolve_grid(f"sweep {which} values", axis["values"], 11)
     return axis
 
@@ -193,14 +195,13 @@ def resolve_config(command: str, args) -> dict:
     if variant not in ("closed_loop", "open_loop"):
         raise UsageError(f"unknown variant {variant!r}")
 
-    overrides = {}
-    for key, value in _section("set", file_cfg.get("set")).items():
-        overrides[key] = _override("set", key, value)
+    overrides = {key: _typed(f"set {key}", value, float)
+                 for key, value in _section("set", file_cfg.get("set")).items()}
     for item in args.set or []:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise UsageError(f"--set expects key=value, got {item!r}")
-        overrides[key] = _override("--set", key, value)
+        overrides[key] = _override(key, value)
 
     solver_defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
     solver = _merge("solver", solver_defaults, file_cfg.get("solver"))
@@ -213,21 +214,13 @@ def resolve_config(command: str, args) -> dict:
     if sweep_defaults is None and sweep_given is None:
         sweep = None
     else:
-        base = sweep_defaults or {"axis1": None, "axis2": None}
+        defaults = sweep_defaults or {}
         given = _section("sweep", sweep_given)
         for key in given:
             if key not in ("axis1", "axis2"):
                 raise UsageError(f"unknown sweep config key {key!r}")
-        axis1_default = base["axis1"] or {}
-        axis2_default = base["axis2"] or {}
-        if given.get("axis1") is None and not axis1_default:
-            raise UsageError("sweep axis1 must be configured for this case")
-        if given.get("axis2") is None and not axis2_default:
-            raise UsageError("sweep axis2 must be configured for this case")
-        sweep = {
-            "axis1": _resolve_axis("axis1", given.get("axis1"), axis1_default),
-            "axis2": _resolve_axis("axis2", given.get("axis2"), axis2_default),
-        }
+        sweep = {which: _resolve_axis(which, given.get(which), defaults.get(which, {}))
+                 for which in ("axis1", "axis2")}
 
     oracle_given = dict(_section("oracle", file_cfg.get("oracle")))
     perturb_given = oracle_given.pop("perturbation", None)
@@ -334,25 +327,24 @@ def _model(config: dict):
 
 
 def _solve(model, config: dict, write_partial):
-    """Solve the periodic steady state of ``model``.
+    """The periodic steady state of ``model``, a ``SolverResult``.
 
-    Returns ``(solver_cfg, result)``.  On a solver failure
-    ``write_partial(exc, model, solver_cfg)`` writes the command's partial
-    artifacts, the error goes to stderr and ``result`` is None; the command
-    then exits 2.
+    On a solver failure ``write_partial(exc, model, solver_cfg)`` writes the
+    command's partial artifacts and the error propagates; ``main`` reports
+    it and exits 2.
     """
     solver_cfg = SolverConfig(**config["solver"])
     try:
-        return solver_cfg, solve_pss(model, solver_cfg)
+        return solve_pss(model, solver_cfg)
     except SOLVER_ERRORS as exc:
         write_partial(exc, model, solver_cfg)
-        print(f"error: {exc}", file=sys.stderr)
-        return solver_cfg, None
+        raise
 
 
 def cmd_solve(config: dict, out: Path, workers: int) -> int:
     report = {"case": config["case"], "variant": config["variant"],
-              "environment": _environment()}
+              "environment": _environment(),
+              "tolerance": config["solver"]["tolerance"]}
 
     def partial(exc, model, solver_cfg):
         if isinstance(exc, MaxIterationsExceeded):
@@ -361,21 +353,17 @@ def cmd_solve(config: dict, out: Path, workers: int) -> int:
             waveforms = spectrum_to_samples(exc.last_spectrum, grid.n_samples)
             _write_waveforms(out / "pss_waveforms.csv", grid.times, waveforms, labels)
         report.update(converged=False, iterations=len(exc.residual_history),
-                      residual_history=exc.residual_history,
-                      tolerance=solver_cfg.tolerance, elapsed_s=exc.elapsed_s)
+                      residual_history=exc.residual_history, elapsed_s=exc.elapsed_s)
         _write_json(out / "run_report.json", report)
 
     model = _model(config)
-    solver_cfg, result = _solve(model, config, partial)
-    if result is None:
-        return 2
+    result = _solve(model, config, partial)
     labels = _labels(model)
     _write_spectrum(out / "pss_spectrum.csv", labels, result.spectrum)
     _write_waveforms(out / "pss_waveforms.csv", result.grid.times, result.waveforms,
                      labels)
     report.update(converged=True, iterations=len(result.residual_history),
-                  residual_history=result.residual_history,
-                  tolerance=solver_cfg.tolerance, elapsed_s=result.elapsed_s)
+                  residual_history=result.residual_history, elapsed_s=result.elapsed_s)
     _write_json(out / "run_report.json", report)
     return 0
 
@@ -384,9 +372,7 @@ def cmd_eig(config: dict, out: Path, workers: int) -> int:
     def partial(exc, model, solver_cfg):
         _write_csv(out / "eigenvalues.csv", dict.fromkeys(("re", "im"), _EMPTY))
 
-    _, result = _solve(_model(config), config, partial)
-    if result is None:
-        return 2
+    result = _solve(_model(config), config, partial)
     modes = mode_set(result.hss)
     _write_csv(out / "eigenvalues.csv",
                {"re": modes.eigenvalues.real, "im": modes.eigenvalues.imag})
@@ -432,9 +418,7 @@ def cmd_impedance(config: dict, out: Path, workers: int) -> int:
     def partial(exc, model, solver_cfg):
         _write_csv(out / "scan.csv", dict.fromkeys(_SCAN_HEADER, _EMPTY))
 
-    _, result = _solve(_model(config), config, partial)
-    if result is None:
-        return 2
+    result = _solve(_model(config), config, partial)
     scan = frequency_scan(result.hss, config["analysis"]["frequencies_hz"],
                           output_index=config["analysis"]["output_index"],
                           input_index=config["analysis"]["input_index"])
@@ -456,15 +440,7 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
         _write_json(out / "verify_report.json", report)
 
     model = _model(config)
-    # checked before solving, so a bad index is a usage error at every
-    # operating point, not only where the kicked response runs
-    state_index = oracle_cfg["perturbation"]["state_index"]
-    if not 0 <= state_index < model.n_states:
-        raise UsageError(f"oracle perturbation state_index {state_index} "
-                         f"outside [0, {model.n_states})")
-    _, result = _solve(model, config, partial)
-    if result is None:
-        return 2
+    result = _solve(model, config, partial)
     labels = _labels(model)
     period = model.period
     modes = mode_set(result.hss)
@@ -476,7 +452,6 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
                   hss_decoupling_defect=result.hss.decoupling_defect,
                   hss_real_form=result.hss.real_form,
                   solver_verdict=modes.classification)
-    checks = []
 
     if modes.classification == "Stable":
         # integrate starting on the computed orbit: a correct periodic
@@ -490,7 +465,7 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
         report["oracle_diverged"] = traj.diverged
         if traj.diverged:
             report["rms_error"] = None
-            checks.append(False)
+            passed = False
         else:
             cmp = compare_waveforms((result.grid.times, result.waveforms),
                                     last_period(traj, period))
@@ -498,27 +473,24 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
                                    in zip(labels, cmp["rms_error"])}
             report["max_error"] = {lab: float(v) for lab, v
                                    in zip(labels, cmp["max_error"])}
-            checks.append(bool(np.all(cmp["rms_error"]
-                                      <= oracle_cfg["tolerance_rms"])))
+            passed = bool(np.all(cmp["rms_error"] <= oracle_cfg["tolerance_rms"]))
     else:
         report["rms_error"] = None
         report["note"] = ("solver classifies this point Unstable; waveform "
                           "comparison skipped (the oracle cannot settle), "
                           "growth fit used instead")
-        pert = oracle_cfg["perturbation"]
-        onset = pert["onset_periods"] * period
+        onset = oracle_cfg["perturbation"]["onset_periods"] * period
         t_end = onset + oracle_cfg["horizon_periods"] * period
+        # the default kick: 1e-3 on state 0 and on its conjugate partner
         traj = kicked_response(model, result.waveforms[0], onset, t_end,
-                               oracle_cfg["step"], state_index=state_index,
-                               magnitude=pert["magnitude"])
-        fit = growth_rate_fit(traj, state_index, onset, period)
+                               oracle_cfg["step"])
+        fit = growth_rate_fit(traj, 0, onset, period)
         agrees = fit.rate > 0.0
         report["growth"] = {"rate": fit.rate, "floored": fit.floored,
                             "sign_agrees": agrees,
                             "trajectory_diverged": traj.diverged}
-        if abs(weakest.real) > 0.5:
-            checks.append(agrees)
-    passed = bool(checks) and all(checks)
+        # the sign check gates only outside |Re| <= 0.5
+        passed = bool(agrees and abs(weakest.real) > 0.5)
     report["pass"] = passed
     _write_json(out / "verify_report.json", report)
     if not passed:
@@ -541,27 +513,28 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ltpkit",
         description="Periodic steady-state, stability, and impedance analysis "
                     "of periodically driven state-space models.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("solve", "solve the periodic steady state, write spectrum/waveforms"),
-            ("eig", "solve PSS and report periodic-linearization eigenvalues"),
-            ("sweep", "two-parameter stability sweep"),
-            ("impedance", "harmonic frequency scan of the open-loop model"),
-            ("verify", "cross-check the solver against time-domain integration")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--case", help="case1, case2, or a .py model file")
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a case parameter (repeatable)")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--workers", type=int, default=1,
-                       help="sweep worker processes")
-        p.add_argument("--dump-config", action="store_true",
-                       help="print the fully resolved config and exit")
+    parser.add_argument(
+        "command", choices=tuple(_COMMANDS),
+        help="solve: the periodic steady state, spectrum and waveforms; "
+             "eig: solve and report periodic-linearization eigenvalues; "
+             "sweep: two-parameter stability sweep; "
+             "impedance: harmonic frequency scan of the open-loop model; "
+             "verify: cross-check the solver against time-domain integration")
+    parser.add_argument("--case", help="case1, case2, or a .py model file")
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override a case parameter (repeatable)")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="sweep worker processes")
+    parser.add_argument("--dump-config", action="store_true",
+                        help="print the fully resolved config and exit")
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command; the exit code of a usage error is 1, of a solver
+    failure 2, each with an ``error: …`` line on stderr."""
     args = _build_parser().parse_args(argv)
     try:
         config = resolve_config(args.command, args)
@@ -574,6 +547,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SOLVER_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

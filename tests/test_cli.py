@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 import scipy
 
-from ltpkit import SolverConfig
+from ltpkit import (DivergedTrajectory, MaxIterationsExceeded, SingularIterationMatrix,
+                    SolverConfig, cli)
 from ltpkit.cli import _write_csv, main
 
 
@@ -366,6 +367,51 @@ class TestSolverFailure:
         if command == "solve":
             assert isinstance(report["elapsed_s"], float)
 
+    @staticmethod
+    def solver_error(kind):
+        """A solver error populated as ``solve_pss`` raises it: two Newton
+        steps completed in 0.25 s."""
+        if kind is MaxIterationsExceeded:
+            exc = MaxIterationsExceeded([0.5, 0.1], 1e-3,
+                                        last_spectrum=np.ones((9, 6), complex))
+        elif kind is SingularIterationMatrix:
+            exc = SingularIterationMatrix(1e13)
+            exc.iteration = 3
+        else:
+            exc = DivergedTrajectory("non-finite dynamics along reconstructed trajectory")
+        exc.residual_history = [0.5, 0.1]
+        exc.elapsed_s = 0.25
+        return exc
+
+    @pytest.mark.parametrize("kind", [MaxIterationsExceeded, SingularIterationMatrix,
+                                      DivergedTrajectory], ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize("command", sorted(PARTIAL))
+    def test_solver_error_exits_2(self, command, kind, tmp_path, capsys, monkeypatch):
+        # every solver error of every solving command: one stderr line, the
+        # command's partial artifact, exit 2
+        exc = self.solver_error(kind)
+
+        def failing_solve(model, config):
+            raise exc
+
+        monkeypatch.setattr(cli, "solve_pss", failing_solve)
+        out = tmp_path / "out"
+        assert main([command, "--case", "case1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {exc}"]
+        assert captured.out == ""
+        assert (out / self.PARTIAL[command]).exists()
+        if command in ("solve", "verify"):
+            report = json.loads((out / self.PARTIAL[command]).read_text())
+            assert report["converged"] is False
+            assert report["iterations"] == 2
+        if command == "solve":
+            assert report["residual_history"] == [0.5, 0.1]
+            assert report["elapsed_s"] == 0.25
+            # only a max-iterations failure carries a last iterate to write
+            written = (out / "pss_spectrum.csv").exists()
+            assert written == (kind is MaxIterationsExceeded)
+
 
 MALFORMED_CONFIGS = {
     "grid_start_str": ("impedance", {"analysis": {"frequencies_hz": {"start": "a", "stop": 10}}}),
@@ -376,18 +422,21 @@ MALFORMED_CONFIGS = {
     "max_iterations_fraction": ("solve", {"solver": {"max_iterations": 2.5}}),
     "output_index_str": ("impedance", {"analysis": {"output_index": "1"}}),
     "axis_value_str": ("sweep", {"sweep": {"axis1": {"values": [1, "b"]}}}),
-    # the kicked response runs on this unstable point
+    # the kick is fixed, 1e-3 on state 0 and its conjugate partner: its
+    # state and magnitude are no config keys, at a stable or unstable point
     "state_index_range": ("verify", {"case": "case2",
                                      "set": {"alpha_c": 150, "k_sym_g": 2.8},
                                      "oracle": {"perturbation": {"state_index": 40}}}),
-    # no kicked response runs on the stable case-1 default point
     "state_index_range_stable": ("verify", {"oracle": {"perturbation": {"state_index": 40}}}),
     "state_index_negative": ("verify", {"oracle": {"perturbation": {"state_index": -1}}}),
+    "perturbation_magnitude": ("verify", {"oracle": {"perturbation": {"magnitude": 0.01}}}),
     "case_not_str": ("solve", {"case": 5}),
     "set_not_object": ("solve", {"set": [1]}),
     "solver_not_object": ("solve", {"solver": [1]}),
     "oracle_not_object": ("verify", {"oracle": [1]}),
     "axis_not_object": ("sweep", {"sweep": {"axis1": [1, 2]}}),
+    "axis_name_list": ("sweep", {"sweep": {"axis1": {"name": ["alpha_pll"],
+                                                     "values": [30, 35]}}}),
     # keys that no longer exist: the period comes from the model, the growth
     # fit runs exactly when the point is unstable, axes carry no unit
     "solver_period": ("solve", {"solver": {"period": 0.025}}),
@@ -407,6 +456,9 @@ MALFORMED_CONFIGS = {
     "axis_value_inf": ("sweep", {"sweep": {"axis1": {"values": [math.inf]}}}),
     "set_nan": ("solve", {"set": {"alpha_pll": math.nan}}),
     "set_inf": ("solve", {"set": {"alpha_pll": -math.inf}}),
+    # a file's case parameters are JSON numbers; strings are for --set
+    "set_string": ("solve", {"set": {"alpha_pll": "35"}}),
+    "set_bool": ("solve", {"set": {"alpha_pll": True}}),
     # every case-2 command builds the open loop, which needs r_cf > 0
     "r_cf_zero": ("solve", {"case": "case2", "set": {"r_cf": 0}}),
 }
