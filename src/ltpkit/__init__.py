@@ -9,78 +9,28 @@ frequency scans from it.  Two grid-tied voltage-source-converter benchmark
 systems and an independent Runge–Kutta reference integrator are included.
 """
 
-from .analysis import (
-    HssMatrices,
-    ModeSet,
-    ScanResult,
-    frequency_scan,
-    interior_modes,
-    harmonic_transfer_function,
-    hss_eigenvalues,
-    mode_set,
-    weakest_mode,
-)
-from .cases import (
-    CASE1_DEFAULTS,
-    CASE1_LABELS,
-    CASE2_DEFAULTS,
-    CASE2_LABELS,
-    asymmetric_inductance_matrix,
-    build_case1,
-    build_case2,
-    case_builder,
-    make_params,
-    pi_gains_from_bandwidth,
-)
+from .analysis import HssMatrices, ModeSet, ScanResult, frequency_scan, mode_set
+from .cases import CASE1_DEFAULTS, CASE2_DEFAULTS, build_case1, build_case2, case_builder
 from .errors import (
     DivergedTrajectory,
     MaxIterationsExceeded,
     SingularAtFrequency,
     SingularIterationMatrix,
+    SolverError,
     UsageError,
 )
-from .model import (
-    SystemModel,
-    linear_model,
-)
-from .oracle import (
-    GrowthFit,
-    Trajectory,
-    compare_waveforms,
-    growth_rate_fit,
-    integrate,
-    kicked_response,
-    last_period,
-)
-from .solver import (
-    SolverConfig,
-    SolverResult,
-    initial_guess,
-    newton_step,
-    pss_residual,
-    solve_pss,
-)
-from .spectral import (
-    BlockToeplitz,
-    HarmonicGrid,
-    build_nblk,
-    build_toeplitz,
-    samples_to_spectrum,
-    spectrum_to_samples,
-)
+from .model import SystemModel
+from .oracle import Trajectory, integrate
+from .solver import SolverConfig, SolverResult, pss_residual, solve_pss
 from .sweep import SweepAxis, SweepResult, SweepSpec, extract_region, run_sweep
 
 __version__ = "0.1.0"
 
+# the workflow API; every other name is imported from its own module
 __all__ = [
-    "BlockToeplitz",
     "CASE1_DEFAULTS",
-    "CASE1_LABELS",
     "CASE2_DEFAULTS",
-    "CASE2_LABELS",
     "DivergedTrajectory",
-    "GrowthFit",
-    "HarmonicGrid",
     "HssMatrices",
     "MaxIterationsExceeded",
     "ModeSet",
@@ -88,6 +38,7 @@ __all__ = [
     "SingularAtFrequency",
     "SingularIterationMatrix",
     "SolverConfig",
+    "SolverError",
     "SolverResult",
     "SweepAxis",
     "SweepResult",
@@ -95,32 +46,14 @@ __all__ = [
     "SystemModel",
     "Trajectory",
     "UsageError",
-    "asymmetric_inductance_matrix",
     "build_case1",
     "build_case2",
-    "build_nblk",
-    "build_toeplitz",
     "case_builder",
-    "compare_waveforms",
     "extract_region",
     "frequency_scan",
-    "interior_modes",
-    "growth_rate_fit",
-    "harmonic_transfer_function",
-    "hss_eigenvalues",
-    "initial_guess",
     "integrate",
-    "kicked_response",
-    "last_period",
-    "linear_model",
-    "make_params",
     "mode_set",
-    "newton_step",
-    "pi_gains_from_bandwidth",
     "pss_residual",
     "run_sweep",
-    "samples_to_spectrum",
     "solve_pss",
-    "spectrum_to_samples",
-    "weakest_mode",
 ]

@@ -381,8 +381,9 @@ class ScanResult:
 def frequency_scan(
     hss: HssMatrices,
     frequencies_hz,
-    output_index: int = 0,
-    input_index: int = 0,
+    *,
+    output_index: int,
+    input_index: int,
 ) -> ScanResult:
     """Evaluate H(j2πf) over a frequency grid.
 

@@ -31,7 +31,7 @@ from .analysis import (
     weakest_mode,  # noqa: F401  uncalled here; bench/tracing.py wraps this name
 )
 from .cases import case_builder
-from .errors import SOLVER_ERRORS, MaxIterationsExceeded, UsageError
+from .errors import MaxIterationsExceeded, SolverError, UsageError
 from .oracle import compare_waveforms, growth_rate_fit, integrate, \
     kicked_response, last_period
 from .solver import SolverConfig, solve_pss
@@ -82,7 +82,8 @@ def _typed(where: str, value, kind: type):
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is bool and isinstance(value, bool):
         return value
-    if kind is float and number and math.isfinite(value):
+    # NaN fails the comparison, and a JSON integer may exceed every float
+    if kind is float and number and abs(value) <= sys.float_info.max:
         return float(value)
     if kind is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
@@ -336,7 +337,7 @@ def _solve(model, config: dict, write_partial):
     solver_cfg = SolverConfig(**config["solver"])
     try:
         return solve_pss(model, solver_cfg)
-    except SOLVER_ERRORS as exc:
+    except SolverError as exc:
         write_partial(exc, model, solver_cfg)
         raise
 
@@ -508,8 +509,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports its own usage errors as :class:`UsageError` (exit 1)."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ltpkit",
         description="Periodic steady-state, stability, and impedance analysis "
                     "of periodically driven state-space models.")
@@ -535,8 +543,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; the exit code of a usage error is 1, of a solver
     failure 2, each with an ``error: …`` line on stderr."""
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = resolve_config(args.command, args)
         if args.dump_config:
             print(json.dumps(config, indent=2, sort_keys=True))
@@ -547,7 +555,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SOLVER_ERRORS as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,18 +7,25 @@ class UsageError(ValueError):
     """Bad arguments: dimension mismatches, malformed config, unknown parameter keys."""
 
 
-class SingularIterationMatrix(RuntimeError):
-    """Newton iteration matrix numerically singular.
+class SolverError(RuntimeError):
+    """A failed Newton solve.
 
-    Carries the 1-norm condition estimate that tripped the guard.
     :func:`ltpkit.solver.solve_pss` sets ``iteration`` (1-based index of the
-    Newton step that failed), ``residual_history`` (step norms of the
-    steps completed before it) and ``elapsed_s``.
+    Newton step the failure stopped; for :class:`MaxIterationsExceeded` the
+    first step over the budget), ``residual_history`` (step norms of the
+    steps completed before it) and ``elapsed_s`` (seconds the solve ran).
     """
 
     iteration: int | None = None
     residual_history: list | None = None
     elapsed_s: float | None = None
+
+
+class SingularIterationMatrix(SolverError):
+    """Newton iteration matrix numerically singular.
+
+    Carries the 1-norm condition estimate that tripped the guard.
+    """
 
     def __init__(self, cond: float):
         super().__init__(cond)
@@ -30,28 +37,16 @@ class SingularIterationMatrix(RuntimeError):
                 f"(cond ~ {self.cond:.3e})")
 
 
-class DivergedTrajectory(RuntimeError):
-    """Non-finite values encountered while evaluating a trajectory.
-
-    When raised by :func:`ltpkit.solver.solve_pss`, ``residual_history``
-    holds the step norms of the Newton steps completed before the failure
-    and ``elapsed_s`` the seconds the solve ran.
-    """
-
-    residual_history: list | None = None
-    elapsed_s: float | None = None
+class DivergedTrajectory(SolverError):
+    """Non-finite values encountered while evaluating a trajectory."""
 
 
-class MaxIterationsExceeded(RuntimeError):
+class MaxIterationsExceeded(SolverError):
     """Newton failed to reach tolerance within the iteration budget.
 
-    ``residual_history`` holds the step norms recorded before giving up;
-    ``last_spectrum`` the final (non-converged) iterate, a (2N+1, n) array;
-    ``elapsed_s`` the seconds the solve ran (set by
-    :func:`ltpkit.solver.solve_pss`).
+    ``last_spectrum`` holds the final (non-converged) iterate, a (2N+1, n)
+    array.
     """
-
-    elapsed_s: float | None = None
 
     def __init__(self, residual_history, tolerance: float, last_spectrum=None):
         self.residual_history = list(residual_history)
@@ -62,11 +57,6 @@ class MaxIterationsExceeded(RuntimeError):
             f"no convergence in {len(self.residual_history)} iterations "
             f"(last step norm {tail:.3e}, tolerance {tolerance:.1e})"
         )
-
-
-# every failure of a Newton solve; each carries ``residual_history`` and
-# ``elapsed_s``
-SOLVER_ERRORS = (MaxIterationsExceeded, SingularIterationMatrix, DivergedTrajectory)
 
 
 class SingularAtFrequency(RuntimeError):

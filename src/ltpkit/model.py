@@ -9,8 +9,8 @@ scalar t with (n,) state, or (M,) t with (M, n) states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 

@@ -21,10 +21,10 @@ from scipy.linalg import lapack, lu_factor, lu_solve
 
 from .analysis import HssMatrices
 from .errors import (
-    SOLVER_ERRORS,
     DivergedTrajectory,
     MaxIterationsExceeded,
     SingularIterationMatrix,
+    SolverError,
     UsageError,
 )
 from .model import SystemModel
@@ -55,7 +55,12 @@ class SolverConfig:
 
     def grid(self, model: SystemModel) -> HarmonicGrid:
         """One fundamental period of ``model``, sampled every ``step``."""
-        return HarmonicGrid(model.period, self.step)
+        grid = HarmonicGrid(model.period, self.step)
+        # the guard of samples_to_spectrum, run before anything is sized by N
+        if grid.n_samples < 2 * (2 * self.n_harmonics + 1):
+            raise UsageError(f"{grid.n_samples} samples cannot resolve harmonics "
+                             f"to order {self.n_harmonics} cleanly")
+        return grid
 
 
 @dataclass
@@ -134,7 +139,6 @@ def solve_pss(
     model: SystemModel,
     config: SolverConfig | None = None,
     initial: np.ndarray | None = None,
-    u_samples: np.ndarray | None = None,
 ) -> SolverResult:
     """Newton iteration to the periodic steady state.
 
@@ -144,19 +148,16 @@ def solve_pss(
     config : solver settings; defaults to the benchmark configuration.
     initial : warm-start spectrum of shape (2N+1, n), read and never
         written; defaults to the model's seeded guess.
-    u_samples : pre-sampled input waveform (M, m); sampled from
-        ``model.input_fn`` when omitted.
 
     Raises
     ------
     MaxIterationsExceeded
-        carrying the recorded step norms, when tolerance is not met.
+        when tolerance is not met within ``config.max_iterations``.
     SingularIterationMatrix, DivergedTrajectory
-        on numerical breakdown, carrying the step norms recorded before it
-        (``residual_history``).
+        on numerical breakdown.
 
-    Every one of these failures also carries ``elapsed_s``, the seconds
-    spent in this call up to the failure.
+    Each is a :class:`SolverError` carrying ``iteration``,
+    ``residual_history`` and ``elapsed_s``.
 
     Notes
     -----
@@ -171,13 +172,7 @@ def solve_pss(
     if config is None:
         config = SolverConfig()
     grid = config.grid(model)
-    if u_samples is None:
-        u_samples = np.asarray(model.input_fn(grid.times), dtype=complex)
-    if u_samples.shape != (grid.n_samples, model.n_inputs):
-        raise UsageError(
-            f"input samples shape {u_samples.shape} does not match "
-            f"({grid.n_samples}, {model.n_inputs})"
-        )
+    u_samples = np.asarray(model.input_fn(grid.times), dtype=complex)
     if initial is None:
         x = initial_guess(model, config)
     else:
@@ -208,11 +203,10 @@ def solve_pss(
             converged = norm <= config.tolerance
         if not converged:
             raise MaxIterationsExceeded(history, config.tolerance, last_spectrum=x)
-    except SOLVER_ERRORS as exc:
+    except SolverError as exc:
+        exc.iteration = len(history) + 1
         exc.residual_history = list(history)
         exc.elapsed_s = time.perf_counter() - t0
-        if isinstance(exc, SingularIterationMatrix):
-            exc.iteration = len(history) + 1
         raise
 
     # apply the final (sub-tolerance) correction; the HSS linearizes there
@@ -233,7 +227,6 @@ def pss_residual(
     model: SystemModel,
     x_spec: np.ndarray,
     grid: HarmonicGrid,
-    u_samples: np.ndarray | None = None,
 ):
     """Frequency-domain fixed-point defect at a spectrum.
 
@@ -241,8 +234,7 @@ def pss_residual(
     nx_norm = ‖N_blk·X‖∞; the solver's fixed points satisfy
     defect ≤ tol·(1 + nx_norm).
     """
-    if u_samples is None:
-        u_samples = np.asarray(model.input_fn(grid.times), dtype=complex)
+    u_samples = np.asarray(model.input_fn(grid.times), dtype=complex)
     _, f_t = _evaluate(model, grid, x_spec, u_samples)
     big_n = x_spec.shape[0] // 2
     f_spec = samples_to_spectrum(f_t, big_n)

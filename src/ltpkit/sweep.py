@@ -23,7 +23,7 @@ from .analysis import (
     mode_set,
     weakest_mode,  # noqa: F401  uncalled here; bench/tracing.py wraps this name
 )
-from .errors import SOLVER_ERRORS, UsageError
+from .errors import SolverError, UsageError
 from .solver import SolverConfig, solve_pss
 
 
@@ -97,7 +97,7 @@ def _solve_cell(case_builder, spec: SweepSpec, value1: float, value2: float,
     model = case_builder(overrides)[spec.variant]
     try:
         result = solve_pss(model, spec.solver_config, initial=initial)
-    except SOLVER_ERRORS as exc:
+    except SolverError as exc:
         return np.nan, np.nan, len(exc.residual_history), type(exc).__name__, None
     weakest = mode_set(result.hss).weakest
     return weakest.real, weakest.imag, len(result.residual_history), "", result.spectrum

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ltpkit import (ModeSet, build_case1, build_case2, interior_modes,
-                    solve_pss, weakest_mode)
-from ltpkit.analysis import _similar_form
+from ltpkit import ModeSet, build_case1, build_case2, solve_pss
+from ltpkit.analysis import _similar_form, interior_modes, weakest_mode
 
 UNBALANCED = {"u_gbeta_mag": 0.5, "u_gbeta_deg": -90.0}
 

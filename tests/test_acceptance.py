@@ -19,21 +19,16 @@ from ltpkit import (
     SweepSpec,
     build_case1,
     build_case2,
-    compare_waveforms,
-    growth_rate_fit,
-    hss_eigenvalues,
     integrate,
-    kicked_response,
-    last_period,
-    linear_model,
     mode_set,
     pss_residual,
     run_sweep,
-    samples_to_spectrum,
     solve_pss,
-    spectrum_to_samples,
 )
-from ltpkit.spectral import build_toeplitz
+from ltpkit.analysis import hss_eigenvalues
+from ltpkit.model import linear_model
+from ltpkit.oracle import compare_waveforms, growth_rate_fit, kicked_response, last_period
+from ltpkit.spectral import build_toeplitz, samples_to_spectrum, spectrum_to_samples
 
 T1 = 0.02
 OM1 = 2.0 * np.pi * 50.0

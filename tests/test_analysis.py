@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import ltpkit.sweep
 from conftest import dense_eigenvalues, dense_mode_set
 from ltpkit import (
-    BlockToeplitz,
     ModeSet,
     SingularAtFrequency,
     SolverConfig,
@@ -21,15 +20,18 @@ from ltpkit import (
     build_case1,
     build_case2,
     frequency_scan,
+    mode_set,
+    solve_pss,
+)
+from ltpkit.analysis import (
+    REAL_FORM_TOL,
     harmonic_transfer_function,
     hss_eigenvalues,
     interior_modes,
-    linear_model,
-    mode_set,
-    solve_pss,
     weakest_mode,
 )
-from ltpkit.analysis import REAL_FORM_TOL
+from ltpkit.model import linear_model
+from ltpkit.spectral import BlockToeplitz
 from ltpkit.cli import main
 
 OM1 = 2.0 * np.pi * 50.0
@@ -360,7 +362,7 @@ class TestFrequencyScan:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_singular_frequency_flagged_not_fatal(self):
         hss = lti_hss([[2j * np.pi * 37.0]], n_harmonics=2)
-        scan = frequency_scan(hss, [36.0, 37.0, 38.0])
+        scan = frequency_scan(hss, [36.0, 37.0, 38.0], output_index=0, input_index=0)
         assert list(scan.singular) == [False, True, False]
         assert np.isnan(scan.diag[1].real)
         assert np.isfinite(scan.diag[0]) and np.isfinite(scan.diag[2])
@@ -372,7 +374,7 @@ class TestFrequencyScan:
         w = 2.0 * np.pi * 37.0
         hss = lti_hss([[0.0, w], [-w, 0.0]], n_harmonics=2)
         assert hss.real_form
-        scan = frequency_scan(hss, [36.0, 37.0, 38.0])
+        scan = frequency_scan(hss, [36.0, 37.0, 38.0], output_index=0, input_index=0)
         assert list(scan.singular) == [False, True, False]
         assert np.isnan(scan.diag[1].real)
         assert np.isfinite(scan.diag[0]) and np.isfinite(scan.diag[2])
@@ -403,7 +405,8 @@ class TestFrequencyScan:
         monkeypatch.setattr(scipy.linalg, "eigvals", counted_eigvals)
         assert hss.real_form
         assert eig_calls == []
-        scan = frequency_scan(hss, np.geomspace(1.0, 2500.0, 50))
+        scan = frequency_scan(hss, np.geomspace(1.0, 2500.0, 50),
+                              output_index=0, input_index=0)
         assert not scan.singular.any()
         assert schur_dtypes == [(np.float64, np.float64, np.float64)] * len(touched)
         assert sorted(sizes) == touched
@@ -417,7 +420,8 @@ class TestFrequencyScan:
         col_base = hss.n_harmonics * hss.n_inputs
         full = [harmonic_transfer_function(hss, 2j * np.pi * f) for f in freqs]
         for output_index, input_index in [(0, 0), (1, 0)]:
-            scan = frequency_scan(hss, freqs, output_index, input_index)
+            scan = frequency_scan(hss, freqs, output_index=output_index,
+                                  input_index=input_index)
             assert not scan.singular.any()
             col = col_base + input_index
             for idx, h in enumerate(full):
@@ -430,11 +434,20 @@ class TestFrequencyScan:
     def test_index_validation(self):
         hss = lti_hss([[-1.0]], n_harmonics=2)
         with pytest.raises(UsageError):
-            frequency_scan(hss, [10.0], output_index=5)
+            frequency_scan(hss, [10.0], output_index=5, input_index=0)
         with pytest.raises(UsageError):
-            frequency_scan(hss, [10.0, np.nan])
+            frequency_scan(hss, [10.0, np.nan], output_index=0, input_index=0)
         with pytest.raises(UsageError):
-            frequency_scan(lti_hss([[-1.0]], n_harmonics=1), [10.0])
+            frequency_scan(lti_hss([[-1.0]], n_harmonics=1), [10.0],
+                           output_index=0, input_index=0)
+
+    def test_indices_are_required_keywords(self):
+        # the CLI's analysis config holds the one default of each index
+        hss = lti_hss([[-1.0]], n_harmonics=2)
+        with pytest.raises(TypeError):
+            frequency_scan(hss, [10.0])
+        with pytest.raises(TypeError):
+            frequency_scan(hss, [10.0], 0, 0)
 
     def test_case1_mirror_coupling_from_pll(self):
         # balanced operation: the same-sector scan shows no frequency
@@ -486,7 +499,8 @@ def stable_lti_scans(draw, real=False):
 
 
 def assert_scan_is_resolvent_entry(hss, a, output_index, input_index, freqs):
-    scan = frequency_scan(hss, freqs, output_index, input_index)
+    scan = frequency_scan(hss, freqs, output_index=output_index,
+                          input_index=input_index)
     assert not scan.singular.any()
     expect = np.array([
         np.linalg.inv(2j * np.pi * f * np.eye(a.shape[0]) - a)[output_index,
@@ -560,7 +574,8 @@ class TestLazyOperators:
             return full(op)
 
         monkeypatch.setattr(BlockToeplitz, "full", counted_full)
-        scan = frequency_scan(hss, np.geomspace(1.0, 2500.0, 50))
+        scan = frequency_scan(hss, np.geomspace(1.0, 2500.0, 50),
+                              output_index=0, input_index=0)
         assert not scan.singular.any()
         assert counts == {"jac_state": 1, "jac_input": 1,
                           "out_jac_state": 1, "out_jac_input": 1}

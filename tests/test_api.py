@@ -94,6 +94,16 @@ class TestReadme:
             documented = [p.strip() for p in params.split(",") if p.strip()]
             assert list(inspect.signature(func).parameters) == documented, name
 
+    def test_package_api_line(self):
+        # the README's one line on what `import ltpkit` exposes is __all__
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        line = next(line for line in text.splitlines()
+                    if line.startswith("`import ltpkit` exposes"))
+        names = re.findall(r"`([^`]+)`", line.split(":", 1)[1])
+        assert len(names) == len(set(names)) == 28
+        assert set(names) == set(ltpkit.__all__)
+        assert all(hasattr(ltpkit, name) for name in names)
+
     def test_every_export_documented(self):
         documented = {n for names in library_overview().values() for n in names}
         missing = sorted(set(ltpkit.__all__) - documented)

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from ltpkit import (
-    UsageError,
-    asymmetric_inductance_matrix,
-    build_case1,
-    build_case2,
-    make_params,
-    pi_gains_from_bandwidth,
-)
+from ltpkit import UsageError, build_case1, build_case2
+from ltpkit.cases import asymmetric_inductance_matrix, make_params, pi_gains_from_bandwidth
 
 PARAMS1 = make_params("case1")
 PARAMS2 = make_params("case2")

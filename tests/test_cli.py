@@ -461,6 +461,11 @@ MALFORMED_CONFIGS = {
     "set_bool": ("solve", {"set": {"alpha_pll": True}}),
     # every case-2 command builds the open loop, which needs r_cf > 0
     "r_cf_zero": ("solve", {"case": "case2", "set": {"r_cf": 0}}),
+    # JSON integers too large for a float
+    "tolerance_huge_int": ("solve", {"solver": {"tolerance": 10**400}}),
+    "set_huge_int": ("solve", {"set": {"alpha_pll": 10**400}}),
+    # refused against the 400-sample grid before anything is allocated
+    "n_harmonics_huge": ("solve", {"solver": {"n_harmonics": 10**30}}),
 }
 
 
@@ -497,6 +502,22 @@ class TestConfigHandling:
         rc = main(["solve", "--set", f"alpha_pll={value}", "--out", str(tmp_path)])
         assert rc == 1
         assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["bogus"], ["solve", "--workers", "x"], []],
+                             ids=["unknown_command", "workers_not_int", "no_command"])
+    def test_parser_error_exits_1(self, argv, capsys):
+        # argparse's own usage errors are usage errors too: one line, exit 1
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "impedance" in capsys.readouterr().out
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import conjugate_consistent_state, fd_jacobian
-from ltpkit import SystemModel, UsageError, build_case1, build_case2, linear_model
+from ltpkit import SystemModel, UsageError, build_case1, build_case2
+from ltpkit.model import linear_model
 
 OM1 = 2.0 * np.pi * 50.0
 

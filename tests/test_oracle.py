@@ -6,17 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import diverging_after
-from ltpkit import (
-    Trajectory,
-    UsageError,
-    build_case1,
-    compare_waveforms,
-    growth_rate_fit,
-    integrate,
-    kicked_response,
-    last_period,
-    linear_model,
-)
+from ltpkit import Trajectory, UsageError, integrate
+from ltpkit.model import linear_model
+from ltpkit.oracle import compare_waveforms, growth_rate_fit, kicked_response, last_period
 
 OM1 = 2.0 * np.pi * 50.0
 T1 = 0.02

@@ -11,17 +11,16 @@ from ltpkit import (
     MaxIterationsExceeded,
     SingularIterationMatrix,
     SolverConfig,
+    SolverError,
     UsageError,
     build_case1,
     build_case2,
-    initial_guess,
-    linear_model,
-    newton_step,
     pss_residual,
     solve_pss,
-    spectrum_to_samples,
 )
-from ltpkit.solver import residual_norm
+from ltpkit.model import linear_model
+from ltpkit.solver import initial_guess, newton_step, residual_norm
+from ltpkit.spectral import spectrum_to_samples
 
 OM1 = 2.0 * np.pi * 50.0
 
@@ -46,6 +45,12 @@ class TestSolverConfig:
             SolverConfig(tolerance=-1.0)
         with pytest.raises(UsageError):
             SolverConfig(max_iterations=0)
+
+    def test_grid_refuses_unresolvable_harmonics(self):
+        # refused where the grid is built, before any spectrum is allocated
+        model = build_case1()["closed_loop"]
+        with pytest.raises(UsageError, match="cannot resolve harmonics"):
+            SolverConfig(n_harmonics=10**30).grid(model)
 
     def test_grid_matches_benchmark(self):
         model = build_case1()["closed_loop"]
@@ -208,7 +213,6 @@ class TestBenchmarkConvergence:
             assert conjugate_defect(result.spectrum, model.conjugate_pairs) < 1e-10
 
     def test_waveforms_match_spectrum(self, case1_balanced):
-        from ltpkit import spectrum_to_samples
         _, result = case1_balanced
         rebuilt = spectrum_to_samples(result.spectrum, result.grid.n_samples)
         assert np.max(np.abs(rebuilt - result.waveforms)) < 1e-12
@@ -219,7 +223,9 @@ class TestFailureModes:
         model = build_case2({"u_gbeta_mag": 0.5, "u_gbeta_deg": -90.0})["closed_loop"]
         with pytest.raises(MaxIterationsExceeded) as err:
             solve_pss(model, SolverConfig(max_iterations=1, tolerance=1e-12))
-        assert len(err.value.residual_history) >= 1
+        assert len(err.value.residual_history) == 1
+        # the first step over the budget
+        assert err.value.iteration == 2
 
     def test_singular_matrix_carries_history(self):
         model = build_case1()["closed_loop"]
@@ -235,6 +241,13 @@ class TestFailureModes:
             solve_pss(model, SolverConfig(tolerance=1e-13))
         assert len(err.value.residual_history) == 3
         assert all(np.isfinite(err.value.residual_history))
+        assert err.value.iteration == 4
+        assert err.value.elapsed_s > 0.0
+
+    def test_one_base_class(self):
+        for kind in (MaxIterationsExceeded, SingularIterationMatrix, DivergedTrajectory):
+            assert issubclass(kind, SolverError)
+        assert issubclass(SolverError, RuntimeError)
 
     def test_unstable_point_still_converges(self):
         # frequency-domain iteration reaches the PSS even where time marching

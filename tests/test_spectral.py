@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import conjugate_defect
-from ltpkit import (
+from ltpkit import UsageError
+from ltpkit.model import linear_model
+from ltpkit.spectral import (
     BlockToeplitz,
     HarmonicGrid,
-    UsageError,
     build_nblk,
     build_toeplitz,
     samples_to_spectrum,
-    linear_model,
+    _phase_matrix,
     spectrum_to_samples,
 )
-from ltpkit.spectral import _phase_matrix
 
 T = 0.02
 OM1 = 2.0 * np.pi / T
