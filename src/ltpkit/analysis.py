@@ -48,26 +48,6 @@ class HssMatrices:
     inputs: np.ndarray   # (M, m)
     n_harmonics: int
 
-    @property
-    def omega1(self) -> float:
-        return self.model.omega1
-
-    @property
-    def n_states(self) -> int:
-        return self.model.n_states
-
-    @property
-    def n_inputs(self) -> int:
-        return self.model.n_inputs
-
-    @property
-    def n_outputs(self) -> int:
-        return self.model.n_outputs
-
-    @property
-    def dim(self) -> int:
-        return (2 * self.n_harmonics + 1) * self.n_states
-
     def _full(self, jacobian) -> np.ndarray:
         """Dense block-Toeplitz form of ``jacobian`` along the orbit."""
         samples = jacobian(self.times, self.states, self.inputs)
@@ -76,7 +56,7 @@ class HssMatrices:
     @cached_property
     def nblk(self) -> np.ndarray:
         """Diagonal of N_blk (see :func:`ltpkit.spectral.build_nblk`)."""
-        return build_nblk(self.n_states, self.n_harmonics, self.omega1)
+        return build_nblk(self.model.n_states, self.n_harmonics, self.model.omega1)
 
     @cached_property
     def _stability(self) -> np.ndarray:
@@ -112,10 +92,11 @@ class HssMatrices:
         model is conjugate-symmetric, the stability matrix H satisfies
         H[p(a), p(b)] = conj(H[a, b]).
         """
-        sigma = np.arange(self.n_states)
+        n = self.model.n_states
+        sigma = np.arange(n)
         for i, j in self.model.conjugate_pairs:
             sigma[i], sigma[j] = j, i
-        rows = np.arange(2 * self.n_harmonics, -1, -1)[:, None] * self.n_states
+        rows = np.arange(2 * self.n_harmonics, -1, -1)[:, None] * n
         return _read_only((rows + sigma).reshape(-1))
 
     @cached_property
@@ -344,7 +325,7 @@ def mode_set(hss: HssMatrices) -> ModeSet:
     ``verify`` and the sweep all read it.
     """
     eigs = hss_eigenvalues(hss)
-    return ModeSet(eigs, weakest_mode(interior_modes(eigs, hss.omega1,
+    return ModeSet(eigs, weakest_mode(interior_modes(eigs, hss.model.omega1,
                                                      hss.n_harmonics)))
 
 
@@ -358,7 +339,7 @@ def harmonic_transfer_function(hss: HssMatrices, s: complex,
     column; :func:`frequency_scan` is the fast path for many frequencies.
     """
     dist = float(np.min(np.abs(hss_eigenvalues(hss) - s)))
-    if dist < guard * hss.omega1:
+    if dist < guard * hss.model.omega1:
         raise SingularAtFrequency(s, dist)
     lhs = -hss.stability_matrix()
     idx = np.arange(lhs.shape[0])
@@ -408,7 +389,7 @@ def frequency_scan(
     """
     if hss.n_harmonics < 2:
         raise UsageError("need n_harmonics >= 2 to expose the ±2 coupling blocks")
-    p, m, n = hss.n_outputs, hss.n_inputs, hss.n_harmonics
+    p, m, n = hss.model.n_outputs, hss.model.n_inputs, hss.n_harmonics
     if not (0 <= output_index < p and 0 <= input_index < m):
         raise UsageError("output/input index out of range")
     freqs = np.asarray(frequencies_hz, dtype=float)
@@ -432,7 +413,7 @@ def frequency_scan(
         factors.append((tri, sizes, poles, q.conj().T @ b_t[cols], c_t[:, cols] @ q))
     poles = np.concatenate([f[2] for f in factors] + [np.empty(0, dtype=complex)])
     dist = np.min(np.abs(poles[:, None] - s), axis=0, initial=np.inf)
-    singular = dist < _SINGULAR_GUARD * hss.omega1
+    singular = dist < _SINGULAR_GUARD * hss.model.omega1
     s_ok = s[~singular]
 
     h = np.full((len(rows), freqs.size), complex(np.nan, np.nan))

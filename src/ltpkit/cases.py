@@ -188,7 +188,8 @@ def _pair_waveform(u_alpha: complex, u_beta: complex, omega1: float):
 
 
 def _norms(p: dict) -> dict:
-    """Exact SI -> per-unit conversion factors shared by the builders."""
+    """Exact SI -> per-unit conversion factors and the near-equilibrium
+    iteration seeds shared by the builders."""
     omega1 = 2.0 * np.pi * p["f_base"]
     z_base = p["u_base"] / p["i_base"]
     gains = pi_gains_from_bandwidth(p["alpha_c"], p["alpha_pll"], p.get("alpha_s"), p)
@@ -207,6 +208,12 @@ def _norms(p: dict) -> dict:
         "u_ga": _phasor(p["u_ga_mag"], p["u_ga_deg"]),
         "u_gbeta": _phasor(p["u_gbeta_mag"], p["u_gbeta_deg"]),
     }
+    # Seed the iteration near the physical operating point: several distinct
+    # periodic solutions coexist under severe unbalance, and a zero start can
+    # pull the root-finder onto a non-physical (unstable) voltage-lock branch.
+    u_pos0 = 0.5 * (out["u_ga"] + 1j * out["u_gbeta"])
+    delta0 = float(np.angle(u_pos0)) if abs(u_pos0) > 0.0 else 0.0
+    out.update(u_pos0=u_pos0, delta0=delta0, xc0=u_pos0 * np.exp(-1j * delta0))
     if "c_f" in p:
         out["c_sec"] = p["c_f"] * z_base
         out["rt"] = p["r_cf"] / z_base
@@ -256,13 +263,6 @@ def build_case1(params: dict | None = None) -> dict:
     i_ref = nn["i_ref"]
     i_ref_c = np.conj(i_ref)
 
-    # Seed the iteration near the physical operating point: several distinct
-    # periodic solutions coexist under severe unbalance, and a zero start can
-    # pull the root-finder onto a non-physical (unstable) voltage-lock branch.
-    u_pos0 = 0.5 * (nn["u_ga"] + 1j * nn["u_gbeta"])
-    delta0 = float(np.angle(u_pos0)) if abs(u_pos0) > 0.0 else 0.0
-    xc0 = u_pos0 * np.exp(-1j * delta0)
-
     IC, ICC, XC, XCC, DELTA, XPLL = range(6)
 
     output, out_js, out_ji = _current_output(6)
@@ -273,8 +273,8 @@ def build_case1(params: dict | None = None) -> dict:
         state_labels=CASE1_LABELS,
         conjugate_pairs=((IC, ICC), (XC, XCC)),
         spectral_seeds=((IC, +1, i_ref), (ICC, -1, i_ref_c),
-                        (XC, 0, xc0), (XCC, 0, np.conj(xc0)),
-                        (DELTA, 0, delta0)),
+                        (XC, 0, nn["xc0"]), (XCC, 0, np.conj(nn["xc0"])),
+                        (DELTA, 0, nn["delta0"])),
     )
 
     def _loop(lg_c, name):
@@ -391,10 +391,7 @@ def build_case2(params: dict | None = None) -> dict:
     gf = np.linalg.inv(nn["lf_c"])
     gg = np.linalg.inv(nn["lg_c"])
 
-    # near-equilibrium iteration seeds (see the case-I builder for rationale)
-    u_pos0 = 0.5 * (nn["u_ga"] + 1j * nn["u_gbeta"])
-    delta0 = float(np.angle(u_pos0)) if abs(u_pos0) > 0.0 else 0.0
-    xcp0 = u_pos0 * np.exp(-1j * delta0)
+    u_pos0, xcp0, delta0 = nn["u_pos0"], nn["xc0"], nn["delta0"]
     xq0 = u_pos0 / (1j * om1)
 
     (IC, ICC, XCP, XCPC, XCN, XCNC, UF, UFC, IG, IGC,

@@ -32,6 +32,7 @@ from .spectral import (
     HarmonicGrid,
     build_nblk,
     build_toeplitz,  # noqa: F401  uncalled here; bench/tracing.py wraps this name
+    min_samples,
     samples_to_spectrum,
     spectrum_to_samples,
 )
@@ -56,10 +57,13 @@ class SolverConfig:
     def grid(self, model: SystemModel) -> HarmonicGrid:
         """One fundamental period of ``model``, sampled every ``step``."""
         grid = HarmonicGrid(model.period, self.step)
-        # the guard of samples_to_spectrum, run before anything is sized by N
-        if grid.n_samples < 2 * (2 * self.n_harmonics + 1):
+        # build_toeplitz expands the Jacobians to order 2N; checked here,
+        # before anything is sized by N
+        need = min_samples(2 * self.n_harmonics)
+        if grid.n_samples < need:
             raise UsageError(f"{grid.n_samples} samples cannot resolve harmonics "
-                             f"to order {self.n_harmonics} cleanly")
+                             f"cleanly at n_harmonics {self.n_harmonics}, which "
+                             f"needs {need} per period")
         return grid
 
 

@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import UsageError
 
+# 250 times the default 400 samples per period; 18-state Jacobians take 0.5 GB
+MAX_SAMPLES = 100_000
+
 
 @dataclass(frozen=True)
 class HarmonicGrid:
@@ -35,6 +38,9 @@ class HarmonicGrid:
         if self.period <= 0 or self.step <= 0:
             raise UsageError("period and step must be positive")
         ratio = self.period / self.step
+        if not ratio <= MAX_SAMPLES:  # NaN fails it, an overflowed inf exceeds it
+            raise UsageError(f"period/step = {ratio!r} samples exceed the limit "
+                             f"of {MAX_SAMPLES}")
         m = round(ratio)
         if m < 2 or abs(ratio - m) > 1e-9 * ratio:
             raise UsageError(
@@ -45,6 +51,11 @@ class HarmonicGrid:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples) * self.step
+
+
+def min_samples(order: int) -> int:
+    """Samples per period that resolve harmonics to ``order`` K: M ≥ 2(2K+1)."""
+    return 2 * (2 * order + 1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -70,7 +81,7 @@ def samples_to_spectrum(samples: np.ndarray, n_harmonics: int) -> np.ndarray:
     """
     samples = np.asarray(samples, dtype=complex)
     m = samples.shape[0]
-    if m < 2 * (2 * n_harmonics + 1):
+    if m < min_samples(n_harmonics):
         raise UsageError(
             f"{m} samples cannot resolve harmonics to order {n_harmonics} cleanly"
         )

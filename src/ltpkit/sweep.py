@@ -26,6 +26,9 @@ from .analysis import (
 from .errors import SolverError, UsageError
 from .solver import SolverConfig, solve_pss
 
+# 40 times the 253-cell case-1 grid; at 2-10 ms a cell, a sweep of minutes
+MAX_SWEEP_CELLS = 10_000
+
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -197,13 +200,16 @@ def run_sweep(case_builder, spec: SweepSpec, workers: int = 1) -> SweepResult:
         raise UsageError("workers must be >= 1")
     if spec.variant not in ("closed_loop", "open_loop"):
         raise UsageError(f"unknown model variant {spec.variant!r}")
+    n_rows, n_cols = len(spec.axis1.values), len(spec.axis2.values)
+    if n_rows * n_cols > MAX_SWEEP_CELLS:
+        raise UsageError(f"{n_rows}x{n_cols} sweep cells exceed the limit "
+                         f"of {MAX_SWEEP_CELLS}")
     # fail fast on unresolvable parameter names
     probe = dict(spec.base_params)
     probe[spec.axis1.name] = spec.axis1.values[0]
     probe[spec.axis2.name] = spec.axis2.values[0]
     case_builder(probe)
 
-    n_rows, n_cols = len(spec.axis1.values), len(spec.axis2.values)
     re_w = np.full((n_rows, n_cols), np.nan)
     im_w = np.full((n_rows, n_cols), np.nan)
     iters = np.zeros((n_rows, n_cols), dtype=int)

@@ -84,7 +84,7 @@ def dense_eigenvalues(hss):
 def dense_mode_set(hss):
     """``mode_set`` read from :func:`dense_eigenvalues`."""
     eigs = dense_eigenvalues(hss)
-    return ModeSet(eigs, weakest_mode(interior_modes(eigs, hss.omega1,
+    return ModeSet(eigs, weakest_mode(interior_modes(eigs, hss.model.omega1,
                                                      hss.n_harmonics)))
 
 

@@ -49,8 +49,7 @@ def oracle_rms_errors(model, result, horizon_periods=25.0):
 def fitted_growth(model, result, onset_periods=10.0, horizon_periods=25.0):
     onset = onset_periods * T1
     t_end = onset + horizon_periods * T1
-    traj = kicked_response(model, result.waveforms[0], onset, t_end, STEP,
-                           state_index=0, magnitude=1e-3)
+    traj = kicked_response(model, result.waveforms[0], onset, t_end, STEP)
     return growth_rate_fit(traj, 0, onset, T1).rate
 
 
@@ -159,9 +158,7 @@ def test_a4_reported_clause_weakest_in_unstable_window():
 
 
 def test_a5_hss_dimensions(case1_balanced, case2_default):
-    assert case1_balanced[1].hss.dim == 54
     assert case1_balanced[1].hss.stability_matrix().shape == (54, 54)
-    assert case2_default[1].hss.dim == 162
     assert case2_default[1].hss.stability_matrix().shape == (162, 162)
     print("A5 PASS - HSS dimensions are exactly 54 (case 1) and 162 (case 2) "
           "at N = 4")

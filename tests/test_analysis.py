@@ -39,7 +39,7 @@ OM1 = 2.0 * np.pi * 50.0
 
 def htf_block(h, k, l, hss):
     """Harmonic block (k, l) of an assembled H(s) of ``hss``."""
-    p, m, n = hss.n_outputs, hss.n_inputs, hss.n_harmonics
+    p, m, n = hss.model.n_outputs, hss.model.n_inputs, hss.n_harmonics
     return h[(k + n) * p:(k + n + 1) * p, (l + n) * m:(l + n + 1) * m]
 
 
@@ -74,8 +74,8 @@ class TestEigenvalues:
         assert np.all(np.diff(eigs.real) <= 1e-12)
 
     def test_hss_dimensions(self, case1_balanced, case2_default):
-        assert case1_balanced[1].hss.dim == 54        # (2*4+1) * 6
-        assert case2_default[1].hss.dim == 162        # (2*4+1) * 18
+        assert case1_balanced[1].hss.stability_matrix().shape == (54, 54)    # (2*4+1) * 6
+        assert case2_default[1].hss.stability_matrix().shape == (162, 162)  # (2*4+1) * 18
 
 
 def multiset_gap(a, b):
@@ -106,7 +106,7 @@ class TestRealForm:
     def test_weakest_mode_unchanged(self, solved, request):
         hss = request.getfixturevalue(solved)[1].hss
         ref = scipy.linalg.eigvals(hss.stability_matrix())
-        expect = weakest_mode(interior_modes(ref, hss.omega1, hss.n_harmonics))
+        expect = weakest_mode(interior_modes(ref, hss.model.omega1, hss.n_harmonics))
         got = mode_set(hss).weakest
         assert abs(got - expect) <= 1e-10 * (1.0 + abs(expect))
 
@@ -118,7 +118,7 @@ class TestRealForm:
     def test_partner_is_the_conjugate_symmetry(self, case1_unbalanced):
         hss = case1_unbalanced[1].hss
         p = hss.partner
-        assert np.array_equal(p[p], np.arange(hss.dim))
+        assert np.array_equal(p[p], np.arange(p.size))
         h = hss.stability_matrix()
         assert np.max(np.abs(h[np.ix_(p, p)] - h.conj())) <= 1e-12 * np.max(np.abs(h))
 
@@ -192,7 +192,8 @@ class TestInvariantBlocks:
         hss = request.getfixturevalue(solved)[1].hss
         assert len(hss.blocks) > 1
         everything = np.concatenate(hss.blocks)
-        assert np.array_equal(np.sort(everything), np.arange(hss.dim))
+        assert np.array_equal(np.sort(everything),
+                              np.arange(hss.stability_matrix().shape[0]))
         h = hss.stability_matrix()
         for block in hss.blocks:
             assert np.array_equal(np.sort(hss.partner[block]), block)
@@ -204,7 +205,7 @@ class TestInvariantBlocks:
 
     def test_fully_coupled_model_is_one_block(self):
         hss = time_varying_hss()
-        assert [b.size for b in hss.blocks] == [hss.dim]
+        assert [b.size for b in hss.blocks] == [hss.stability_matrix().shape[0]]
         assert hss.real_form
         assert hss.decoupling_defect == 0.0
         assert np.array_equal(hss_eigenvalues(hss), dense_eigenvalues(hss))
@@ -384,10 +385,10 @@ class TestFrequencyScan:
         # one real Schur form per block that the input column touches, and
         # none for the blocks it does not reach
         hss = solve_pss(builder()["open_loop"]).hss
-        b = np.abs(hss.b_full[:, hss.n_harmonics * hss.n_inputs])
+        b = np.abs(hss.b_full[:, hss.n_harmonics * hss.model.n_inputs])
         touched = sorted(block.size for block in hss.blocks
                          if np.max(b[block]) > REAL_FORM_TOL * np.max(b))
-        assert 0 < sum(touched) < hss.dim
+        assert 0 < sum(touched) < hss.stability_matrix().shape[0]
         schur_dtypes, sizes, eig_calls = [], [], []
         schur, eigvals = scipy.linalg.schur, scipy.linalg.eigvals
 
@@ -417,7 +418,7 @@ class TestFrequencyScan:
         params = {"u_gbeta_mag": 0.75, "k_sym_c": 1.4}
         hss = solve_pss(builder(params)["open_loop"]).hss
         freqs = np.geomspace(1.0, 2500.0, 20)
-        col_base = hss.n_harmonics * hss.n_inputs
+        col_base = hss.n_harmonics * hss.model.n_inputs
         full = [harmonic_transfer_function(hss, 2j * np.pi * f) for f in freqs]
         for output_index, input_index in [(0, 0), (1, 0)]:
             scan = frequency_scan(hss, freqs, output_index=output_index,

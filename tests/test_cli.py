@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy
 
+import ltpkit.solver
 from ltpkit import (DivergedTrajectory, MaxIterationsExceeded, SingularIterationMatrix,
                     SolverConfig, cli)
 from ltpkit.cli import _write_csv, main
@@ -466,6 +467,11 @@ MALFORMED_CONFIGS = {
     "set_huge_int": ("solve", {"set": {"alpha_pll": 10**400}}),
     # refused against the 400-sample grid before anything is allocated
     "n_harmonics_huge": ("solve", {"solver": {"n_harmonics": 10**30}}),
+    # grid counts above the cap, refused before the grid is built
+    "frequency_count_huge": ("impedance", {"analysis": {"frequencies_hz": {
+        "start": 5, "stop": 2000, "count": 10**30}}}),
+    "frequency_count_cap": ("impedance", {"analysis": {"frequencies_hz": {
+        "start": 5, "stop": 2000, "count": cli.MAX_GRID_COUNT + 1}}}),
 }
 
 
@@ -501,7 +507,28 @@ class TestConfigHandling:
     def test_non_finite_set_flag_is_usage_error(self, value, tmp_path, capsys):
         rc = main(["solve", "--set", f"alpha_pll={value}", "--out", str(tmp_path)])
         assert rc == 1
-        assert "not a finite number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not a finite number" in err
+        # one finite-number check: the config file's `set` value reads the same
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"set": {"alpha_pll": float(value)}}))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("n_harmonics, need", [(50, 402), (60, 482)])
+    def test_unresolvable_n_harmonics_exits_before_newton(
+            self, n_harmonics, need, tmp_path, capsys, monkeypatch):
+        # the HSS needs harmonics to order 2N: 400 samples resolve N <= 49
+        def no_step(*args):
+            raise AssertionError("the first Newton step ran")
+
+        monkeypatch.setattr(ltpkit.solver, "newton_step", no_step)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solver": {"n_harmonics": n_harmonics}}))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: 400 samples cannot resolve harmonics cleanly at n_harmonics "
+            f"{n_harmonics}, which needs {need} per period\n")
 
     @pytest.mark.parametrize("argv", [["bogus"], ["solve", "--workers", "x"], []],
                              ids=["unknown_command", "workers_not_int", "no_command"])

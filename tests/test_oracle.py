@@ -8,7 +8,8 @@ import pytest
 from conftest import diverging_after
 from ltpkit import Trajectory, UsageError, integrate
 from ltpkit.model import linear_model
-from ltpkit.oracle import compare_waveforms, growth_rate_fit, kicked_response, last_period
+from ltpkit.oracle import KICK, KICK_STATE, MAX_STEPS, compare_waveforms, \
+    growth_rate_fit, kicked_response, last_period
 
 OM1 = 2.0 * np.pi * 50.0
 T1 = 0.02
@@ -61,6 +62,17 @@ class TestIntegrate:
             integrate(model, [1.0], -1.0, 1e-3)
         with pytest.raises(UsageError):
             integrate(model, [1.0, 2.0], 1.0, 1e-3)   # wrong state shape
+
+    @pytest.mark.parametrize("t_span, step", [
+        (1.0, 1e-12),                      # a tiny oracle step: 10^12 steps
+        (1e9, 5e-5),                       # a huge horizon
+        (MAX_STEPS * 1e-3 + 1e-3, 1e-3),   # one step over the cap
+        (1.0, 1e-320),                     # the step count overflows to inf
+    ], ids=["tiny_step", "huge_span", "cap_plus_1", "overflow"])
+    def test_step_count_bounded_before_allocating(self, t_span, step):
+        model = linear_model(np.array([[-1.0]]))
+        with pytest.raises(UsageError, match="exceed the limit"):
+            integrate(model, [1.0], t_span, step)
 
     def test_explicit_start_time(self):
         model = linear_model(np.array([[-1.0]]))
@@ -166,16 +178,16 @@ class TestKickedResponse:
         model, result = case1_balanced
         x0 = result.waveforms[0]
         onset, t_end, h = 0.01, 0.02, 5e-5
-        mag = 1e-3 + 2e-3j
-        traj = kicked_response(model, x0, onset, t_end, h, state_index=0,
-                               magnitude=mag)
+        traj = kicked_response(model, x0, onset, t_end, h)
         plain = integrate(model, x0, (0.0, onset), h)
         idx = int(round(onset / h))
         assert traj.times[idx] == pytest.approx(onset)
         labels = list(model.state_labels)
         ic, icc = labels.index("i_c"), labels.index("i_c_conj")
-        assert traj.states[idx, ic] == pytest.approx(plain.states[-1, ic] + mag)
-        assert traj.states[idx, icc] == pytest.approx(plain.states[-1, icc] + np.conj(mag))
+        # the kick is 1e-3 on state 0 (i_c) and on its conjugate partner
+        assert (KICK, KICK_STATE, ic) == (1e-3, 0, 0)
+        assert traj.states[idx, ic] == pytest.approx(plain.states[-1, ic] + 1e-3)
+        assert traj.states[idx, icc] == pytest.approx(plain.states[-1, icc] + 1e-3)
 
     def test_onset_validation(self, case1_balanced):
         model, result = case1_balanced

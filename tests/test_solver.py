@@ -20,7 +20,7 @@ from ltpkit import (
 )
 from ltpkit.model import linear_model
 from ltpkit.solver import initial_guess, newton_step, residual_norm
-from ltpkit.spectral import spectrum_to_samples
+from ltpkit.spectral import MAX_SAMPLES, spectrum_to_samples
 
 OM1 = 2.0 * np.pi * 50.0
 
@@ -51,6 +51,19 @@ class TestSolverConfig:
         model = build_case1()["closed_loop"]
         with pytest.raises(UsageError, match="cannot resolve harmonics"):
             SolverConfig(n_harmonics=10**30).grid(model)
+
+    def test_400_samples_resolve_49_harmonics(self):
+        # the HSS expands the Jacobians to order 2N: 2(4·49+1) = 394 samples
+        result = solve_pss(build_case1()["closed_loop"], SolverConfig(n_harmonics=49))
+        assert result.spectrum.shape == (99, 6)
+
+    @pytest.mark.parametrize("step", [1e-12, 0.02 / (MAX_SAMPLES + 1), 1e-320],
+                             ids=["tiny", "cap_plus_1", "overflow"])
+    def test_grid_refuses_oversized_sample_count(self, step):
+        # refused before any sample is allocated (the times are built on read)
+        model = build_case1()["closed_loop"]
+        with pytest.raises(UsageError, match="exceed the limit"):
+            SolverConfig(step=step).grid(model)
 
     def test_grid_matches_benchmark(self):
         model = build_case1()["closed_loop"]

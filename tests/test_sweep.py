@@ -65,6 +65,16 @@ class TestRunSweep:
         with pytest.raises(UsageError):
             run_sweep(build_case1, bad)
 
+    def test_cell_count_bounded_before_solving(self):
+        def no_build(overrides):
+            raise AssertionError("a refused sweep builds no model")
+
+        n_rows = ltpkit.sweep.MAX_SWEEP_CELLS + 1
+        spec = SweepSpec(SweepAxis("alpha_pll", tuple(range(n_rows))),
+                         SweepAxis("u_gbeta_mag", (0.0,)))
+        with pytest.raises(UsageError, match="exceed the limit"):
+            run_sweep(no_build, spec)
+
     def test_unknown_parameter_fails_fast(self):
         spec = SweepSpec(SweepAxis("bogus", (1.0,)), SweepAxis("alpha_c", (200.0,)))
         with pytest.raises(UsageError, match="bogus"):
