@@ -29,6 +29,8 @@ the Wirtinger sense.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .errors import UsageError
@@ -227,10 +229,26 @@ def _norms(p: dict) -> dict:
 def _columns(v):
     """``v`` indexed by state (or input) column: ``_columns(x)[k]`` is
     ``x[..., k]`` for the ``(n,)`` and ``(M, n)`` shapes of the model
-    contract.  For a single ``(n,)`` state each column is a numpy scalar, not
-    a 0-d array, so the elementwise equations of a single RK4 stage run at
-    scalar cost; for an ``(M, n)`` batch it is the same strided view."""
-    return np.asarray(v, dtype=complex).T
+    contract.  For a single ``(n,)`` state each column is a Python
+    ``complex``, so the equations of a single RK4 stage run on Python scalars
+    (one numpy scalar in an expression would make all of it numpy-scalar
+    arithmetic); for an ``(M, n)`` batch it is the strided view ``x.T``."""
+    v = np.asarray(v, dtype=complex)
+    return v.tolist() if v.ndim == 1 else v.T
+
+
+def _rotation(om1, t, delta):
+    """e^{j(ω₁t+δ)}: by ``cmath`` at a float time for one state's angle."""
+    if isinstance(delta, complex):
+        return cmath.exp(1j * (om1 * float(t) + delta))
+    return np.exp(1j * (om1 * t + delta))
+
+
+def _stacked(rows):
+    """f from its rows in state order: ``(n,)`` or C-ordered ``(M, n)``."""
+    if isinstance(rows[0], complex):
+        return np.array(rows, dtype=complex)
+    return np.stack(rows, axis=-1)
 
 
 def _current_output(n_states):
@@ -261,7 +279,7 @@ def build_case1(params: dict | None = None) -> dict:
     nn = _norms(p)
     om1, kp, ki, kpp, kip, ff = (nn[k] for k in ("omega1", "kp", "ki", "kpp", "kip", "ff"))
     i_ref = nn["i_ref"]
-    i_ref_c = np.conj(i_ref)
+    i_ref_c = i_ref.conjugate()
 
     IC, ICC, XC, XCC, DELTA, XPLL = range(6)
 
@@ -280,40 +298,38 @@ def build_case1(params: dict | None = None) -> dict:
     def _loop(lg_c, name):
         """The converter behind the series inductance ``lg_c`` from its input
         voltage: the grid's for the closed loop, zero for the open loop."""
-        gsum = np.linalg.inv(nn["lf_c"] + lg_c)   # 1/s
-        kdiv = lg_c @ gsum                        # dimensionless divider
+        g = np.linalg.inv(nn["lf_c"] + lg_c)
+        gsum, kdiv = g.tolist(), (lg_c @ g).tolist()   # 1/s; dimensionless divider
 
         def _bus(t, x, u):
             """State columns, rotations e^{±j(ω₁t+δ)}, the voltage pair across
             the series inductances and the bus voltage pair."""
             xs, us = _columns(x), _columns(u)
-            e = np.exp(1j * (om1 * t + xs[DELTA]))
+            e = _rotation(om1, t, xs[DELTA])
             em = 1.0 / e
             uc = kp * (i_ref * e - xs[IC]) + xs[XC] * e + 1j * ff * xs[IC]
             ucc = kp * (i_ref_c * em - xs[ICC]) + xs[XCC] * em - 1j * ff * xs[ICC]
             ug, ugc = us[0], us[1]
             d1, d2 = uc - ug, ucc - ugc
-            upoc = ug + kdiv[0, 0] * d1 + kdiv[0, 1] * d2
-            upocc = ugc + kdiv[1, 0] * d1 + kdiv[1, 1] * d2
+            upoc = ug + kdiv[0][0] * d1 + kdiv[0][1] * d2
+            upocc = ugc + kdiv[1][0] * d1 + kdiv[1][1] * d2
             return xs, e, em, d1, d2, upoc, upocc
 
         def dynamics(t, x, u):
             xs, e, em, d1, d2, upoc, upocc = _bus(t, x, u)
             uq = (em * upoc - e * upocc) / 2j
-            out = np.zeros(e.shape + (6,), dtype=complex)
-            out[..., IC] = gsum[0, 0] * d1 + gsum[0, 1] * d2
-            out[..., ICC] = gsum[1, 0] * d1 + gsum[1, 1] * d2
-            out[..., XC] = ki * (i_ref - em * xs[IC])
-            out[..., XCC] = ki * (i_ref_c - e * xs[ICC])
-            out[..., DELTA] = kpp * uq + xs[XPLL]
-            out[..., XPLL] = kip * uq
-            return out
+            return _stacked([gsum[0][0] * d1 + gsum[0][1] * d2,   # IC
+                             gsum[1][0] * d1 + gsum[1][1] * d2,   # ICC
+                             ki * (i_ref - em * xs[IC]),          # XC
+                             ki * (i_ref_c - e * xs[ICC]),        # XCC
+                             kpp * uq + xs[XPLL],                 # DELTA
+                             kip * uq])                           # XPLL
 
         def jac_state(t, x, u):
             xs, e, em, _, _, upoc, upocc = _bus(t, x, u)
-            jac = np.zeros(e.shape + (6, 6), dtype=complex)
+            jac = np.zeros(np.shape(e) + (6, 6), dtype=complex)
             # ∂(uc, ucc)/∂x by column; the columns left out are zero
-            zero = np.zeros(e.shape, dtype=complex)
+            zero = np.zeros(np.shape(e), dtype=complex)
             for col, (a, b) in {
                 IC: (-kp + 1j * ff + zero, zero),
                 ICC: (zero, -kp - 1j * ff + zero),
@@ -322,10 +338,10 @@ def build_case1(params: dict | None = None) -> dict:
                 DELTA: (1j * e * (kp * i_ref + xs[XC]),
                         -1j * em * (kp * i_ref_c + xs[XCC])),
             }.items():
-                jac[..., IC, col] = gsum[0, 0] * a + gsum[0, 1] * b
-                jac[..., ICC, col] = gsum[1, 0] * a + gsum[1, 1] * b
-                dup = kdiv[0, 0] * a + kdiv[0, 1] * b
-                dupc = kdiv[1, 0] * a + kdiv[1, 1] * b
+                jac[..., IC, col] = gsum[0][0] * a + gsum[0][1] * b
+                jac[..., ICC, col] = gsum[1][0] * a + gsum[1][1] * b
+                dup = kdiv[0][0] * a + kdiv[0][1] * b
+                dupc = kdiv[1][0] * a + kdiv[1][1] * b
                 duq = (em * dup - e * dupc) / 2j
                 jac[..., DELTA, col] = kpp * duq
                 jac[..., XPLL, col] = kip * duq
@@ -341,13 +357,13 @@ def build_case1(params: dict | None = None) -> dict:
             return jac
 
         def jac_input(t, x, u):
-            e = np.exp(1j * (om1 * t + _columns(x)[DELTA]))
+            e = _rotation(om1, t, _columns(x)[DELTA])
             em = 1.0 / e
-            jac = np.zeros(e.shape + (6, 2), dtype=complex)
-            jac[..., IC:ICC + 1, :] = -gsum
+            jac = np.zeros(np.shape(e) + (6, 2), dtype=complex)
+            jac[..., IC:ICC + 1, :] = -g
             for col in (0, 1):
-                dup = (1.0 if col == 0 else 0.0) - kdiv[0, col]
-                dupc = (1.0 if col == 1 else 0.0) - kdiv[1, col]
+                dup = (1.0 if col == 0 else 0.0) - kdiv[0][col]
+                dupc = (1.0 if col == 1 else 0.0) - kdiv[1][col]
                 duq = (em * dup - e * dupc) / 2j
                 jac[..., DELTA, col] = kpp * duq
                 jac[..., XPLL, col] = kip * duq
@@ -387,9 +403,9 @@ def build_case2(params: dict | None = None) -> dict:
     om1, kp, ki, kpp, kip = (nn[k] for k in ("omega1", "kp", "ki", "kpp", "kip"))
     ff, c_sec, rt, kps, kis, ksogi = (nn[k] for k in ("ff", "c_sec", "rt", "ks", "kis", "ksogi"))
     s_ref = nn["s_ref"]
-    s_ref_c = np.conj(s_ref)
-    gf = np.linalg.inv(nn["lf_c"])
-    gg = np.linalg.inv(nn["lg_c"])
+    s_ref_c = s_ref.conjugate()
+    gf = np.linalg.inv(nn["lf_c"]).tolist()
+    gg = np.linalg.inv(nn["lg_c"]).tolist()
 
     u_pos0, xcp0, delta0 = nn["u_pos0"], nn["xc0"], nn["delta0"]
     xq0 = u_pos0 / (1j * om1)
@@ -407,7 +423,7 @@ def build_case2(params: dict | None = None) -> dict:
         def _pieces(t, xs):
             """Shared algebraic intermediates (everything except the bus voltage)
             of the state columns ``xs``."""
-            e = np.exp(1j * (om1 * t + xs[DELTA]))
+            e = _rotation(om1, t, xs[DELTA])
             em = 1.0 / e
             up = 0.5 * (xs[XS] + 1j * om1 * xs[XQ])
             upc = 0.5 * (xs[XSC] - 1j * om1 * xs[XQC])
@@ -423,27 +439,27 @@ def build_case2(params: dict | None = None) -> dict:
             return e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc
 
         def _rows(t, xs, upoc, upocc):
-            """The shared rows of f, in a fresh (..., n) array, at the state
-            columns ``xs`` and the bus voltage pair (upoc, upocc)."""
+            """The shared rows of f, in a list of ``n`` (None in the others),
+            at the state columns ``xs`` and the bus voltage pair (upoc, upocc)."""
             e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
-            out = np.zeros(e.shape + (n,), dtype=complex)
-            out[..., IC] = gf[0, 0] * (uc - upoc) + gf[0, 1] * (ucc - upocc)
-            out[..., ICC] = gf[1, 0] * (uc - upoc) + gf[1, 1] * (ucc - upocc)
-            out[..., XS] = om1 * ksogi * (upoc - xs[XS]) - om1**2 * xs[XQ]
-            out[..., XSC] = om1 * ksogi * (upocc - xs[XSC]) - om1**2 * xs[XQC]
-            out[..., XCP] = ki * (iref - em * xs[IC])
-            out[..., XCPC] = ki * (irefc - e * xs[ICC])
-            out[..., XCN] = -ki * e * xs[IC]
-            out[..., XCNC] = -ki * em * xs[ICC]
-            out[..., XQ] = xs[XS]
-            out[..., XQC] = xs[XSC]
-            out[..., XPLL] = kip * uq
-            out[..., DELTA] = kpp * uq + xs[XPLL]
+            out = [None] * n
+            out[IC] = gf[0][0] * (uc - upoc) + gf[0][1] * (ucc - upocc)
+            out[ICC] = gf[1][0] * (uc - upoc) + gf[1][1] * (ucc - upocc)
+            out[XS] = om1 * ksogi * (upoc - xs[XS]) - om1**2 * xs[XQ]
+            out[XSC] = om1 * ksogi * (upocc - xs[XSC]) - om1**2 * xs[XQC]
+            out[XCP] = ki * (iref - em * xs[IC])
+            out[XCPC] = ki * (irefc - e * xs[ICC])
+            out[XCN] = -ki * e * xs[IC]
+            out[XCNC] = -ki * em * xs[ICC]
+            out[XQ] = xs[XS]
+            out[XQC] = xs[XSC]
+            out[XPLL] = kip * uq
+            out[DELTA] = kpp * uq + xs[XPLL]
             # Both channels of the reference PI must act on the conjugated power
             # error (i* ∝ conj of the power mismatch); integrating the plain error
             # instead turns the loop into ẋ ∝ -x*, a saddle with eigenvalues ±k.
-            out[..., XSD] = kis * (s_ref_c - sc)
-            out[..., XSDC] = kis * (s_ref - s)
+            out[XSD] = kis * (s_ref_c - sc)
+            out[XSDC] = kis * (s_ref - s)
             return out
 
         def _jac_rows(t, xs):
@@ -452,7 +468,8 @@ def build_case2(params: dict | None = None) -> dict:
             converter-current rows, plus the gradient rows ∂uc/∂x and ∂ucc/∂x
             that each loop builds its converter-current rows from."""
             e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
-            z = np.zeros(e.shape + (n,), dtype=complex)
+            ec, emc = np.asarray(e)[..., None], np.asarray(em)[..., None]
+            z = np.zeros(np.shape(e) + (n,), dtype=complex)
             dup, dupc = z.copy(), z.copy()
             dup[..., XS] = 0.5
             dup[..., XQ] = 0.5j * om1
@@ -469,20 +486,20 @@ def build_case2(params: dict | None = None) -> dict:
             diref[..., XSD] += 1.0
             direfc = -kps * ds
             direfc[..., XSDC] += 1.0
-            duq = (em[..., None] * dup - e[..., None] * dupc) / 2j
+            duq = (emc * dup - ec * dupc) / 2j
             duq[..., DELTA] += -(em * up + e * upc) / 2.0
-            duc = kp * e[..., None] * diref
+            duc = kp * ec * diref
             duc[..., IC] += -2.0 * kp + 1j * ff
             duc[..., XCP] += e
             duc[..., XCN] += em
             duc[..., DELTA] += 1j * e * (kp * iref + xs[XCP]) - 1j * em * xs[XCN]
-            ducc = kp * em[..., None] * direfc
+            ducc = kp * emc * direfc
             ducc[..., ICC] += -2.0 * kp - 1j * ff
             ducc[..., XCPC] += em
             ducc[..., XCNC] += e
             ducc[..., DELTA] += -1j * em * (kp * irefc + xs[XCPC]) + 1j * e * xs[XCNC]
 
-            jac = np.zeros(e.shape + (n, n), dtype=complex)
+            jac = np.zeros(np.shape(e) + (n, n), dtype=complex)
             jac[..., XCP, :] = ki * diref
             jac[..., XCP, IC] += -ki * em
             jac[..., XCP, DELTA] += 1j * ki * em * xs[IC]
@@ -516,11 +533,11 @@ def build_case2(params: dict | None = None) -> dict:
         upocc = xs[UFC] + rt * (xs[ICC] - xs[IGC])
         ug, ugc = us[0], us[1]
         out = cl_rows(t, xs, upoc, upocc)
-        out[..., UF] = (xs[IC] - xs[IG]) / c_sec
-        out[..., UFC] = (xs[ICC] - xs[IGC]) / c_sec
-        out[..., IG] = gg[0, 0] * (upoc - ug) + gg[0, 1] * (upocc - ugc)
-        out[..., IGC] = gg[1, 0] * (upoc - ug) + gg[1, 1] * (upocc - ugc)
-        return out
+        out[UF] = (xs[IC] - xs[IG]) / c_sec
+        out[UFC] = (xs[ICC] - xs[IGC]) / c_sec
+        out[IG] = gg[0][0] * (upoc - ug) + gg[0][1] * (upocc - ugc)
+        out[IGC] = gg[1][0] * (upoc - ug) + gg[1][1] * (upocc - ugc)
+        return _stacked(out)
 
     def cl_jac_state(t, x, u):
         jac, duc, ducc = cl_jac_rows(t, _columns(x))
@@ -532,23 +549,23 @@ def build_case2(params: dict | None = None) -> dict:
         dupocc[..., UFC] = 1.0
         dupocc[..., ICC] = rt
         dupocc[..., IGC] = -rt
-        jac[..., IC, :] = gf[0, 0] * (duc - dupoc) + gf[0, 1] * (ducc - dupocc)
-        jac[..., ICC, :] = gf[1, 0] * (duc - dupoc) + gf[1, 1] * (ducc - dupocc)
+        jac[..., IC, :] = gf[0][0] * (duc - dupoc) + gf[0][1] * (ducc - dupocc)
+        jac[..., ICC, :] = gf[1][0] * (duc - dupoc) + gf[1][1] * (ducc - dupocc)
         jac[..., UF, IC] = 1.0 / c_sec
         jac[..., UF, IG] = -1.0 / c_sec
         jac[..., UFC, ICC] = 1.0 / c_sec
         jac[..., UFC, IGC] = -1.0 / c_sec
-        jac[..., IG, :] = gg[0, 0] * dupoc + gg[0, 1] * dupocc
-        jac[..., IGC, :] = gg[1, 0] * dupoc + gg[1, 1] * dupocc
+        jac[..., IG, :] = gg[0][0] * dupoc + gg[0][1] * dupocc
+        jac[..., IGC, :] = gg[1][0] * dupoc + gg[1][1] * dupocc
         jac[..., XS, :] += om1 * ksogi * dupoc
         jac[..., XSC, :] += om1 * ksogi * dupocc
         return jac
 
     cl_b = np.zeros((18, 2), dtype=complex)
-    cl_b[IG, 0] = -gg[0, 0]
-    cl_b[IG, 1] = -gg[0, 1]
-    cl_b[IGC, 0] = -gg[1, 0]
-    cl_b[IGC, 1] = -gg[1, 1]
+    cl_b[IG, 0] = -gg[0][0]
+    cl_b[IG, 1] = -gg[0][1]
+    cl_b[IGC, 0] = -gg[1][0]
+    cl_b[IGC, 1] = -gg[1][1]
 
     output, out_js, out_ji = _current_output(18)
     closed = SystemModel(
@@ -581,23 +598,23 @@ def build_case2(params: dict | None = None) -> dict:
     def ol_dynamics(t, x, u):
         xs, us = _columns(x), _columns(u)
         out = ol_rows(t, xs, us[0], us[1])
-        out[..., oUF] = (us[0] - xs[oUF]) / rt / c_sec
-        out[..., oUFC] = (us[1] - xs[oUFC]) / rt / c_sec
-        return out
+        out[oUF] = (us[0] - xs[oUF]) / rt / c_sec
+        out[oUFC] = (us[1] - xs[oUFC]) / rt / c_sec
+        return _stacked(out)
 
     def ol_jac_state(t, x, u):
         jac, duc, ducc = ol_jac_rows(t, _columns(x))
-        jac[..., oIC, :] = gf[0, 0] * duc + gf[0, 1] * ducc
-        jac[..., oICC, :] = gf[1, 0] * duc + gf[1, 1] * ducc
+        jac[..., oIC, :] = gf[0][0] * duc + gf[0][1] * ducc
+        jac[..., oICC, :] = gf[1][0] * duc + gf[1][1] * ducc
         jac[..., oUF, oUF] = -1.0 / (rt * c_sec)
         jac[..., oUFC, oUFC] = -1.0 / (rt * c_sec)
         return jac
 
     ol_b = np.zeros((16, 2), dtype=complex)
-    ol_b[oIC, 0] = -gf[0, 0]
-    ol_b[oIC, 1] = -gf[0, 1]
-    ol_b[oICC, 0] = -gf[1, 0]
-    ol_b[oICC, 1] = -gf[1, 1]
+    ol_b[oIC, 0] = -gf[0][0]
+    ol_b[oIC, 1] = -gf[0][1]
+    ol_b[oICC, 0] = -gf[1][0]
+    ol_b[oICC, 1] = -gf[1][1]
     ol_b[oUF, 0] = 1.0 / (rt * c_sec)
     ol_b[oUFC, 1] = 1.0 / (rt * c_sec)
     ol_b[oXS, 0] = om1 * ksogi

@@ -31,8 +31,8 @@ from .analysis import (
 )
 from .cases import case_builder
 from .errors import MaxIterationsExceeded, SolverError, UsageError
-from .oracle import KICK_STATE, compare_waveforms, growth_rate_fit, integrate, \
-    kicked_response, last_period
+from .oracle import KICK_STATE, compare_waveforms, grid_steps, growth_rate_fit, \
+    integrate, kicked_response, last_period
 from .solver import SolverConfig, solve_pss
 from .spectral import spectrum_to_samples
 from .sweep import SweepAxis, SweepSpec, extract_region, run_sweep
@@ -438,9 +438,15 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
         _write_json(out / "verify_report.json", report)
 
     model = _model(config)
+    period, step = model.period, oracle_cfg["step"]
+    horizon = oracle_cfg["horizon_periods"] * period
+    onset = oracle_cfg["perturbation"]["onset_periods"] * period
+    # the solve's verdict picks the oracle run, so refuse a grid that either
+    # run would refuse before doing any of the work
+    grid_steps(step, horizon, period)
+    grid_steps(step, onset + horizon, period, onset)
     result = _solve(model, config, partial)
     labels = _labels(model)
-    period = model.period
     modes = mode_set(result.hss)
     weakest = modes.weakest
     report.update(converged=True, iterations=len(result.residual_history),
@@ -457,9 +463,7 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
         # inconsistent solve (cold-start settling would instead measure the
         # system's own transient, which for weakly damped cases outlasts any
         # reasonable horizon)
-        horizon = oracle_cfg["horizon_periods"] * period
-        traj = integrate(model, result.waveforms[0],
-                         horizon, oracle_cfg["step"])
+        traj = integrate(model, result.waveforms[0], horizon, step)
         report["oracle_diverged"] = traj.diverged
         if traj.diverged:
             report["rms_error"] = None
@@ -477,10 +481,8 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
         report["note"] = ("solver classifies this point Unstable; waveform "
                           "comparison skipped (the oracle cannot settle), "
                           "growth fit used instead")
-        onset = oracle_cfg["perturbation"]["onset_periods"] * period
-        t_end = onset + oracle_cfg["horizon_periods"] * period
-        traj = kicked_response(model, result.waveforms[0], onset, t_end,
-                               oracle_cfg["step"])
+        traj = kicked_response(model, result.waveforms[0], onset,
+                               onset + horizon, step)
         fit = growth_rate_fit(traj, KICK_STATE, onset, period)
         agrees = fit.rate > 0.0
         report["growth"] = {"rate": fit.rate, "floored": fit.floored,

@@ -48,6 +48,37 @@ class Trajectory:
             raise UsageError("times and states disagree on sample count")
 
 
+def grid_steps(step: float, span: float, period: float | None = None,
+               onset: float | None = None) -> tuple:
+    """``(n_steps, p, k_on)``: the whole RK4 steps of ``step`` in ``span``, in
+    one ``period`` and before ``onset`` (0 when not given).  The one statement
+    of the oracle's grid rules, which ``verify`` checks before it solves: at
+    most ``MAX_STEPS`` steps, at least 2 per period, at least one period of
+    samples, and one period before the onset and three from it on."""
+    if not step > 0:  # NaN fails it
+        raise UsageError(f"the RK4 step must be positive, got {step!r}")
+
+    def whole(what, seconds, least):
+        ratio = seconds / step
+        if not ratio <= MAX_STEPS:  # NaN fails it, an overflowed inf exceeds it
+            raise UsageError(f"{what}: {ratio:.6g} RK4 steps exceed the limit of "
+                             f"{MAX_STEPS}")
+        n = round(ratio)
+        if n < least or abs(ratio - n) > 1e-9 * ratio:
+            raise UsageError(f"{what}/step = {ratio!r} is not a whole number of at "
+                             f"least {least} steps")
+        return n
+
+    n_steps = whole("time span", span, 1)
+    p = 0 if period is None else whole("period", period, 2)
+    k_on = 0 if onset is None else whole("onset", onset, max(p, 1))
+    if n_steps + 1 < p:
+        raise UsageError("trajectory shorter than one period")
+    if onset is not None and n_steps + 1 - k_on < 3 * p:
+        raise UsageError("need at least three post-onset periods")
+    return n_steps, p, k_on
+
+
 def integrate(model: SystemModel, x0, t_span, step: float) -> Trajectory:
     """Fixed-step RK4 integration of ``model`` from ``x0`` over ``t_span``.
 
@@ -73,14 +104,7 @@ def integrate(model: SystemModel, x0, t_span, step: float) -> Trajectory:
         t0, t1 = 0.0, float(t_span)
     else:
         t0, t1 = (float(v) for v in t_span)
-    if step <= 0 or t1 <= t0:
-        raise UsageError("need step > 0 and t1 > t0")
-    ratio = (t1 - t0) / step
-    if not ratio <= MAX_STEPS:  # NaN fails it, an overflowed inf exceeds it
-        raise UsageError(f"{ratio:.6g} RK4 steps exceed the limit of {MAX_STEPS}")
-    n_steps = int(round(ratio))
-    if n_steps < 1 or abs(n_steps * step - (t1 - t0)) > 1e-9 * max(1.0, t1 - t0):
-        raise UsageError("time span must be a positive integer number of steps")
+    n_steps = grid_steps(step, t1 - t0)[0]
     x = np.asarray(x0, dtype=complex)
     if x.shape != (model.n_states,):
         raise UsageError(f"x0 must have shape ({model.n_states},), got {x.shape}")
@@ -91,15 +115,16 @@ def integrate(model: SystemModel, x0, t_span, step: float) -> Trajectory:
     states = np.empty((n_steps + 1, model.n_states), dtype=complex)
     states[0] = x
     f = model.dynamics
-    half = 0.5 * step
+    half, sixth = 0.5 * step, step / 6.0
     for k in range(n_steps):
-        t = times[k]
+        # a Python float, bit-equal to times[k], keeps a model's scalar path
+        t = t0 + step * k
         u0, um, u1 = u_half[2 * k], u_half[2 * k + 1], u_half[2 * k + 2]
         k1 = f(t, x, u0)
         k2 = f(t + half, x + half * k1, um)
         k3 = f(t + half, x + half * k2, um)
         k4 = f(t + step, x + step * k3, u1)
-        x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # one comparison catches both: NaN fails it and inf exceeds the limit
         if not np.abs(x).max() <= DIVERGENCE_LIMIT:
             return Trajectory(times=times[:k + 1], states=states[:k + 1], step=step,
@@ -117,14 +142,8 @@ def last_period(traj: Trajectory, period: float):
         ``times`` has ``P = T/step`` samples covering ``[t_k, t_k + T)`` with
         ``t_k`` a multiple of the period.
     """
-    if period <= 0:
-        raise UsageError("period must be positive")
-    p = int(round(period / traj.step))
-    if p < 2 or abs(p * traj.step - period) > 1e-9 * period:
-        raise UsageError("period must be an integer multiple of the trajectory step")
     n_samples = traj.states.shape[0]
-    if n_samples < p:
-        raise UsageError("trajectory shorter than one period")
+    p = grid_steps(traj.step, (n_samples - 1) * traj.step, period)[1]
     phase0 = (-int(round((traj.times[0] % period) / traj.step))) % p
     start_max = n_samples - p
     start = start_max - ((start_max - phase0) % p)
@@ -214,17 +233,11 @@ def growth_rate_fit(traj: Trajectory, state_index: int, onset: float,
         the numeric floor (fast decay — rate pinned to a large negative value).
     """
     h = traj.step
-    p = int(round(period / h))
-    k_on = int(round((onset - traj.times[0]) / h))
-    if k_on < p:
-        raise UsageError("need at least one settled period before onset")
-    if k_on >= traj.states.shape[0]:
-        raise UsageError("onset beyond trajectory end")
+    _, p, k_on = grid_steps(h, (traj.states.shape[0] - 1) * h, period,
+                            onset - traj.times[0])
     ref = traj.states[k_on - p:k_on, state_index]
     post = traj.states[k_on:, state_index]
     n_periods = post.shape[0] // p
-    if n_periods < 3:
-        raise UsageError("need at least three post-onset periods")
     resid = post[:n_periods * p].reshape(n_periods, p) - ref[None, :]
     env = np.sqrt(np.mean(np.abs(resid)**2, axis=1))
     t_env = traj.times[k_on] + (np.arange(n_periods) + 0.5) * period

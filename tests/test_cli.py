@@ -530,6 +530,29 @@ class TestConfigHandling:
             f"error: 400 samples cannot resolve harmonics cleanly at n_harmonics "
             f"{n_harmonics}, which needs {need} per period\n")
 
+    @pytest.mark.parametrize("oracle, message", [
+        # 5e11 steps over the 25-period horizon
+        ({"step": 1e-12}, "exceed the limit"),
+        # a whole 20,000-step horizon, but 666.67 steps per period
+        ({"step": 3e-5, "horizon_periods": 30}, "period/step"),
+        # the verdict, and so the oracle run, is known only after the solve:
+        # a default stable point still needs a grid the kicked run accepts
+        ({"horizon_periods": 2}, "three post-onset periods"),
+        ({"perturbation": {"onset_periods": 0.5}}, "onset/step"),
+    ], ids=["tiny_step", "fractional_period", "short_horizon", "early_onset"])
+    def test_bad_oracle_grid_exits_before_solve(self, oracle, message, tmp_path, capsys,
+                                                monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("verify solved before checking its oracle grid")
+
+        monkeypatch.setattr(cli, "solve_pss", no_solve)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oracle": oracle}))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and message in lines[0]
+
     @pytest.mark.parametrize("argv", [["bogus"], ["solve", "--workers", "x"], []],
                              ids=["unknown_command", "workers_not_int", "no_command"])
     def test_parser_error_exits_1(self, argv, capsys):

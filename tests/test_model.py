@@ -74,6 +74,17 @@ class TestSingleStateCalls:
             err = np.max(np.abs(single - batch[k]))
             assert err <= 1e-14 * np.max(np.abs(batch[k]))
 
+    @pytest.mark.parametrize("model", list(all_variants()), ids=lambda m: m.name)
+    def test_numpy_scalar_time_matches_float_time(self, model, rng):
+        # the oracle passes Python-float times; a caller's np.float64 time
+        # must take the same single-state arithmetic, bit for bit
+        for t in rng.uniform(0.0, model.period, size=20):
+            x = 0.5 * (rng.standard_normal(model.n_states)
+                       + 1j * rng.standard_normal(model.n_states))
+            u = model.input_fn(np.array([t]))[0]
+            assert isinstance(t, np.float64)
+            assert np.array_equal(model.dynamics(float(t), x, u), model.dynamics(t, x, u))
+
 
 class TestBatchedLayout:
     @pytest.mark.parametrize("model", list(all_variants()), ids=lambda m: m.name)

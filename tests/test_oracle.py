@@ -74,6 +74,36 @@ class TestIntegrate:
         with pytest.raises(UsageError, match="exceed the limit"):
             integrate(model, [1.0], t_span, step)
 
+    @pytest.mark.parametrize("which", ["linear", "case1"])
+    def test_matches_rk4_recursion_bit_for_bit(self, which, case1_balanced):
+        # integrate evaluates the classical RK4 sums in this order; any
+        # reordering moves the last bits of the trajectory
+        if which == "linear":
+            model = linear_model(
+                np.array([[-1.0, 0.5j], [-30.0, -2.0]]),
+                input_fn=lambda t: np.stack([np.cos(OM1 * t), np.sin(OM1 * t)], axis=-1)
+                + 0j)
+            x0 = np.array([1.0, 0.5j])
+        else:
+            model, result = case1_balanced
+            x0 = result.waveforms[0]
+        h, n = 5e-5, 200
+        traj = integrate(model, x0, n * h, h)
+        u = model.input_fn(0.5 * h * np.arange(2 * n + 1))
+        f = model.dynamics
+        x = np.asarray(x0, dtype=complex)
+        expected = [x]
+        for k in range(n):
+            t = h * k
+            k1 = f(t, x, u[2 * k])
+            k2 = f(t + 0.5 * h, x + 0.5 * h * k1, u[2 * k + 1])
+            k3 = f(t + 0.5 * h, x + 0.5 * h * k2, u[2 * k + 1])
+            k4 = f(t + h, x + h * k3, u[2 * k + 2])
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            expected.append(x)
+        assert not traj.diverged
+        assert np.array_equal(traj.states, np.array(expected))
+
     def test_explicit_start_time(self):
         model = linear_model(np.array([[-1.0]]))
         traj = integrate(model, [1.0], (0.5, 1.5), 1e-3)
