@@ -16,8 +16,9 @@ Both factories return closed-loop and open-loop variants.  The closed loop
 is driven by the grid-voltage complex pair; the open loop is the converter
 subsystem, PLL included, driven directly by its terminal-bus voltage, which is
 the model an impedance/frequency scan linearizes.  Case I's open loop is its
-closed loop at zero grid inductance; case II's drops the grid-current states
-and evaluates the shared equations on its own 16-state layout.
+closed loop at zero grid inductance.  Case II's closed loop is its open loop
+driven by the bus voltage, whose 16 states come first, plus the grid-current
+pair, last.
 
 All states are per-unit (voltage base = peak phase voltage, current base =
 peak phase current, time in seconds), so solver norms and waveform
@@ -138,13 +139,12 @@ CASE2_LABELS = (
     "x_cdq_p", "x_cdq_p_conj",
     "x_cdq_n", "x_cdq_n_conj",
     "u_fc", "u_fc_conj",
-    "i_g", "i_g_conj",
     "x_sogi", "x_sogi_conj",
     "x_sogi_q", "x_sogi_q_conj",
     "x_pll", "delta_pll",
     "x_sdq", "x_sdq_conj",
+    "i_g", "i_g_conj",
 )
-CASE2_OPEN_LABELS = tuple(l for l in CASE2_LABELS if not l.startswith("i_g"))
 
 
 def make_params(case: str, overrides: dict | None = None) -> dict:
@@ -382,21 +382,21 @@ def build_case1(params: dict | None = None) -> dict:
 def build_case2(params: dict | None = None) -> dict:
     """Case system II models.
 
-    Closed loop (18 states): converter current behind the symmetric L filter,
-    dual-frame current control (positive frame carries the inductive
-    feedforward; negative frame regulates to zero), filter-capacitor voltage
-    with series damping resistor defining the bus voltage, grid current
-    through the asymmetric grid inductance, SOGI in-phase/quadrature states
-    whose combination extracts the positive-sequence bus voltage for PLL and
-    power control, PLL, and the power-controller integrator producing the
-    positive-frame current reference.
+    Open loop (16 states): converter current behind the L filter, dual-frame
+    current control (positive frame carries the inductive feedforward;
+    negative frame regulates to zero), filter-capacitor voltage, SOGI
+    in-phase/quadrature states whose combination extracts the
+    positive-sequence bus voltage for PLL and power control, PLL, and the
+    power-controller integrator producing the positive-frame current
+    reference.  Its input is the bus voltage u_poc, which feeds the capacitor
+    through the damping resistor, i_cap = (u_poc − u_f)/r; the exported
+    current i_c − i_cap is a genuine feedthrough term in the scan.
 
-    Open loop (16 states): the grid current pair is removed and the bus is
-    driven by the input voltage; the capacitor branch stays on the converter
-    side, so the exported current is i_c − i_cap with i_cap flowing through
-    the damping resistor — a genuine feedthrough term in the scan.  It
-    evaluates the equations it shares with the closed loop on its own
-    16-state layout, so its callables fill arrays of their own size.
+    Closed loop (18 states): the same open loop driven by the bus voltage
+    u_poc = u_f + r(i_c − i_g), so i_cap = i_c − i_g, plus the grid current
+    pair i_g through the asymmetric grid inductance, last in the state order.
+    u_poc is linear in the state, so by the chain rule the closed loop's state
+    Jacobian is the open loop's plus the constant B·∂u_poc/∂x.
     """
     p = make_params("case2", params)
     nn = _norms(p)
@@ -404,249 +404,199 @@ def build_case2(params: dict | None = None) -> dict:
     ff, c_sec, rt, kps, kis, ksogi = (nn[k] for k in ("ff", "c_sec", "rt", "ks", "kis", "ksogi"))
     s_ref = nn["s_ref"]
     s_ref_c = s_ref.conjugate()
-    gf = np.linalg.inv(nn["lf_c"]).tolist()
-    gg = np.linalg.inv(nn["lg_c"]).tolist()
+    lf_inv, lg_inv = np.linalg.inv(nn["lf_c"]), np.linalg.inv(nn["lg_c"])
+    gf = lf_inv.tolist()
+    gg = lg_inv.tolist()
 
     u_pos0, xcp0, delta0 = nn["u_pos0"], nn["xc0"], nn["delta0"]
     xq0 = u_pos0 / (1j * om1)
 
-    (IC, ICC, XCP, XCPC, XCN, XCNC, UF, UFC, IG, IGC,
-     XS, XSC, XQ, XQC, XPLL, DELTA, XSD, XSDC) = range(18)
+    (IC, ICC, XCP, XCPC, XCN, XCNC, UF, UFC, XS, XSC, XQ, XQC,
+     XPLL, DELTA, XSD, XSDC, IG, IGC) = range(18)
 
-    SHARED = (IC, ICC, XCP, XCPC, XCN, XCNC, XS, XSC, XQ, XQC, XPLL, DELTA, XSD, XSDC)
+    def _pieces(t, xs):
+        """Algebraic intermediates (everything except the bus voltage) of the
+        state columns ``xs``."""
+        e = _rotation(om1, t, xs[DELTA])
+        em = 1.0 / e
+        up = 0.5 * (xs[XS] + 1j * om1 * xs[XQ])
+        upc = 0.5 * (xs[XSC] - 1j * om1 * xs[XQC])
+        s = up * xs[ICC]
+        sc = upc * xs[IC]
+        iref = kps * (s_ref_c - sc) + xs[XSD]
+        irefc = kps * (s_ref - s) + xs[XSDC]
+        uq = (em * up - e * upc) / 2j
+        uc = kp * (iref * e - xs[IC]) + e * xs[XCP] + 1j * ff * xs[IC] \
+            - kp * xs[IC] + em * xs[XCN]
+        ucc = kp * (irefc * em - xs[ICC]) + em * xs[XCPC] - 1j * ff * xs[ICC] \
+            - kp * xs[ICC] + e * xs[XCNC]
+        return e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc
 
-    def _shared_equations(n, IC, ICC, XCP, XCPC, XCN, XCNC, XS, XSC, XQ, XQC,
-                          XPLL, DELTA, XSD, XSDC):
-        """The equations both loops share, on a layout of ``n`` states that
-        puts each state of ``SHARED`` at the index passed for it."""
+    def _rows(t, xs, upoc, upocc, icap, icapc):
+        """The open loop's 16 rows of f at the state columns ``xs``, the bus
+        voltage pair (upoc, upocc) and the capacitor current pair."""
+        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
+        return [gf[0][0] * (uc - upoc) + gf[0][1] * (ucc - upocc),    # IC
+                gf[1][0] * (uc - upoc) + gf[1][1] * (ucc - upocc),    # ICC
+                ki * (iref - em * xs[IC]),                            # XCP
+                ki * (irefc - e * xs[ICC]),                           # XCPC
+                -ki * e * xs[IC],                                     # XCN
+                -ki * em * xs[ICC],                                   # XCNC
+                icap / c_sec,                                         # UF
+                icapc / c_sec,                                        # UFC
+                om1 * ksogi * (upoc - xs[XS]) - om1**2 * xs[XQ],      # XS
+                om1 * ksogi * (upocc - xs[XSC]) - om1**2 * xs[XQC],   # XSC
+                xs[XS],                                               # XQ
+                xs[XSC],                                              # XQC
+                kip * uq,                                             # XPLL
+                kpp * uq + xs[XPLL],                                  # DELTA
+                # Both channels of the reference PI must act on the conjugated
+                # power error (i* ∝ conj of the power mismatch); integrating
+                # the plain error instead turns the loop into ẋ ∝ -x*, a saddle
+                # with eigenvalues ±k.
+                kis * (s_ref_c - sc),                                 # XSD
+                kis * (s_ref - s)]                                    # XSDC
 
-        def _pieces(t, xs):
-            """Shared algebraic intermediates (everything except the bus voltage)
-            of the state columns ``xs``."""
-            e = _rotation(om1, t, xs[DELTA])
-            em = 1.0 / e
-            up = 0.5 * (xs[XS] + 1j * om1 * xs[XQ])
-            upc = 0.5 * (xs[XSC] - 1j * om1 * xs[XQC])
-            s = up * xs[ICC]
-            sc = upc * xs[IC]
-            iref = kps * (s_ref_c - sc) + xs[XSD]
-            irefc = kps * (s_ref - s) + xs[XSDC]
-            uq = (em * up - e * upc) / 2j
-            uc = kp * (iref * e - xs[IC]) + e * xs[XCP] + 1j * ff * xs[IC] \
-                - kp * xs[IC] + em * xs[XCN]
-            ucc = kp * (irefc * em - xs[ICC]) + em * xs[XCPC] - 1j * ff * xs[ICC] \
-                - kp * xs[ICC] + e * xs[XCNC]
-            return e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc
+    def _jac(t, xs, n):
+        """The open loop's 16×16 state Jacobian (:func:`_rows` at a fixed bus
+        voltage), the top-left block of a fresh (..., n, n) array."""
+        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
+        ec, emc = np.asarray(e)[..., None], np.asarray(em)[..., None]
+        z = np.zeros(np.shape(e) + (16,), dtype=complex)
+        dup, dupc = z.copy(), z.copy()
+        dup[..., XS] = 0.5
+        dup[..., XQ] = 0.5j * om1
+        dupc[..., XSC] = 0.5
+        dupc[..., XQC] = -0.5j * om1
+        ds, dsc = z.copy(), z.copy()
+        ds[..., XS] = 0.5 * xs[ICC]
+        ds[..., XQ] = 0.5j * om1 * xs[ICC]
+        ds[..., ICC] = up
+        dsc[..., XSC] = 0.5 * xs[IC]
+        dsc[..., XQC] = -0.5j * om1 * xs[IC]
+        dsc[..., IC] = upc
+        diref = -kps * dsc
+        diref[..., XSD] += 1.0
+        direfc = -kps * ds
+        direfc[..., XSDC] += 1.0
+        duq = (emc * dup - ec * dupc) / 2j
+        duq[..., DELTA] += -(em * up + e * upc) / 2.0
+        duc = kp * ec * diref
+        duc[..., IC] += -2.0 * kp + 1j * ff
+        duc[..., XCP] += e
+        duc[..., XCN] += em
+        duc[..., DELTA] += 1j * e * (kp * iref + xs[XCP]) - 1j * em * xs[XCN]
+        ducc = kp * emc * direfc
+        ducc[..., ICC] += -2.0 * kp - 1j * ff
+        ducc[..., XCPC] += em
+        ducc[..., XCNC] += e
+        ducc[..., DELTA] += -1j * em * (kp * irefc + xs[XCPC]) + 1j * e * xs[XCNC]
 
-        def _rows(t, xs, upoc, upocc):
-            """The shared rows of f, in a list of ``n`` (None in the others),
-            at the state columns ``xs`` and the bus voltage pair (upoc, upocc)."""
-            e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
-            out = [None] * n
-            out[IC] = gf[0][0] * (uc - upoc) + gf[0][1] * (ucc - upocc)
-            out[ICC] = gf[1][0] * (uc - upoc) + gf[1][1] * (ucc - upocc)
-            out[XS] = om1 * ksogi * (upoc - xs[XS]) - om1**2 * xs[XQ]
-            out[XSC] = om1 * ksogi * (upocc - xs[XSC]) - om1**2 * xs[XQC]
-            out[XCP] = ki * (iref - em * xs[IC])
-            out[XCPC] = ki * (irefc - e * xs[ICC])
-            out[XCN] = -ki * e * xs[IC]
-            out[XCNC] = -ki * em * xs[ICC]
-            out[XQ] = xs[XS]
-            out[XQC] = xs[XSC]
-            out[XPLL] = kip * uq
-            out[DELTA] = kpp * uq + xs[XPLL]
-            # Both channels of the reference PI must act on the conjugated power
-            # error (i* ∝ conj of the power mismatch); integrating the plain error
-            # instead turns the loop into ẋ ∝ -x*, a saddle with eigenvalues ±k.
-            out[XSD] = kis * (s_ref_c - sc)
-            out[XSDC] = kis * (s_ref - s)
-            return out
+        full = np.zeros(np.shape(e) + (n, n), dtype=complex)
+        jac = full[..., :16, :16]
+        jac[..., IC, :] = gf[0][0] * duc + gf[0][1] * ducc
+        jac[..., ICC, :] = gf[1][0] * duc + gf[1][1] * ducc
+        jac[..., XCP, :] = ki * diref
+        jac[..., XCP, IC] += -ki * em
+        jac[..., XCP, DELTA] += 1j * ki * em * xs[IC]
+        jac[..., XCPC, :] = ki * direfc
+        jac[..., XCPC, ICC] += -ki * e
+        jac[..., XCPC, DELTA] += -1j * ki * e * xs[ICC]
+        jac[..., XCN, IC] = -ki * e
+        jac[..., XCN, DELTA] = -1j * ki * e * xs[IC]
+        jac[..., XCNC, ICC] = -ki * em
+        jac[..., XCNC, DELTA] = 1j * ki * em * xs[ICC]
+        jac[..., UF, UF] = -1.0 / (rt * c_sec)
+        jac[..., UFC, UFC] = -1.0 / (rt * c_sec)
+        jac[..., XS, XS] = -om1 * ksogi
+        jac[..., XS, XQ] = -om1**2
+        jac[..., XSC, XSC] = -om1 * ksogi
+        jac[..., XSC, XQC] = -om1**2
+        jac[..., XQ, XS] = 1.0
+        jac[..., XQC, XSC] = 1.0
+        jac[..., XPLL, :] = kip * duq
+        jac[..., DELTA, :] = kpp * duq
+        jac[..., DELTA, XPLL] += 1.0
+        jac[..., XSD, :] = -kis * dsc
+        jac[..., XSDC, :] = -kis * ds
+        return full
 
-        def _jac_rows(t, xs):
-            """Jacobian twin of :func:`_rows`: a fresh (..., n, n) state
-            Jacobian holding its rows less their bus-voltage terms and less the
-            converter-current rows, plus the gradient rows ∂uc/∂x and ∂ucc/∂x
-            that each loop builds its converter-current rows from."""
-            e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
-            ec, emc = np.asarray(e)[..., None], np.asarray(em)[..., None]
-            z = np.zeros(np.shape(e) + (n,), dtype=complex)
-            dup, dupc = z.copy(), z.copy()
-            dup[..., XS] = 0.5
-            dup[..., XQ] = 0.5j * om1
-            dupc[..., XSC] = 0.5
-            dupc[..., XQC] = -0.5j * om1
-            ds, dsc = z.copy(), z.copy()
-            ds[..., XS] = 0.5 * xs[ICC]
-            ds[..., XQ] = 0.5j * om1 * xs[ICC]
-            ds[..., ICC] = up
-            dsc[..., XSC] = 0.5 * xs[IC]
-            dsc[..., XQC] = -0.5j * om1 * xs[IC]
-            dsc[..., IC] = upc
-            diref = -kps * dsc
-            diref[..., XSD] += 1.0
-            direfc = -kps * ds
-            direfc[..., XSDC] += 1.0
-            duq = (emc * dup - ec * dupc) / 2j
-            duq[..., DELTA] += -(em * up + e * upc) / 2.0
-            duc = kp * ec * diref
-            duc[..., IC] += -2.0 * kp + 1j * ff
-            duc[..., XCP] += e
-            duc[..., XCN] += em
-            duc[..., DELTA] += 1j * e * (kp * iref + xs[XCP]) - 1j * em * xs[XCN]
-            ducc = kp * emc * direfc
-            ducc[..., ICC] += -2.0 * kp - 1j * ff
-            ducc[..., XCPC] += em
-            ducc[..., XCNC] += e
-            ducc[..., DELTA] += -1j * em * (kp * irefc + xs[XCPC]) + 1j * e * xs[XCNC]
-
-            jac = np.zeros(np.shape(e) + (n, n), dtype=complex)
-            jac[..., XCP, :] = ki * diref
-            jac[..., XCP, IC] += -ki * em
-            jac[..., XCP, DELTA] += 1j * ki * em * xs[IC]
-            jac[..., XCPC, :] = ki * direfc
-            jac[..., XCPC, ICC] += -ki * e
-            jac[..., XCPC, DELTA] += -1j * ki * e * xs[ICC]
-            jac[..., XCN, IC] = -ki * e
-            jac[..., XCN, DELTA] = -1j * ki * e * xs[IC]
-            jac[..., XCNC, ICC] = -ki * em
-            jac[..., XCNC, DELTA] = 1j * ki * em * xs[ICC]
-            jac[..., XS, XS] = -om1 * ksogi
-            jac[..., XS, XQ] = -om1**2
-            jac[..., XSC, XSC] = -om1 * ksogi
-            jac[..., XSC, XQC] = -om1**2
-            jac[..., XQ, XS] = 1.0
-            jac[..., XQC, XSC] = 1.0
-            jac[..., XPLL, :] = kip * duq
-            jac[..., DELTA, :] = kpp * duq
-            jac[..., DELTA, XPLL] += 1.0
-            jac[..., XSD, :] = -kis * dsc
-            jac[..., XSDC, :] = -kis * ds
-            return jac, duc, ducc
-
-        return _rows, _jac_rows
-
-    cl_rows, cl_jac_rows = _shared_equations(18, *SHARED)
-
-    def cl_dynamics(t, x, u):
-        xs, us = _columns(x), _columns(u)
-        upoc = xs[UF] + rt * (xs[IC] - xs[IG])
-        upocc = xs[UFC] + rt * (xs[ICC] - xs[IGC])
-        ug, ugc = us[0], us[1]
-        out = cl_rows(t, xs, upoc, upocc)
-        out[UF] = (xs[IC] - xs[IG]) / c_sec
-        out[UFC] = (xs[ICC] - xs[IGC]) / c_sec
-        out[IG] = gg[0][0] * (upoc - ug) + gg[0][1] * (upocc - ugc)
-        out[IGC] = gg[1][0] * (upoc - ug) + gg[1][1] * (upocc - ugc)
-        return _stacked(out)
-
-    def cl_jac_state(t, x, u):
-        jac, duc, ducc = cl_jac_rows(t, _columns(x))
-        dupoc = np.zeros(duc.shape, dtype=complex)
-        dupoc[..., UF] = 1.0
-        dupoc[..., IC] = rt
-        dupoc[..., IG] = -rt
-        dupocc = np.zeros(duc.shape, dtype=complex)
-        dupocc[..., UFC] = 1.0
-        dupocc[..., ICC] = rt
-        dupocc[..., IGC] = -rt
-        jac[..., IC, :] = gf[0][0] * (duc - dupoc) + gf[0][1] * (ducc - dupocc)
-        jac[..., ICC, :] = gf[1][0] * (duc - dupoc) + gf[1][1] * (ducc - dupocc)
-        jac[..., UF, IC] = 1.0 / c_sec
-        jac[..., UF, IG] = -1.0 / c_sec
-        jac[..., UFC, ICC] = 1.0 / c_sec
-        jac[..., UFC, IGC] = -1.0 / c_sec
-        jac[..., IG, :] = gg[0][0] * dupoc + gg[0][1] * dupocc
-        jac[..., IGC, :] = gg[1][0] * dupoc + gg[1][1] * dupocc
-        jac[..., XS, :] += om1 * ksogi * dupoc
-        jac[..., XSC, :] += om1 * ksogi * dupocc
-        return jac
-
-    cl_b = np.zeros((18, 2), dtype=complex)
-    cl_b[IG, 0] = -gg[0][0]
-    cl_b[IG, 1] = -gg[0][1]
-    cl_b[IGC, 0] = -gg[1][0]
-    cl_b[IGC, 1] = -gg[1][1]
-
-    output, out_js, out_ji = _current_output(18)
-    closed = SystemModel(
-        n_states=18, n_inputs=2, n_outputs=2, omega1=om1,
-        dynamics=cl_dynamics, output=output,
-        jac_state=cl_jac_state, jac_input=_const_jac(cl_b),
-        out_jac_state=out_js, out_jac_input=out_ji,
-        input_fn=_pair_waveform(nn["u_ga"], nn["u_gbeta"], om1),
-        state_labels=CASE2_LABELS,
-        conjugate_pairs=((IC, ICC), (XCP, XCPC), (XCN, XCNC), (UF, UFC),
-                         (IG, IGC), (XS, XSC), (XQ, XQC), (XSD, XSDC)),
-        spectral_seeds=((IC, +1, s_ref_c), (ICC, -1, s_ref),
-                        (IG, +1, s_ref_c), (IGC, -1, s_ref),
-                        (XCP, 0, xcp0), (XCPC, 0, np.conj(xcp0)),
-                        (UF, +1, u_pos0), (UFC, -1, np.conj(u_pos0)),
-                        (XS, +1, u_pos0), (XSC, -1, np.conj(u_pos0)),
-                        (XQ, +1, xq0), (XQC, -1, np.conj(xq0)),
-                        (DELTA, 0, delta0),
-                        (XSD, 0, s_ref_c), (XSDC, 0, s_ref)),
-        name="case2",
-    )
-
-    # -- open loop: drop grid current, drive the bus directly ---------------
-    # the open loop's states in their closed-loop order, grid current left out
-    _omap = tuple(k for k in range(18) if k not in (IG, IGC))
-    _slot = {full: i for i, full in enumerate(_omap)}
-    oIC, oICC, oUF, oUFC, oXS, oXSC = (_slot[k] for k in (IC, ICC, UF, UFC, XS, XSC))
-    ol_rows, ol_jac_rows = _shared_equations(16, *(_slot[k] for k in SHARED))
-
+    # -- open loop: driven by the bus voltage -------------------------------
     def ol_dynamics(t, x, u):
         xs, us = _columns(x), _columns(u)
-        out = ol_rows(t, xs, us[0], us[1])
-        out[oUF] = (us[0] - xs[oUF]) / rt / c_sec
-        out[oUFC] = (us[1] - xs[oUFC]) / rt / c_sec
-        return _stacked(out)
+        return _stacked(_rows(t, xs, us[0], us[1],
+                              (us[0] - xs[UF]) / rt, (us[1] - xs[UFC]) / rt))
 
     def ol_jac_state(t, x, u):
-        jac, duc, ducc = ol_jac_rows(t, _columns(x))
-        jac[..., oIC, :] = gf[0][0] * duc + gf[0][1] * ducc
-        jac[..., oICC, :] = gf[1][0] * duc + gf[1][1] * ducc
-        jac[..., oUF, oUF] = -1.0 / (rt * c_sec)
-        jac[..., oUFC, oUFC] = -1.0 / (rt * c_sec)
-        return jac
+        return _jac(t, _columns(x), 16)
 
     ol_b = np.zeros((16, 2), dtype=complex)
-    ol_b[oIC, 0] = -gf[0][0]
-    ol_b[oIC, 1] = -gf[0][1]
-    ol_b[oICC, 0] = -gf[1][0]
-    ol_b[oICC, 1] = -gf[1][1]
-    ol_b[oUF, 0] = 1.0 / (rt * c_sec)
-    ol_b[oUFC, 1] = 1.0 / (rt * c_sec)
-    ol_b[oXS, 0] = om1 * ksogi
-    ol_b[oXSC, 1] = om1 * ksogi
+    ol_b[[IC, ICC]] = -lf_inv
+    ol_b[[UF, UFC], [0, 1]] = 1.0 / (rt * c_sec)
+    ol_b[[XS, XSC], [0, 1]] = om1 * ksogi
 
     def ol_output(t, x, u):
         x = np.asarray(x, dtype=complex)
         u = np.asarray(u, dtype=complex)
-        icap = (u[..., 0] - x[..., oUF]) / rt
-        icapc = (u[..., 1] - x[..., oUFC]) / rt
-        return np.stack([x[..., oIC] - icap, x[..., oICC] - icapc], axis=-1)
+        icap = (u[..., 0] - x[..., UF]) / rt
+        icapc = (u[..., 1] - x[..., UFC]) / rt
+        return np.stack([x[..., IC] - icap, x[..., ICC] - icapc], axis=-1)
 
     ol_c = np.zeros((2, 16), dtype=complex)
-    ol_c[0, oIC] = 1.0
-    ol_c[0, oUF] = 1.0 / rt
-    ol_c[1, oICC] = 1.0
-    ol_c[1, oUFC] = 1.0 / rt
+    ol_c[[0, 1], [IC, ICC]] = 1.0
+    ol_c[[0, 1], [UF, UFC]] = 1.0 / rt
     ol_d = np.diag([-1.0 / rt, -1.0 / rt]).astype(complex)
 
+    # -- closed loop: the open loop at u_poc = u_f + r(i_c − i_g) -----------
+    def cl_dynamics(t, x, u):
+        xs, us = _columns(x), _columns(u)
+        icap, icapc = xs[IC] - xs[IG], xs[ICC] - xs[IGC]
+        upoc, upocc = xs[UF] + rt * icap, xs[UFC] + rt * icapc
+        d1, d2 = upoc - us[0], upocc - us[1]
+        return _stacked(_rows(t, xs, upoc, upocc, icap, icapc)
+                        + [gg[0][0] * d1 + gg[0][1] * d2,     # IG
+                           gg[1][0] * d1 + gg[1][1] * d2])    # IGC
+
+    # P = ∂u_poc/∂x; the open loop's rows see u_poc through ol_b, the grid
+    # current's through L_g⁻¹
+    dupoc = np.zeros((2, 18), dtype=complex)
+    dupoc[0, [UF, IC, IG]] = 1.0, rt, -rt
+    dupoc[1, [UFC, ICC, IGC]] = 1.0, rt, -rt
+    cl_chain = np.vstack([ol_b @ dupoc, lg_inv @ dupoc])
+
+    def cl_jac_state(t, x, u):
+        jac = _jac(t, _columns(x), 18)
+        jac += cl_chain
+        return jac
+
+    cl_b = np.zeros((18, 2), dtype=complex)
+    cl_b[IG:] = -lg_inv
+
+    pairs = ((IC, ICC), (XCP, XCPC), (XCN, XCNC), (UF, UFC), (XS, XSC), (XQ, XQC),
+             (XSD, XSDC))
+    seeds = ((IC, +1, s_ref_c), (ICC, -1, s_ref),
+             (XCP, 0, xcp0), (XCPC, 0, np.conj(xcp0)),
+             (UF, +1, u_pos0), (UFC, -1, np.conj(u_pos0)),
+             (XS, +1, u_pos0), (XSC, -1, np.conj(u_pos0)),
+             (XQ, +1, xq0), (XQC, -1, np.conj(xq0)),
+             (DELTA, 0, delta0),
+             (XSD, 0, s_ref_c), (XSDC, 0, s_ref))
+    shared = dict(n_inputs=2, n_outputs=2, omega1=om1,
+                  input_fn=_pair_waveform(nn["u_ga"], nn["u_gbeta"], om1))
+    output, out_js, out_ji = _current_output(18)
+    closed = SystemModel(
+        n_states=18, dynamics=cl_dynamics, output=output,
+        jac_state=cl_jac_state, jac_input=_const_jac(cl_b),
+        out_jac_state=out_js, out_jac_input=out_ji,
+        state_labels=CASE2_LABELS, conjugate_pairs=pairs + ((IG, IGC),),
+        spectral_seeds=seeds + ((IG, +1, s_ref_c), (IGC, -1, s_ref)),
+        name="case2", **shared)
     open_loop = SystemModel(
-        n_states=16, n_inputs=2, n_outputs=2, omega1=om1,
-        dynamics=ol_dynamics, output=ol_output,
+        n_states=16, dynamics=ol_dynamics, output=ol_output,
         jac_state=ol_jac_state, jac_input=_const_jac(ol_b),
         out_jac_state=_const_jac(ol_c), out_jac_input=_const_jac(ol_d),
-        input_fn=_pair_waveform(nn["u_ga"], nn["u_gbeta"], om1),
-        state_labels=CASE2_OPEN_LABELS,
-        conjugate_pairs=tuple((_slot[i], _slot[j]) for i, j in closed.conjugate_pairs
-                              if i in _slot),
-        spectral_seeds=tuple((_slot[i], k, v) for i, k, v in closed.spectral_seeds
-                             if i in _slot),
-        name="case2_open",
-    )
+        state_labels=CASE2_LABELS[:16], conjugate_pairs=pairs, spectral_seeds=seeds,
+        name="case2_open", **shared)
     return {"closed_loop": closed, "open_loop": open_loop}
 
 

@@ -53,6 +53,10 @@ class SolverConfig:
             raise UsageError("n_harmonics must be >= 1")
         if self.tolerance <= 0 or self.max_iterations < 1:
             raise UsageError("tolerance must be positive, max_iterations >= 1")
+        # the condition estimate 1/rcond is at least 1: a lower limit refuses
+        # every iteration matrix, and NaN would switch the guard off
+        if not self.cond_limit >= 1:
+            raise UsageError(f"cond_limit must be >= 1 (got {self.cond_limit})")
 
     def grid(self, model: SystemModel) -> HarmonicGrid:
         """One fundamental period of ``model``, sampled every ``step``."""

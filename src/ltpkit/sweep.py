@@ -59,6 +59,11 @@ class SweepSpec:
     solver_config: SolverConfig = field(default_factory=SolverConfig)
     variant: str = "closed_loop"
 
+    def __post_init__(self):
+        # one cell overrides both names: axis 2 would overwrite axis 1
+        if self.axis1.name == self.axis2.name:
+            raise UsageError(f"both sweep axes name {self.axis1.name!r}")
+
 
 @dataclass
 class SweepResult:

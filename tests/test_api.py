@@ -114,6 +114,24 @@ class TestReadme:
         dumped = json.loads(capsys.readouterr().out)
         assert key_paths(readme_config()) == key_paths(dumped)
 
+    def test_quick_start_eig_line(self, tmp_path, capsys):
+        # the quick start's `eig` command prints what its `# ->` comment
+        # says; a token written with `...` is a prefix of the printed one
+        lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith("ltpkit eig "))
+        argv = lines[k].split()[1:]
+        assert argv[-2:] == ["--out", "out"]
+        assert lines[k + 1].startswith("# -> ")
+        expected = lines[k + 1].split()[2:]
+        assert main([*argv[:-1], str(tmp_path)]) == 0
+        printed = capsys.readouterr().out.split()
+        assert len(printed) == len(expected)
+        for want, got in zip(expected, printed):
+            if want.endswith("..."):
+                assert got.startswith(want[:-3]), (want, got)
+            else:
+                assert got == want
+
 
 def tracer_targets():
     """``TARGETS`` of bench/tracing.py: (module, attribute, span) triples."""

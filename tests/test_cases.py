@@ -116,6 +116,15 @@ class TestBuilders:
             assert m.n_inputs == 2
             assert len(m.state_labels) == m.n_states
 
+    def test_case2_closed_loop_extends_open_loop_layout(self):
+        # the closed loop is the open loop plus the grid-current pair, last
+        built = build_case2()
+        closed, open_loop = built["closed_loop"], built["open_loop"]
+        assert closed.state_labels[:16] == open_loop.state_labels
+        assert closed.state_labels[16:] == ("i_g", "i_g_conj")
+        assert closed.conjugate_pairs[:-1] == open_loop.conjugate_pairs
+        assert closed.conjugate_pairs[-1] == (16, 17)
+
     @pytest.mark.parametrize("builder", [build_case1, build_case2])
     def test_open_loop_ignores_grid_inductance(self, builder, rng):
         # the open loop is driven by its bus voltage: neither the grid

@@ -14,6 +14,7 @@ import pytest
 import scipy
 
 import ltpkit.solver
+import ltpkit.sweep
 from ltpkit import (DivergedTrajectory, MaxIterationsExceeded, SingularIterationMatrix,
                     SolverConfig, cli)
 from ltpkit.cli import _write_csv, main
@@ -552,6 +553,26 @@ class TestConfigHandling:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and message in lines[0]
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("sweep", {"sweep": {"axis1": {"name": "alpha_pll", "values": [10, 40]},
+                             "axis2": {"name": "alpha_pll", "values": [20, 30]}}},
+         "error: both sweep axes name 'alpha_pll'\n"),
+        ("solve", {"solver": {"cond_limit": -5}},
+         "error: cond_limit must be >= 1 (got -5.0)\n"),
+    ], ids=["same_axis_names", "cond_limit_below_1"])
+    def test_config_refused_before_solve(self, command, payload, message, tmp_path, capsys,
+                                         monkeypatch):
+        # a config no solve could honour is a usage error, not a solver failure
+        def no_solve(*args):
+            raise AssertionError("the refused config reached the solver")
+
+        monkeypatch.setattr(cli, "solve_pss", no_solve)
+        monkeypatch.setattr(ltpkit.sweep, "solve_pss", no_solve)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("argv", [["bogus"], ["solve", "--workers", "x"], []],
                              ids=["unknown_command", "workers_not_int", "no_command"])

@@ -46,6 +46,14 @@ class TestSolverConfig:
         with pytest.raises(UsageError):
             SolverConfig(max_iterations=0)
 
+    def test_cond_limit_below_one_rejected(self):
+        # LAPACK's reciprocal condition estimate is at most 1, so the
+        # condition estimate is at least 1: a lower limit refuses every matrix
+        for limit in (-5.0, 0.0, 0.999, float("nan")):
+            with pytest.raises(UsageError, match="cond_limit must be >= 1"):
+                SolverConfig(cond_limit=limit)
+        SolverConfig(cond_limit=1.0)
+
     def test_grid_refuses_unresolvable_harmonics(self):
         # refused where the grid is built, before any spectrum is allocated
         model = build_case1()["closed_loop"]

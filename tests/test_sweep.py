@@ -46,6 +46,11 @@ class TestAxes:
         with pytest.raises(UsageError):
             SweepAxis("alpha_pll", ())
 
+    def test_axes_name_different_parameters(self):
+        # one cell overrides both names, so axis 2 would overwrite axis 1
+        with pytest.raises(UsageError, match="both sweep axes name 'alpha_pll'"):
+            SweepSpec(SweepAxis("alpha_pll", (10.0, 40.0)), SweepAxis("alpha_pll", (20.0, 30.0)))
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_finite_required(self, bad):
         # the warm-start predictor divides by axis differences
