@@ -228,24 +228,31 @@ def _norms(p: dict) -> dict:
 
 def _columns(v):
     """``v`` indexed by state (or input) column: ``_columns(x)[k]`` is
-    ``x[..., k]`` for the ``(n,)`` and ``(M, n)`` shapes of the model
-    contract.  For a single ``(n,)`` state each column is a Python
-    ``complex``, so the equations of a single RK4 stage run on Python scalars
-    (one numpy scalar in an expression would make all of it numpy-scalar
-    arithmetic); for an ``(M, n)`` batch it is the strided view ``x.T``."""
+    ``x[..., k]`` for a list and the ``(n,)`` and ``(M, n)`` shapes of the
+    model contract.  A list, as the RK4 oracle passes, is taken as it is, and
+    an ``(n,)`` array becomes one, so the equations of a single state run on
+    Python scalars (one numpy scalar in an expression would make all of it
+    numpy-scalar arithmetic); for an ``(M, n)`` batch it is the strided view
+    ``x.T``."""
+    if type(v) is list:
+        return v
     v = np.asarray(v, dtype=complex)
     return v.tolist() if v.ndim == 1 else v.T
 
 
 def _rotation(om1, t, delta):
     """e^{j(ω₁t+δ)}: by ``cmath`` at a float time for one state's angle."""
-    if isinstance(delta, complex):
-        return cmath.exp(1j * (om1 * float(t) + delta))
-    return np.exp(1j * (om1 * t + delta))
+    if isinstance(delta, np.ndarray):
+        return np.exp(1j * (om1 * t + delta))
+    return cmath.exp(1j * (om1 * float(t) + delta))
 
 
-def _stacked(rows):
-    """f from its rows in state order: ``(n,)`` or C-ordered ``(M, n)``."""
+def _stacked(rows, x):
+    """f from its rows in state order, in the form of the state ``x``: the
+    row list itself for a list, ``(n,)`` for an ``(n,)`` array and C-ordered
+    ``(M, n)`` for a batch."""
+    if type(x) is list:
+        return rows
     if isinstance(rows[0], complex):
         return np.array(rows, dtype=complex)
     return np.stack(rows, axis=-1)
@@ -280,6 +287,7 @@ def build_case1(params: dict | None = None) -> dict:
     om1, kp, ki, kpp, kip, ff = (nn[k] for k in ("omega1", "kp", "ki", "kpp", "kip", "ff"))
     i_ref = nn["i_ref"]
     i_ref_c = i_ref.conjugate()
+    jff = 1j * ff
 
     IC, ICC, XC, XCC, DELTA, XPLL = range(6)
 
@@ -307,8 +315,8 @@ def build_case1(params: dict | None = None) -> dict:
             xs, us = _columns(x), _columns(u)
             e = _rotation(om1, t, xs[DELTA])
             em = 1.0 / e
-            uc = kp * (i_ref * e - xs[IC]) + xs[XC] * e + 1j * ff * xs[IC]
-            ucc = kp * (i_ref_c * em - xs[ICC]) + xs[XCC] * em - 1j * ff * xs[ICC]
+            uc = kp * (i_ref * e - xs[IC]) + xs[XC] * e + jff * xs[IC]
+            ucc = kp * (i_ref_c * em - xs[ICC]) + xs[XCC] * em - jff * xs[ICC]
             ug, ugc = us[0], us[1]
             d1, d2 = uc - ug, ucc - ugc
             upoc = ug + kdiv[0][0] * d1 + kdiv[0][1] * d2
@@ -323,7 +331,7 @@ def build_case1(params: dict | None = None) -> dict:
                              ki * (i_ref - em * xs[IC]),          # XC
                              ki * (i_ref_c - e * xs[ICC]),        # XCC
                              kpp * uq + xs[XPLL],                 # DELTA
-                             kip * uq])                           # XPLL
+                             kip * uq], x)                        # XPLL
 
         def jac_state(t, x, u):
             xs, e, em, _, _, upoc, upocc = _bus(t, x, u)
@@ -331,8 +339,8 @@ def build_case1(params: dict | None = None) -> dict:
             # ∂(uc, ucc)/∂x by column; the columns left out are zero
             zero = np.zeros(np.shape(e), dtype=complex)
             for col, (a, b) in {
-                IC: (-kp + 1j * ff + zero, zero),
-                ICC: (zero, -kp - 1j * ff + zero),
+                IC: (-kp + jff + zero, zero),
+                ICC: (zero, -kp - jff + zero),
                 XC: (e, zero),
                 XCC: (zero, em),
                 DELTA: (1j * e * (kp * i_ref + xs[XC]),
@@ -409,7 +417,10 @@ def build_case2(params: dict | None = None) -> dict:
     gg = lg_inv.tolist()
 
     u_pos0, xcp0, delta0 = nn["u_pos0"], nn["xc0"], nn["delta0"]
-    xq0 = u_pos0 / (1j * om1)
+    # constant products, hoisted out of the equations bit for bit: Python
+    # and numpy evaluate c1 * c2 * x as (c1 * c2) * x
+    jom1, jff, wk, w2, nki = 1j * om1, 1j * ff, om1 * ksogi, om1**2, -ki
+    xq0 = u_pos0 / jom1
 
     (IC, ICC, XCP, XCPC, XCN, XCNC, UF, UFC, XS, XSC, XQ, XQC,
      XPLL, DELTA, XSD, XSDC, IG, IGC) = range(18)
@@ -419,33 +430,35 @@ def build_case2(params: dict | None = None) -> dict:
         state columns ``xs``."""
         e = _rotation(om1, t, xs[DELTA])
         em = 1.0 / e
-        up = 0.5 * (xs[XS] + 1j * om1 * xs[XQ])
-        upc = 0.5 * (xs[XSC] - 1j * om1 * xs[XQC])
-        s = up * xs[ICC]
-        sc = upc * xs[IC]
-        iref = kps * (s_ref_c - sc) + xs[XSD]
-        irefc = kps * (s_ref - s) + xs[XSDC]
+        up = 0.5 * (xs[XS] + jom1 * xs[XQ])
+        upc = 0.5 * (xs[XSC] - jom1 * xs[XQC])
+        # the power errors conj(s_ref) − conj(s) and s_ref − s
+        serr = s_ref_c - upc * xs[IC]
+        serrc = s_ref - up * xs[ICC]
+        iref = kps * serr + xs[XSD]
+        irefc = kps * serrc + xs[XSDC]
         uq = (em * up - e * upc) / 2j
-        uc = kp * (iref * e - xs[IC]) + e * xs[XCP] + 1j * ff * xs[IC] \
+        uc = kp * (iref * e - xs[IC]) + e * xs[XCP] + jff * xs[IC] \
             - kp * xs[IC] + em * xs[XCN]
-        ucc = kp * (irefc * em - xs[ICC]) + em * xs[XCPC] - 1j * ff * xs[ICC] \
+        ucc = kp * (irefc * em - xs[ICC]) + em * xs[XCPC] - jff * xs[ICC] \
             - kp * xs[ICC] + e * xs[XCNC]
-        return e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc
+        return e, em, up, upc, serr, serrc, iref, irefc, uq, uc, ucc
 
     def _rows(t, xs, upoc, upocc, icap, icapc):
         """The open loop's 16 rows of f at the state columns ``xs``, the bus
         voltage pair (upoc, upocc) and the capacitor current pair."""
-        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
-        return [gf[0][0] * (uc - upoc) + gf[0][1] * (ucc - upocc),    # IC
-                gf[1][0] * (uc - upoc) + gf[1][1] * (ucc - upocc),    # ICC
+        e, em, up, upc, serr, serrc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
+        d1, d2 = uc - upoc, ucc - upocc
+        return [gf[0][0] * d1 + gf[0][1] * d2,                        # IC
+                gf[1][0] * d1 + gf[1][1] * d2,                        # ICC
                 ki * (iref - em * xs[IC]),                            # XCP
                 ki * (irefc - e * xs[ICC]),                           # XCPC
-                -ki * e * xs[IC],                                     # XCN
-                -ki * em * xs[ICC],                                   # XCNC
+                nki * e * xs[IC],                                     # XCN
+                nki * em * xs[ICC],                                   # XCNC
                 icap / c_sec,                                         # UF
                 icapc / c_sec,                                        # UFC
-                om1 * ksogi * (upoc - xs[XS]) - om1**2 * xs[XQ],      # XS
-                om1 * ksogi * (upocc - xs[XSC]) - om1**2 * xs[XQC],   # XSC
+                wk * (upoc - xs[XS]) - w2 * xs[XQ],                   # XS
+                wk * (upocc - xs[XSC]) - w2 * xs[XQC],                # XSC
                 xs[XS],                                               # XQ
                 xs[XSC],                                              # XQC
                 kip * uq,                                             # XPLL
@@ -454,13 +467,13 @@ def build_case2(params: dict | None = None) -> dict:
                 # power error (i* ∝ conj of the power mismatch); integrating
                 # the plain error instead turns the loop into ẋ ∝ -x*, a saddle
                 # with eigenvalues ±k.
-                kis * (s_ref_c - sc),                                 # XSD
-                kis * (s_ref - s)]                                    # XSDC
+                kis * serr,                                           # XSD
+                kis * serrc]                                          # XSDC
 
     def _jac(t, xs, n):
         """The open loop's 16×16 state Jacobian (:func:`_rows` at a fixed bus
         voltage), the top-left block of a fresh (..., n, n) array."""
-        e, em, up, upc, s, sc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
+        e, em, up, upc, _, _, iref, irefc, uq, uc, ucc = _pieces(t, xs)
         ec, emc = np.asarray(e)[..., None], np.asarray(em)[..., None]
         z = np.zeros(np.shape(e) + (16,), dtype=complex)
         dup, dupc = z.copy(), z.copy()
@@ -482,12 +495,12 @@ def build_case2(params: dict | None = None) -> dict:
         duq = (emc * dup - ec * dupc) / 2j
         duq[..., DELTA] += -(em * up + e * upc) / 2.0
         duc = kp * ec * diref
-        duc[..., IC] += -2.0 * kp + 1j * ff
+        duc[..., IC] += -2.0 * kp + jff
         duc[..., XCP] += e
         duc[..., XCN] += em
         duc[..., DELTA] += 1j * e * (kp * iref + xs[XCP]) - 1j * em * xs[XCN]
         ducc = kp * emc * direfc
-        ducc[..., ICC] += -2.0 * kp - 1j * ff
+        ducc[..., ICC] += -2.0 * kp - jff
         ducc[..., XCPC] += em
         ducc[..., XCNC] += e
         ducc[..., DELTA] += -1j * em * (kp * irefc + xs[XCPC]) + 1j * e * xs[XCNC]
@@ -508,10 +521,10 @@ def build_case2(params: dict | None = None) -> dict:
         jac[..., XCNC, DELTA] = 1j * ki * em * xs[ICC]
         jac[..., UF, UF] = -1.0 / (rt * c_sec)
         jac[..., UFC, UFC] = -1.0 / (rt * c_sec)
-        jac[..., XS, XS] = -om1 * ksogi
-        jac[..., XS, XQ] = -om1**2
-        jac[..., XSC, XSC] = -om1 * ksogi
-        jac[..., XSC, XQC] = -om1**2
+        jac[..., XS, XS] = -wk
+        jac[..., XS, XQ] = -w2
+        jac[..., XSC, XSC] = -wk
+        jac[..., XSC, XQC] = -w2
         jac[..., XQ, XS] = 1.0
         jac[..., XQC, XSC] = 1.0
         jac[..., XPLL, :] = kip * duq
@@ -525,7 +538,7 @@ def build_case2(params: dict | None = None) -> dict:
     def ol_dynamics(t, x, u):
         xs, us = _columns(x), _columns(u)
         return _stacked(_rows(t, xs, us[0], us[1],
-                              (us[0] - xs[UF]) / rt, (us[1] - xs[UFC]) / rt))
+                              (us[0] - xs[UF]) / rt, (us[1] - xs[UFC]) / rt), x)
 
     def ol_jac_state(t, x, u):
         return _jac(t, _columns(x), 16)
@@ -533,7 +546,7 @@ def build_case2(params: dict | None = None) -> dict:
     ol_b = np.zeros((16, 2), dtype=complex)
     ol_b[[IC, ICC]] = -lf_inv
     ol_b[[UF, UFC], [0, 1]] = 1.0 / (rt * c_sec)
-    ol_b[[XS, XSC], [0, 1]] = om1 * ksogi
+    ol_b[[XS, XSC], [0, 1]] = wk
 
     def ol_output(t, x, u):
         x = np.asarray(x, dtype=complex)
@@ -555,7 +568,7 @@ def build_case2(params: dict | None = None) -> dict:
         d1, d2 = upoc - us[0], upocc - us[1]
         return _stacked(_rows(t, xs, upoc, upocc, icap, icapc)
                         + [gg[0][0] * d1 + gg[0][1] * d2,     # IG
-                           gg[1][0] * d1 + gg[1][1] * d2])    # IGC
+                           gg[1][0] * d1 + gg[1][1] * d2], x)  # IGC
 
     # P = ∂u_poc/∂x; the open loop's rows see u_poc through ol_b, the grid
     # current's through L_g⁻¹

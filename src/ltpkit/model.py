@@ -4,7 +4,10 @@ A model is dx/dt = f(t, x, u), y = g(t, x, u) with complex-valued states.
 Conjugate quantities are carried as explicit paired states, so every equation
 is holomorphic in the state coordinates and the Jacobians below are ordinary
 complex derivatives.  All callables broadcast over a leading time axis:
-scalar t with (n,) state, or (M,) t with (M, n) states.
+scalar t with (n,) state, or (M,) t with (M, n) states.  The RK4 oracle
+passes a single state and its input to ``dynamics`` as lists of Python
+``complex``, and a single-state ``dynamics`` may return any length-n
+sequence; one that wants numpy semantics starts with ``x = np.asarray(x)``.
 """
 
 from __future__ import annotations

@@ -79,8 +79,22 @@ def grid_steps(step: float, span: float, period: float | None = None,
     return n_steps, p, k_on
 
 
+def _row_lists(values, chunk=4096):
+    """The rows of the 2-D array ``values`` as lists, ``chunk`` rows converted
+    at a time, so a long input never exists whole as Python objects."""
+    for i in range(0, len(values), chunk):
+        yield from values[i:i + chunk].tolist()
+
+
 def integrate(model: SystemModel, x0, t_span, step: float) -> Trajectory:
     """Fixed-step RK4 integration of ``model`` from ``x0`` over ``t_span``.
+
+    The state stays a list of Python ``complex`` through the whole loop:
+    ``dynamics`` gets the state and the input as lists at a Python-float time
+    and may return any length-n sequence.  Each stage state is ``x + h·k``
+    and the update ``x + h/6·(k1 + 2k2 + 2k3 + k4)``, entry by entry in that
+    order, the same IEEE arithmetic as the array recursion.  The accepted
+    steps go into a preallocated array.
 
     Parameters
     ----------
@@ -98,35 +112,48 @@ def integrate(model: SystemModel, x0, t_span, step: float) -> Trajectory:
     -------
     Trajectory
         Full trajectory, or a flagged partial one if the state left the
-        finite range (``diverged=True``).
+        finite range (``diverged=True``): an entry of modulus over
+        ``DIVERGENCE_LIMIT``, inf or NaN, or an arithmetic error inside a
+        step, where Python scalars raise instead of giving inf or NaN.
     """
     if np.ndim(t_span) == 0:
         t0, t1 = 0.0, float(t_span)
     else:
         t0, t1 = (float(v) for v in t_span)
     n_steps = grid_steps(step, t1 - t0)[0]
-    x = np.asarray(x0, dtype=complex)
-    if x.shape != (model.n_states,):
-        raise UsageError(f"x0 must have shape ({model.n_states},), got {x.shape}")
+    x0 = np.asarray(x0, dtype=complex)
+    if x0.shape != (model.n_states,):
+        raise UsageError(f"x0 must have shape ({model.n_states},), got {x0.shape}")
 
     times = t0 + step * np.arange(n_steps + 1)
-    u_half = np.asarray(model.input_fn(t0 + 0.5 * step * np.arange(2 * n_steps + 1)),
-                        dtype=complex)
+    u_half = _row_lists(np.asarray(
+        model.input_fn(t0 + 0.5 * step * np.arange(2 * n_steps + 1)), dtype=complex))
     states = np.empty((n_steps + 1, model.n_states), dtype=complex)
-    states[0] = x
+    states[0] = x0
+    x = x0.tolist()
+    u1 = next(u_half)
     f = model.dynamics
     half, sixth = 0.5 * step, step / 6.0
     for k in range(n_steps):
         # a Python float, bit-equal to times[k], keeps a model's scalar path
         t = t0 + step * k
-        u0, um, u1 = u_half[2 * k], u_half[2 * k + 1], u_half[2 * k + 2]
-        k1 = f(t, x, u0)
-        k2 = f(t + half, x + half * k1, um)
-        k3 = f(t + half, x + half * k2, um)
-        k4 = f(t + step, x + step * k3, u1)
-        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # one comparison catches both: NaN fails it and inf exceeds the limit
-        if not np.abs(x).max() <= DIVERGENCE_LIMIT:
+        u0, um, u1 = u1, next(u_half), next(u_half)
+        try:
+            k1 = f(t, x, u0)
+            k2 = f(t + half, [a + half * b for a, b in zip(x, k1)], um)
+            k3 = f(t + half, [a + half * b for a, b in zip(x, k2)], um)
+            k4 = f(t + step, [a + step * b for a, b in zip(x, k3)], u1)
+            x = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+            # the sum bounds every entry, so the exact per-entry test runs
+            # only when it fails; NaN fails both and inf exceeds the limit
+            bounded = (sum(map(abs, x)) <= DIVERGENCE_LIMIT
+                       or all(abs(v) <= DIVERGENCE_LIMIT for v in x))
+        except ArithmeticError:
+            # where numpy gives inf or NaN, Python scalars raise: cmath.exp or
+            # abs() overflowing, a division by a rotation that underflowed to 0
+            bounded = False
+        if not bounded:
             return Trajectory(times=times[:k + 1], states=states[:k + 1], step=step,
                               diverged=True)
         states[k + 1] = x

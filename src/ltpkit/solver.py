@@ -51,7 +51,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_harmonics < 1:
             raise UsageError("n_harmonics must be >= 1")
-        if self.tolerance <= 0 or self.max_iterations < 1:
+        # NaN fails the comparison and would otherwise never be met
+        if not self.tolerance > 0 or self.max_iterations < 1:
             raise UsageError("tolerance must be positive, max_iterations >= 1")
         # the condition estimate 1/rcond is at least 1: a lower limit refuses
         # every iteration matrix, and NaN would switch the guard off

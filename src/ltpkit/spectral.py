@@ -35,7 +35,7 @@ class HarmonicGrid:
     n_samples: int = field(init=False)
 
     def __post_init__(self):
-        if self.period <= 0 or self.step <= 0:
+        if not (self.period > 0 and self.step > 0):  # NaN fails it
             raise UsageError("period and step must be positive")
         ratio = self.period / self.step
         if not ratio <= MAX_SAMPLES:  # NaN fails it, an overflowed inf exceeds it

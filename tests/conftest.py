@@ -58,14 +58,19 @@ def conjugate_defect(spectrum, pairs):
                 for i, j in pairs), default=0.0)
 
 
-def diverging_after(model, steps):
-    """Copy of ``model`` whose dynamics turn non-finite after ``steps`` calls."""
+def diverging_after(model, steps, error=None):
+    """Copy of ``model`` whose dynamics turn non-finite after ``steps`` calls,
+    or raise ``error`` there when one is given."""
     calls = [0]
 
     def dynamics(t, x, u):
         calls[0] += 1
         f = model.dynamics(t, x, u)
-        return f if calls[0] <= steps else np.full_like(f, np.nan)
+        if calls[0] <= steps:
+            return f
+        if error is not None:
+            raise error
+        return np.full_like(f, np.nan)
 
     return dataclasses.replace(model, dynamics=dynamics)
 

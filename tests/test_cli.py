@@ -40,6 +40,20 @@ MODEL_FILE = ("from ltpkit import build_case1\n\n\n"
               "def build(overrides):\n"
               "    return build_case1(overrides)\n")
 
+# a model file whose dynamics want numpy semantics: the oracle's list state
+# becomes an array first, and ``[..., :]`` indexing would fail on a list
+NUMPY_MODEL_FILE = ("import dataclasses\n\n"
+                    "import numpy as np\n\n"
+                    "from ltpkit import build_case1\n\n\n"
+                    "def _numpy(dynamics):\n"
+                    "    def wrapped(t, x, u):\n"
+                    "        x = np.asarray(x)\n"
+                    "        return dynamics(t, x[..., :], np.asarray(u)[..., :])\n"
+                    "    return wrapped\n\n\n"
+                    "def build(overrides):\n"
+                    "    return {name: dataclasses.replace(m, dynamics=_numpy(m.dynamics))\n"
+                    "            for name, m in build_case1(overrides).items()}\n")
+
 
 class TestSolve:
     def test_defaults_write_artifacts(self, tmp_path, monkeypatch):
@@ -290,6 +304,22 @@ class TestVerify:
         assert sorted(report["hss_blocks"]) == [2, 6, 10, 12, 12, 12]
         assert 0.0 <= report["hss_decoupling_defect"] <= 1e-13
         assert_environment(report, os.environ)
+
+    def test_numpy_model_file_matches_built_in(self, tmp_path):
+        # an (n,) array state takes the built-in model's list arithmetic, and
+        # the oracle's recursion is the same on the array rows it returns
+        model = tmp_path / "model.py"
+        model.write_text(NUMPY_MODEL_FILE)
+        reports = {}
+        for case in ("case1", str(model)):
+            out = tmp_path / Path(case).stem
+            assert main(["verify", "--case", case, "--out", str(out)]) == 0
+            reports[case] = json.loads((out / "verify_report.json").read_text())
+        numpy_report = reports[str(model)]
+        assert numpy_report["pass"] is True
+        assert numpy_report["oracle_diverged"] is False
+        for key in ("rms_error", "max_error", "weakest"):
+            assert numpy_report[key] == reports["case1"][key]
 
     def test_unstable_point_growth_sign_agreement(self, tmp_path):
         rc = main(["verify", "--case", "case2", "--set", "alpha_c=150",

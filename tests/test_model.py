@@ -58,8 +58,9 @@ class TestConjugateClosure:
 class TestSingleStateCalls:
     @pytest.mark.parametrize("model", list(all_variants()), ids=lambda m: m.name)
     def test_single_state_matches_batch_row(self, model, rng):
-        # the RK4 oracle calls dynamics on one (n,) state at a time; the
-        # solver calls it on (M, n) batches: both must give the same f
+        # the RK4 oracle calls dynamics on one state at a time, as a list,
+        # whose arithmetic an (n,) array shares bit for bit; the solver calls
+        # it on (M, n) batches: both must give the same f
         m = 50
         t = rng.uniform(0.0, model.period, size=m)
         x = 0.5 * (rng.standard_normal((m, model.n_states))
@@ -73,6 +74,25 @@ class TestSingleStateCalls:
             assert single.flags.c_contiguous
             err = np.max(np.abs(single - batch[k]))
             assert err <= 1e-14 * np.max(np.abs(batch[k]))
+
+    @pytest.mark.parametrize("model", list(all_variants()), ids=lambda m: m.name)
+    def test_list_state_gives_list(self, model, rng):
+        # the oracle passes the state and the input as lists and gets the row
+        # list back; an (n,) array still gives a C-contiguous complex (n,)
+        # array, with the same bits
+        for t in rng.uniform(0.0, model.period, size=10):
+            x = 0.5 * (rng.standard_normal(model.n_states)
+                       + 1j * rng.standard_normal(model.n_states))
+            u = model.input_fn(np.array([t]))[0]
+            from_list = model.dynamics(float(t), x.tolist(), u.tolist())
+            from_array = model.dynamics(float(t), x, u)
+            assert type(from_list) is list
+            assert [type(v) for v in from_list] == [complex] * model.n_states
+            assert type(from_array) is np.ndarray
+            assert from_array.shape == (model.n_states,)
+            assert from_array.dtype == complex
+            assert from_array.flags.c_contiguous
+            assert np.array(from_list).tobytes() == from_array.tobytes()
 
     @pytest.mark.parametrize("model", list(all_variants()), ids=lambda m: m.name)
     def test_numpy_scalar_time_matches_float_time(self, model, rng):

@@ -1,5 +1,6 @@
 """Time-domain RK4 oracle: integration accuracy, period tools, growth fitting."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from conftest import diverging_after
 from ltpkit import Trajectory, UsageError, integrate
 from ltpkit.model import linear_model
-from ltpkit.oracle import KICK, KICK_STATE, MAX_STEPS, compare_waveforms, \
-    growth_rate_fit, kicked_response, last_period
+from ltpkit.oracle import DIVERGENCE_LIMIT, KICK, KICK_STATE, MAX_STEPS, \
+    compare_waveforms, growth_rate_fit, kicked_response, last_period
 
 OM1 = 2.0 * np.pi * 50.0
 T1 = 0.02
@@ -53,6 +54,62 @@ class TestIntegrate:
         assert traj.times[-1] < t_star + h
         assert traj.states.shape[0] == traj.times.shape[0]
         assert np.all(np.isfinite(traj.states))
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError("complex division by zero"),
+                                       OverflowError("math range error")],
+                             ids=["zero_division", "overflow"])
+    def test_arithmetic_error_flagged_as_divergence(self, error):
+        # Python scalars raise where numpy gives inf or NaN (1/e after cmath.exp
+        # underflowed e to 0, cmath.exp or abs() overflowing): the step that
+        # raises ends the trajectory, and the steps before it are kept
+        n_ok, h = 200, 1e-3
+        base = linear_model(np.array([[-1.0, 0.5], [0.0, -2.0]]))
+        traj = integrate(diverging_after(base, 4 * n_ok + 2, error), [1.0, 1.0], 1.0, h)
+        plain = integrate(base, [1.0, 1.0], n_ok * h, h)
+        assert traj.diverged
+        assert traj.states.shape == (n_ok + 1, 2)
+        assert np.array_equal(traj.times, plain.times)
+        assert np.array_equal(traj.states, plain.states)
+
+    @staticmethod
+    def _landing(value, k, n=3):
+        """A model at rest whose state 0 lands exactly on ``value`` at step
+        ``k`` of an RK4 run with step 6 (h/6 = 1): only that step's first
+        stage has a non-zero rate."""
+        calls = [0]
+
+        def dynamics(t, x, u):
+            calls[0] += 1
+            f = [0j] * n
+            if calls[0] == 4 * k + 1:
+                f[0] = value
+            return f
+
+        return dataclasses.replace(linear_model(np.zeros((n, n))), dynamics=dynamics)
+
+    @pytest.mark.parametrize("value", [
+        2.0 * DIVERGENCE_LIMIT,
+        complex(np.inf, 0.0),
+        complex(np.nan, 0.0),
+        complex(1.5e308, 1.5e308),   # finite, but abs() raises OverflowError
+    ], ids=["above_limit", "inf", "nan", "abs_overflow"])
+    def test_divergence_flagged_at_its_step(self, value):
+        k = 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(self._landing(value, k), [0.0, 0.0, 0.0], 60.0, 6.0)
+        assert traj.diverged
+        assert traj.states.shape == (k + 1, 3)
+        assert np.all(traj.states == 0.0)
+
+    def test_entries_at_the_limit_not_flagged(self):
+        # each entry at the limit, their moduli summing past it: the sum test
+        # fails and the exact per-entry test must accept the state
+        x0 = [DIVERGENCE_LIMIT, 1j * DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT]
+        traj = integrate(self._landing(0j, 0), x0, 60.0, 6.0)
+        assert not traj.diverged
+        assert traj.states.shape == (11, 3)
+        assert np.all(traj.states == np.array(x0))
 
     def test_span_validation(self):
         model = linear_model(np.array([[-1.0]]))

@@ -46,6 +46,12 @@ class TestSolverConfig:
         with pytest.raises(UsageError):
             SolverConfig(max_iterations=0)
 
+    def test_nan_tolerance_rejected(self):
+        # no step norm is <= NaN: the solve would run every iteration and
+        # report a configuration error as MaxIterationsExceeded
+        with pytest.raises(UsageError, match="tolerance must be positive"):
+            SolverConfig(tolerance=float("nan"))
+
     def test_cond_limit_below_one_rejected(self):
         # LAPACK's reciprocal condition estimate is at most 1, so the
         # condition estimate is at least 1: a lower limit refuses every matrix

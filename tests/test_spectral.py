@@ -49,6 +49,11 @@ class TestHarmonicGrid:
         with pytest.raises(UsageError):
             HarmonicGrid(T, 0.0)
 
+    @pytest.mark.parametrize("period, step", [(T, float("nan")), (float("nan"), 50e-6)])
+    def test_nan_rejected_as_non_positive(self, period, step):
+        with pytest.raises(UsageError, match="period and step must be positive"):
+            HarmonicGrid(period, step)
+
 
 class TestSamplesToSpectrum:
     def test_constant_is_dc_only(self):
