@@ -24,8 +24,9 @@ All states are per-unit (voltage base = peak phase voltage, current base =
 peak phase current, time in seconds), so solver norms and waveform
 comparisons are O(1) per state.  Conjugate quantities are independent paired
 states; nothing in the dynamics ever calls complex conjugation on a state,
-which keeps every equation holomorphic and the analytic Jacobians exact in
-the Wirtinger sense.
+which keeps every equation holomorphic.  Each case is written once, as its
+``dynamics``: both Jacobians are the derivatives of that arithmetic, carried
+by forward-mode jets (:mod:`ltpkit.jet`), and exact in the Wirtinger sense.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import cmath
 import numpy as np
 
 from .errors import UsageError
+from .jet import Jet, jacobians
 from .model import SystemModel, _const_jac
 
 # amplitude-invariant Clarke transform (zero-sequence dropped) and its
@@ -229,11 +231,11 @@ def _norms(p: dict) -> dict:
 def _columns(v):
     """``v`` indexed by state (or input) column: ``_columns(x)[k]`` is
     ``x[..., k]`` for a list and the ``(n,)`` and ``(M, n)`` shapes of the
-    model contract.  A list, as the RK4 oracle passes, is taken as it is, and
-    an ``(n,)`` array becomes one, so the equations of a single state run on
-    Python scalars (one numpy scalar in an expression would make all of it
-    numpy-scalar arithmetic); for an ``(M, n)`` batch it is the strided view
-    ``x.T``."""
+    model contract.  A list, as the RK4 oracle and :mod:`ltpkit.jet` pass, is
+    taken as it is, and an ``(n,)`` array becomes one, so the equations of a
+    single state run on Python scalars (one numpy scalar in an expression
+    would make all of it numpy-scalar arithmetic); for an ``(M, n)`` batch it
+    is the strided view ``x.T``."""
     if type(v) is list:
         return v
     v = np.asarray(v, dtype=complex)
@@ -244,6 +246,8 @@ def _rotation(om1, t, delta):
     """e^{j(ω₁t+δ)}: by ``cmath`` at a float time for one state's angle."""
     if isinstance(delta, np.ndarray):
         return np.exp(1j * (om1 * t + delta))
+    if type(delta) is Jet:
+        return (1j * (om1 * t + delta)).exp()
     return cmath.exp(1j * (om1 * float(t) + delta))
 
 
@@ -259,14 +263,13 @@ def _stacked(rows, x):
 
 
 def _current_output(n_states):
-    sel = np.zeros((2, n_states), dtype=complex)
-    sel[0, 0] = 1.0
-    sel[1, 1] = 1.0
+    sel = np.eye(2, n_states, dtype=complex)
 
     def output(t, x, u):
         return np.asarray(x)[..., :2].copy()
 
-    return output, _const_jac(sel), _const_jac(np.zeros((2, 2)))
+    return dict(output=output, out_jac_state=_const_jac(sel),
+                out_jac_input=_const_jac(np.zeros((2, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +294,8 @@ def build_case1(params: dict | None = None) -> dict:
 
     IC, ICC, XC, XCC, DELTA, XPLL = range(6)
 
-    output, out_js, out_ji = _current_output(6)
     shared = dict(
-        n_states=6, n_inputs=2, n_outputs=2, omega1=om1, output=output,
-        out_jac_state=out_js, out_jac_input=out_ji,
+        n_states=6, n_inputs=2, n_outputs=2, omega1=om1, **_current_output(6),
         input_fn=_pair_waveform(nn["u_ga"], nn["u_gbeta"], om1),
         state_labels=CASE1_LABELS,
         conjugate_pairs=((IC, ICC), (XC, XCC)),
@@ -309,9 +310,7 @@ def build_case1(params: dict | None = None) -> dict:
         g = np.linalg.inv(nn["lf_c"] + lg_c)
         gsum, kdiv = g.tolist(), (lg_c @ g).tolist()   # 1/s; dimensionless divider
 
-        def _bus(t, x, u):
-            """State columns, rotations e^{±j(ω₁t+δ)}, the voltage pair across
-            the series inductances and the bus voltage pair."""
+        def dynamics(t, x, u):
             xs, us = _columns(x), _columns(u)
             e = _rotation(om1, t, xs[DELTA])
             em = 1.0 / e
@@ -321,10 +320,6 @@ def build_case1(params: dict | None = None) -> dict:
             d1, d2 = uc - ug, ucc - ugc
             upoc = ug + kdiv[0][0] * d1 + kdiv[0][1] * d2
             upocc = ugc + kdiv[1][0] * d1 + kdiv[1][1] * d2
-            return xs, e, em, d1, d2, upoc, upocc
-
-        def dynamics(t, x, u):
-            xs, e, em, d1, d2, upoc, upocc = _bus(t, x, u)
             uq = (em * upoc - e * upocc) / 2j
             return _stacked([gsum[0][0] * d1 + gsum[0][1] * d2,   # IC
                              gsum[1][0] * d1 + gsum[1][1] * d2,   # ICC
@@ -333,52 +328,8 @@ def build_case1(params: dict | None = None) -> dict:
                              kpp * uq + xs[XPLL],                 # DELTA
                              kip * uq], x)                        # XPLL
 
-        def jac_state(t, x, u):
-            xs, e, em, _, _, upoc, upocc = _bus(t, x, u)
-            jac = np.zeros(np.shape(e) + (6, 6), dtype=complex)
-            # ∂(uc, ucc)/∂x by column; the columns left out are zero
-            zero = np.zeros(np.shape(e), dtype=complex)
-            for col, (a, b) in {
-                IC: (-kp + jff + zero, zero),
-                ICC: (zero, -kp - jff + zero),
-                XC: (e, zero),
-                XCC: (zero, em),
-                DELTA: (1j * e * (kp * i_ref + xs[XC]),
-                        -1j * em * (kp * i_ref_c + xs[XCC])),
-            }.items():
-                jac[..., IC, col] = gsum[0][0] * a + gsum[0][1] * b
-                jac[..., ICC, col] = gsum[1][0] * a + gsum[1][1] * b
-                dup = kdiv[0][0] * a + kdiv[0][1] * b
-                dupc = kdiv[1][0] * a + kdiv[1][1] * b
-                duq = (em * dup - e * dupc) / 2j
-                jac[..., DELTA, col] = kpp * duq
-                jac[..., XPLL, col] = kip * duq
-            # rotation of the demodulators with the PLL angle
-            upocd = (em * upoc + e * upocc) / 2.0
-            jac[..., DELTA, DELTA] += -kpp * upocd
-            jac[..., XPLL, DELTA] += -kip * upocd
-            jac[..., XC, IC] = -ki * em
-            jac[..., XC, DELTA] = 1j * ki * em * xs[IC]
-            jac[..., XCC, ICC] = -ki * e
-            jac[..., XCC, DELTA] = -1j * ki * e * xs[ICC]
-            jac[..., DELTA, XPLL] += 1.0
-            return jac
-
-        def jac_input(t, x, u):
-            e = _rotation(om1, t, _columns(x)[DELTA])
-            em = 1.0 / e
-            jac = np.zeros(np.shape(e) + (6, 2), dtype=complex)
-            jac[..., IC:ICC + 1, :] = -g
-            for col in (0, 1):
-                dup = (1.0 if col == 0 else 0.0) - kdiv[0][col]
-                dupc = (1.0 if col == 1 else 0.0) - kdiv[1][col]
-                duq = (em * dup - e * dupc) / 2j
-                jac[..., DELTA, col] = kpp * duq
-                jac[..., XPLL, col] = kip * duq
-            return jac
-
-        return SystemModel(dynamics=dynamics, jac_state=jac_state,
-                           jac_input=jac_input, name=name, **shared)
+        return SystemModel(dynamics=dynamics, **jacobians(dynamics), name=name,
+                           **shared)
 
     return {"closed_loop": _loop(nn["lg_c"], "case1"),
             "open_loop": _loop(np.zeros((2, 2)), "case1_open")}
@@ -403,8 +354,6 @@ def build_case2(params: dict | None = None) -> dict:
     Closed loop (18 states): the same open loop driven by the bus voltage
     u_poc = u_f + r(i_c − i_g), so i_cap = i_c − i_g, plus the grid current
     pair i_g through the asymmetric grid inductance, last in the state order.
-    u_poc is linear in the state, so by the chain rule the closed loop's state
-    Jacobian is the open loop's plus the constant B·∂u_poc/∂x.
     """
     p = make_params("case2", params)
     nn = _norms(p)
@@ -412,9 +361,8 @@ def build_case2(params: dict | None = None) -> dict:
     ff, c_sec, rt, kps, kis, ksogi = (nn[k] for k in ("ff", "c_sec", "rt", "ks", "kis", "ksogi"))
     s_ref = nn["s_ref"]
     s_ref_c = s_ref.conjugate()
-    lf_inv, lg_inv = np.linalg.inv(nn["lf_c"]), np.linalg.inv(nn["lg_c"])
-    gf = lf_inv.tolist()
-    gg = lg_inv.tolist()
+    gf = np.linalg.inv(nn["lf_c"]).tolist()
+    gg = np.linalg.inv(nn["lg_c"]).tolist()
 
     u_pos0, xcp0, delta0 = nn["u_pos0"], nn["xc0"], nn["delta0"]
     # constant products, hoisted out of the equations bit for bit: Python
@@ -425,9 +373,9 @@ def build_case2(params: dict | None = None) -> dict:
     (IC, ICC, XCP, XCPC, XCN, XCNC, UF, UFC, XS, XSC, XQ, XQC,
      XPLL, DELTA, XSD, XSDC, IG, IGC) = range(18)
 
-    def _pieces(t, xs):
-        """Algebraic intermediates (everything except the bus voltage) of the
-        state columns ``xs``."""
+    def _rows(t, xs, upoc, upocc, icap, icapc):
+        """The open loop's 16 rows of f at the state columns ``xs``, the bus
+        voltage pair (upoc, upocc) and the capacitor current pair."""
         e = _rotation(om1, t, xs[DELTA])
         em = 1.0 / e
         up = 0.5 * (xs[XS] + jom1 * xs[XQ])
@@ -442,12 +390,6 @@ def build_case2(params: dict | None = None) -> dict:
             - kp * xs[IC] + em * xs[XCN]
         ucc = kp * (irefc * em - xs[ICC]) + em * xs[XCPC] - jff * xs[ICC] \
             - kp * xs[ICC] + e * xs[XCNC]
-        return e, em, up, upc, serr, serrc, iref, irefc, uq, uc, ucc
-
-    def _rows(t, xs, upoc, upocc, icap, icapc):
-        """The open loop's 16 rows of f at the state columns ``xs``, the bus
-        voltage pair (upoc, upocc) and the capacitor current pair."""
-        e, em, up, upc, serr, serrc, iref, irefc, uq, uc, ucc = _pieces(t, xs)
         d1, d2 = uc - upoc, ucc - upocc
         return [gf[0][0] * d1 + gf[0][1] * d2,                        # IC
                 gf[1][0] * d1 + gf[1][1] * d2,                        # ICC
@@ -470,83 +412,11 @@ def build_case2(params: dict | None = None) -> dict:
                 kis * serr,                                           # XSD
                 kis * serrc]                                          # XSDC
 
-    def _jac(t, xs, n):
-        """The open loop's 16×16 state Jacobian (:func:`_rows` at a fixed bus
-        voltage), the top-left block of a fresh (..., n, n) array."""
-        e, em, up, upc, _, _, iref, irefc, uq, uc, ucc = _pieces(t, xs)
-        ec, emc = np.asarray(e)[..., None], np.asarray(em)[..., None]
-        z = np.zeros(np.shape(e) + (16,), dtype=complex)
-        dup, dupc = z.copy(), z.copy()
-        dup[..., XS] = 0.5
-        dup[..., XQ] = 0.5j * om1
-        dupc[..., XSC] = 0.5
-        dupc[..., XQC] = -0.5j * om1
-        ds, dsc = z.copy(), z.copy()
-        ds[..., XS] = 0.5 * xs[ICC]
-        ds[..., XQ] = 0.5j * om1 * xs[ICC]
-        ds[..., ICC] = up
-        dsc[..., XSC] = 0.5 * xs[IC]
-        dsc[..., XQC] = -0.5j * om1 * xs[IC]
-        dsc[..., IC] = upc
-        diref = -kps * dsc
-        diref[..., XSD] += 1.0
-        direfc = -kps * ds
-        direfc[..., XSDC] += 1.0
-        duq = (emc * dup - ec * dupc) / 2j
-        duq[..., DELTA] += -(em * up + e * upc) / 2.0
-        duc = kp * ec * diref
-        duc[..., IC] += -2.0 * kp + jff
-        duc[..., XCP] += e
-        duc[..., XCN] += em
-        duc[..., DELTA] += 1j * e * (kp * iref + xs[XCP]) - 1j * em * xs[XCN]
-        ducc = kp * emc * direfc
-        ducc[..., ICC] += -2.0 * kp - jff
-        ducc[..., XCPC] += em
-        ducc[..., XCNC] += e
-        ducc[..., DELTA] += -1j * em * (kp * irefc + xs[XCPC]) + 1j * e * xs[XCNC]
-
-        full = np.zeros(np.shape(e) + (n, n), dtype=complex)
-        jac = full[..., :16, :16]
-        jac[..., IC, :] = gf[0][0] * duc + gf[0][1] * ducc
-        jac[..., ICC, :] = gf[1][0] * duc + gf[1][1] * ducc
-        jac[..., XCP, :] = ki * diref
-        jac[..., XCP, IC] += -ki * em
-        jac[..., XCP, DELTA] += 1j * ki * em * xs[IC]
-        jac[..., XCPC, :] = ki * direfc
-        jac[..., XCPC, ICC] += -ki * e
-        jac[..., XCPC, DELTA] += -1j * ki * e * xs[ICC]
-        jac[..., XCN, IC] = -ki * e
-        jac[..., XCN, DELTA] = -1j * ki * e * xs[IC]
-        jac[..., XCNC, ICC] = -ki * em
-        jac[..., XCNC, DELTA] = 1j * ki * em * xs[ICC]
-        jac[..., UF, UF] = -1.0 / (rt * c_sec)
-        jac[..., UFC, UFC] = -1.0 / (rt * c_sec)
-        jac[..., XS, XS] = -wk
-        jac[..., XS, XQ] = -w2
-        jac[..., XSC, XSC] = -wk
-        jac[..., XSC, XQC] = -w2
-        jac[..., XQ, XS] = 1.0
-        jac[..., XQC, XSC] = 1.0
-        jac[..., XPLL, :] = kip * duq
-        jac[..., DELTA, :] = kpp * duq
-        jac[..., DELTA, XPLL] += 1.0
-        jac[..., XSD, :] = -kis * dsc
-        jac[..., XSDC, :] = -kis * ds
-        return full
-
     # -- open loop: driven by the bus voltage -------------------------------
     def ol_dynamics(t, x, u):
         xs, us = _columns(x), _columns(u)
         return _stacked(_rows(t, xs, us[0], us[1],
                               (us[0] - xs[UF]) / rt, (us[1] - xs[UFC]) / rt), x)
-
-    def ol_jac_state(t, x, u):
-        return _jac(t, _columns(x), 16)
-
-    ol_b = np.zeros((16, 2), dtype=complex)
-    ol_b[[IC, ICC]] = -lf_inv
-    ol_b[[UF, UFC], [0, 1]] = 1.0 / (rt * c_sec)
-    ol_b[[XS, XSC], [0, 1]] = wk
 
     def ol_output(t, x, u):
         x = np.asarray(x, dtype=complex)
@@ -570,21 +440,6 @@ def build_case2(params: dict | None = None) -> dict:
                         + [gg[0][0] * d1 + gg[0][1] * d2,     # IG
                            gg[1][0] * d1 + gg[1][1] * d2], x)  # IGC
 
-    # P = ∂u_poc/∂x; the open loop's rows see u_poc through ol_b, the grid
-    # current's through L_g⁻¹
-    dupoc = np.zeros((2, 18), dtype=complex)
-    dupoc[0, [UF, IC, IG]] = 1.0, rt, -rt
-    dupoc[1, [UFC, ICC, IGC]] = 1.0, rt, -rt
-    cl_chain = np.vstack([ol_b @ dupoc, lg_inv @ dupoc])
-
-    def cl_jac_state(t, x, u):
-        jac = _jac(t, _columns(x), 18)
-        jac += cl_chain
-        return jac
-
-    cl_b = np.zeros((18, 2), dtype=complex)
-    cl_b[IG:] = -lg_inv
-
     pairs = ((IC, ICC), (XCP, XCPC), (XCN, XCNC), (UF, UFC), (XS, XSC), (XQ, XQC),
              (XSD, XSDC))
     seeds = ((IC, +1, s_ref_c), (ICC, -1, s_ref),
@@ -596,17 +451,13 @@ def build_case2(params: dict | None = None) -> dict:
              (XSD, 0, s_ref_c), (XSDC, 0, s_ref))
     shared = dict(n_inputs=2, n_outputs=2, omega1=om1,
                   input_fn=_pair_waveform(nn["u_ga"], nn["u_gbeta"], om1))
-    output, out_js, out_ji = _current_output(18)
     closed = SystemModel(
-        n_states=18, dynamics=cl_dynamics, output=output,
-        jac_state=cl_jac_state, jac_input=_const_jac(cl_b),
-        out_jac_state=out_js, out_jac_input=out_ji,
+        n_states=18, dynamics=cl_dynamics, **jacobians(cl_dynamics), **_current_output(18),
         state_labels=CASE2_LABELS, conjugate_pairs=pairs + ((IG, IGC),),
         spectral_seeds=seeds + ((IG, +1, s_ref_c), (IGC, -1, s_ref)),
         name="case2", **shared)
     open_loop = SystemModel(
-        n_states=16, dynamics=ol_dynamics, output=ol_output,
-        jac_state=ol_jac_state, jac_input=_const_jac(ol_b),
+        n_states=16, dynamics=ol_dynamics, output=ol_output, **jacobians(ol_dynamics),
         out_jac_state=_const_jac(ol_c), out_jac_input=_const_jac(ol_d),
         state_labels=CASE2_LABELS[:16], conjugate_pairs=pairs, spectral_seeds=seeds,
         name="case2_open", **shared)

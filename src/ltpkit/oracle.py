@@ -91,7 +91,8 @@ def integrate(model: SystemModel, x0, t_span, step: float) -> Trajectory:
 
     The state stays a list of Python ``complex`` through the whole loop:
     ``dynamics`` gets the state and the input as lists at a Python-float time
-    and may return any length-n sequence.  Each stage state is ``x + h·k``
+    and may return any length-n sequence; an array it returns becomes a list,
+    so no stage runs on numpy scalars.  Each stage state is ``x + h·k``
     and the update ``x + h/6·(k1 + 2k2 + 2k3 + k4)``, entry by entry in that
     order, the same IEEE arithmetic as the array recursion.  The accepted
     steps go into a preallocated array.
@@ -132,7 +133,11 @@ def integrate(model: SystemModel, x0, t_span, step: float) -> Trajectory:
     states[0] = x0
     x = x0.tolist()
     u1 = next(u_half)
-    f = model.dynamics
+
+    def f(t, x, u):
+        k = model.dynamics(t, x, u)
+        return k.tolist() if type(k) is np.ndarray else k
+
     half, sixth = 0.5 * step, step / 6.0
     for k in range(n_steps):
         # a Python float, bit-equal to times[k], keeps a model's scalar path

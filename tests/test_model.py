@@ -11,10 +11,13 @@ OM1 = 2.0 * np.pi * 50.0
 
 
 def all_variants():
+    # the second build's asymmetric converter filter couples each current to
+    # its conjugate through the off-diagonal entries of L_f⁻¹
+    unbalanced = {"u_gbeta_mag": 0.5, "u_gbeta_deg": -90.0, "k_sym_g": 1.6}
     for case in (build_case1, build_case2):
-        built = case({"u_gbeta_mag": 0.5, "u_gbeta_deg": -90.0, "k_sym_g": 1.6})
-        yield built["closed_loop"]
-        yield built["open_loop"]
+        for params, tag in ((unbalanced, ""), (dict(unbalanced, k_sym_c=1.4), "_k_sym_c")):
+            for model in case(params).values():
+                yield pytest.param(model, id=model.name + tag)
 
 
 class TestValidation:
@@ -44,7 +47,7 @@ class TestInputPeriodicity:
 
 
 class TestConjugateClosure:
-    @pytest.mark.parametrize("model", list(all_variants()), ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", list(all_variants()))
     def test_dynamics_closed_under_conjugation(self, model, rng):
         # at a state with x[j] = conj(x[i]) on every pair, f must keep
         # f[j] = conj(f[i])
@@ -56,7 +59,7 @@ class TestConjugateClosure:
 
 
 class TestSingleStateCalls:
-    @pytest.mark.parametrize("model", list(all_variants()), ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", list(all_variants()))
     def test_single_state_matches_batch_row(self, model, rng):
         # the RK4 oracle calls dynamics on one state at a time, as a list,
         # whose arithmetic an (n,) array shares bit for bit; the solver calls
@@ -75,7 +78,7 @@ class TestSingleStateCalls:
             err = np.max(np.abs(single - batch[k]))
             assert err <= 1e-14 * np.max(np.abs(batch[k]))
 
-    @pytest.mark.parametrize("model", list(all_variants()), ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", list(all_variants()))
     def test_list_state_gives_list(self, model, rng):
         # the oracle passes the state and the input as lists and gets the row
         # list back; an (n,) array still gives a C-contiguous complex (n,)
@@ -94,7 +97,7 @@ class TestSingleStateCalls:
             assert from_array.flags.c_contiguous
             assert np.array(from_list).tobytes() == from_array.tobytes()
 
-    @pytest.mark.parametrize("model", list(all_variants()), ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", list(all_variants()))
     def test_numpy_scalar_time_matches_float_time(self, model, rng):
         # the oracle passes Python-float times; a caller's np.float64 time
         # must take the same single-state arithmetic, bit for bit
@@ -107,7 +110,7 @@ class TestSingleStateCalls:
 
 
 class TestBatchedLayout:
-    @pytest.mark.parametrize("model", list(all_variants()), ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", list(all_variants()))
     def test_batched_results_are_c_ordered(self, model, rng):
         # every batched callable returns a C-ordered array of its own size:
         # the transforms reshape samples to (M, -1), which copies a strided
@@ -127,7 +130,7 @@ class TestBatchedLayout:
 
 
 class TestJacobians:
-    @pytest.mark.parametrize("model", list(all_variants()), ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", list(all_variants()))
     @pytest.mark.parametrize("which", ["state", "input", "out_state", "out_input"])
     def test_analytic_matches_finite_differences(self, model, which, rng):
         x = conjugate_consistent_state(model, rng)

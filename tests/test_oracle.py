@@ -161,6 +161,22 @@ class TestIntegrate:
         assert not traj.diverged
         assert np.array_equal(traj.states, np.array(expected))
 
+    def test_array_returning_dynamics_gets_python_complex_stages(self):
+        # a single-state dynamics that returns an (n,) array, as linear_model
+        # does, has its result made a list, so every stage state it is passed
+        # holds Python complex rather than numpy scalars
+        base = linear_model(np.array([[-1.0, 0.5j], [-30.0, -2.0]]))
+        seen = []
+
+        def dynamics(t, x, u):
+            seen.append([type(v) for v in x])
+            return base.dynamics(t, x, u)
+
+        model = dataclasses.replace(base, dynamics=dynamics)
+        integrate(model, [1.0, 0.5j], 3e-3, 1e-3)
+        assert len(seen) == 12
+        assert all(types == [complex, complex] for types in seen)
+
     def test_explicit_start_time(self):
         model = linear_model(np.array([[-1.0]]))
         traj = integrate(model, [1.0], (0.5, 1.5), 1e-3)
