@@ -23,6 +23,7 @@ from .spectral import build_nblk, build_toeplitz
 
 # an HTF probe closer than this many ω₁ to an HSS eigenvalue is singular
 _SINGULAR_GUARD = 1e-8
+_TIE = 1e-9  # real parts within this share of 1 + |Re| are tied
 # the HSS spectrum comes from the real part of its similar form W when
 # max|Im W| is at most this share of max|W| (see HssMatrices.eigenvalues)
 REAL_FORM_TOL = 1e-13
@@ -87,17 +88,11 @@ class HssMatrices:
         """Index of the conjugate partner of each HSS coordinate.
 
         Coordinate (k, i), harmonic k of state i at (k + N)·n + i, pairs with
-        (−k, σ(i)), where σ swaps the two states of each
-        ``model.conjugate_pairs`` entry and fixes unpaired states.  When the
-        model is conjugate-symmetric, the stability matrix H satisfies
-        H[p(a), p(b)] = conj(H[a, b]).
+        (−k, σ(i)), σ = ``model.partner``.  A conjugate-symmetric model's
+        stability matrix H satisfies H[p(a), p(b)] = conj(H[a, b]).
         """
-        n = self.model.n_states
-        sigma = np.arange(n)
-        for i, j in self.model.conjugate_pairs:
-            sigma[i], sigma[j] = j, i
-        rows = np.arange(2 * self.n_harmonics, -1, -1)[:, None] * n
-        return _read_only((rows + sigma).reshape(-1))
+        rows = np.arange(2 * self.n_harmonics, -1, -1)[:, None] * self.model.n_states
+        return _read_only((rows + self.model.partner).reshape(-1))
 
     @cached_property
     def _block_of(self) -> np.ndarray:
@@ -157,8 +152,8 @@ class HssMatrices:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Spectrum of the stability matrix, sorted by descending real part
-        (ties by ascending imaginary part); computed once, read-only.
+        """Spectrum of the stability matrix in :func:`_sort_modes` order;
+        computed once, read-only.
 
         One eigen-solve runs per invariant block (:attr:`blocks`), on
         W_b = T_bᴴ H_b T_b, unitarily similar to H_b.  The columns of T are
@@ -171,8 +166,7 @@ class HssMatrices:
         """
         eigs = np.concatenate([scipy.linalg.eigvals(w_b)
                                for _, _, w_b in self._similar[0]])
-        order = np.lexsort((eigs.imag, -eigs.real))
-        return _read_only(eigs[order])
+        return _read_only(_sort_modes(eigs))
 
     @property
     def symmetry_defect(self) -> float:
@@ -262,9 +256,18 @@ class ModeSet:
         return "Unstable" if self.weakest.real > 0.0 else "Stable"
 
 
+def _sort_modes(eigenvalues: np.ndarray) -> np.ndarray:
+    """Eigenvalues by descending real part; a run of real parts tied one to
+    the next within ``_TIE``·(1 + |Re|), as in :func:`weakest_mode`, by
+    ascending Im, so round-off (BLAS threads) cannot swap nearly tied rows."""
+    eigs = eigenvalues[np.argsort(-eigenvalues.real, kind="stable")]
+    split = -np.diff(eigs.real) > _TIE * (1.0 + np.abs(eigs.real[:-1]))
+    return eigs[np.lexsort((eigs.imag, np.cumsum(np.concatenate(([0], split)))))]
+
+
 def hss_eigenvalues(hss: HssMatrices) -> np.ndarray:
     """All eigenvalues of the HSS dynamics, sorted by descending real part
-    (see :attr:`HssMatrices.eigenvalues`)."""
+    (see :func:`_sort_modes`)."""
     return hss.eigenvalues
 
 
@@ -300,14 +303,14 @@ def interior_modes(eigenvalues: np.ndarray, omega1: float,
 def weakest_mode(eigenvalues: np.ndarray) -> complex:
     """Mode with the largest real part.
 
-    Ties (within relative 1e-9) break toward the smallest |Im|, then toward
-    nonnegative Im.
+    Ties (within ``_TIE``·(1 + |Re|)) break toward the smallest |Im|, then
+    toward nonnegative Im.
     """
     eigenvalues = np.asarray(eigenvalues)
     if eigenvalues.size == 0:
         raise UsageError("empty eigenvalue set")
     re_max = float(np.max(eigenvalues.real))
-    tol = 1e-9 * (1.0 + abs(re_max))
+    tol = _TIE * (1.0 + abs(re_max))
     tied = eigenvalues[eigenvalues.real >= re_max - tol]
     small = np.abs(tied.imag)
     imin = float(np.min(small))
@@ -329,17 +332,16 @@ def mode_set(hss: HssMatrices) -> ModeSet:
                                                      hss.n_harmonics)))
 
 
-def harmonic_transfer_function(hss: HssMatrices, s: complex,
-                               guard: float = _SINGULAR_GUARD) -> np.ndarray:
+def harmonic_transfer_function(hss: HssMatrices, s: complex) -> np.ndarray:
     """H(s) = C (sI + N_blk - A)⁻¹ B + D on the truncated harmonic lattice.
 
     Block (k, l) maps an input modulation at s + jlω₁ to the output component
     at s + jkω₁.  Raises SingularAtFrequency when s falls within
-    ``guard``·ω₁ of an HSS eigenvalue.  Each call solves for every input
-    column; :func:`frequency_scan` is the fast path for many frequencies.
+    ``_SINGULAR_GUARD``·ω₁ of an HSS eigenvalue.  Each call solves for every
+    input column; :func:`frequency_scan` is the fast path for many frequencies.
     """
     dist = float(np.min(np.abs(hss_eigenvalues(hss) - s)))
-    if dist < guard * hss.model.omega1:
+    if dist < _SINGULAR_GUARD * hss.model.omega1:
         raise SingularAtFrequency(s, dist)
     lhs = -hss.stability_matrix()
     idx = np.arange(lhs.shape[0])

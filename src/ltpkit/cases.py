@@ -25,8 +25,8 @@ peak phase current, time in seconds), so solver norms and waveform
 comparisons are O(1) per state.  Conjugate quantities are independent paired
 states; nothing in the dynamics ever calls complex conjugation on a state,
 which keeps every equation holomorphic.  Each case is written once, as its
-``dynamics``: both Jacobians are the derivatives of that arithmetic, carried
-by forward-mode jets (:mod:`ltpkit.jet`), and exact in the Wirtinger sense.
+``dynamics`` and ``output``: their four Jacobians are the derivatives of that
+arithmetic, carried by forward-mode jets (:mod:`ltpkit.jet`), Wirtinger-exact.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import UsageError
 from .jet import Jet, jacobians
-from .model import SystemModel, _const_jac
+from .model import SystemModel
 
 # amplitude-invariant Clarke transform (zero-sequence dropped) and its
 # right inverse on zero-sequence-free signals
@@ -262,14 +262,10 @@ def _stacked(rows, x):
     return np.stack(rows, axis=-1)
 
 
-def _current_output(n_states):
-    sel = np.eye(2, n_states, dtype=complex)
-
-    def output(t, x, u):
-        return np.asarray(x)[..., :2].copy()
-
-    return dict(output=output, out_jac_state=_const_jac(sel),
-                out_jac_input=_const_jac(np.zeros((2, 2))))
+def _current_output(t, x, u):
+    """g: the converter current pair i_c, i_c_conj, both cases' first states."""
+    xs = _columns(x)
+    return _stacked([xs[0], xs[1]], x)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +291,11 @@ def build_case1(params: dict | None = None) -> dict:
     IC, ICC, XC, XCC, DELTA, XPLL = range(6)
 
     shared = dict(
-        n_states=6, n_inputs=2, n_outputs=2, omega1=om1, **_current_output(6),
+        n_states=6, n_inputs=2, n_outputs=2, omega1=om1, output=_current_output,
         input_fn=_pair_waveform(nn["u_ga"], nn["u_gbeta"], om1),
         state_labels=CASE1_LABELS,
         conjugate_pairs=((IC, ICC), (XC, XCC)),
-        spectral_seeds=((IC, +1, i_ref), (ICC, -1, i_ref_c),
-                        (XC, 0, nn["xc0"]), (XCC, 0, np.conj(nn["xc0"])),
-                        (DELTA, 0, nn["delta0"])),
+        spectral_seeds=((IC, +1, i_ref), (XC, 0, nn["xc0"]), (DELTA, 0, nn["delta0"])),
     )
 
     def _loop(lg_c, name):
@@ -328,8 +322,8 @@ def build_case1(params: dict | None = None) -> dict:
                              kpp * uq + xs[XPLL],                 # DELTA
                              kip * uq], x)                        # XPLL
 
-        return SystemModel(dynamics=dynamics, **jacobians(dynamics), name=name,
-                           **shared)
+        return SystemModel(dynamics=dynamics, **jacobians(dynamics, _current_output),
+                           name=name, **shared)
 
     return {"closed_loop": _loop(nn["lg_c"], "case1"),
             "open_loop": _loop(np.zeros((2, 2)), "case1_open")}
@@ -368,6 +362,7 @@ def build_case2(params: dict | None = None) -> dict:
     # constant products, hoisted out of the equations bit for bit: Python
     # and numpy evaluate c1 * c2 * x as (c1 * c2) * x
     jom1, jff, wk, w2, nki = 1j * om1, 1j * ff, om1 * ksogi, om1**2, -ki
+    grt = 1.0 / rt  # numpy divides by rt as a product with 1/rt; Python scalars must multiply
     xq0 = u_pos0 / jom1
 
     (IC, ICC, XCP, XCPC, XCN, XCNC, UF, UFC, XS, XSC, XQ, XQC,
@@ -412,23 +407,20 @@ def build_case2(params: dict | None = None) -> dict:
                 kis * serr,                                           # XSD
                 kis * serrc]                                          # XSDC
 
-    # -- open loop: driven by the bus voltage -------------------------------
+    # -- open loop: driven by the bus voltage, which feeds the capacitor
+    # through the damping resistor: i_cap = (u_poc − u_f)/r ----------------
+    def ol_icap(xs, us):
+        return (us[0] - xs[UF]) * grt, (us[1] - xs[UFC]) * grt
+
     def ol_dynamics(t, x, u):
         xs, us = _columns(x), _columns(u)
-        return _stacked(_rows(t, xs, us[0], us[1],
-                              (us[0] - xs[UF]) / rt, (us[1] - xs[UFC]) / rt), x)
+        return _stacked(_rows(t, xs, us[0], us[1], *ol_icap(xs, us)), x)
 
     def ol_output(t, x, u):
-        x = np.asarray(x, dtype=complex)
-        u = np.asarray(u, dtype=complex)
-        icap = (u[..., 0] - x[..., UF]) / rt
-        icapc = (u[..., 1] - x[..., UFC]) / rt
-        return np.stack([x[..., IC] - icap, x[..., ICC] - icapc], axis=-1)
-
-    ol_c = np.zeros((2, 16), dtype=complex)
-    ol_c[[0, 1], [IC, ICC]] = 1.0
-    ol_c[[0, 1], [UF, UFC]] = 1.0 / rt
-    ol_d = np.diag([-1.0 / rt, -1.0 / rt]).astype(complex)
+        """g: the exported current pair i_c − i_cap."""
+        xs, us = _columns(x), _columns(u)
+        icap, icapc = ol_icap(xs, us)
+        return _stacked([xs[IC] - icap, xs[ICC] - icapc], x)
 
     # -- closed loop: the open loop at u_poc = u_f + r(i_c − i_g) -----------
     def cl_dynamics(t, x, u):
@@ -442,23 +434,18 @@ def build_case2(params: dict | None = None) -> dict:
 
     pairs = ((IC, ICC), (XCP, XCPC), (XCN, XCNC), (UF, UFC), (XS, XSC), (XQ, XQC),
              (XSD, XSDC))
-    seeds = ((IC, +1, s_ref_c), (ICC, -1, s_ref),
-             (XCP, 0, xcp0), (XCPC, 0, np.conj(xcp0)),
-             (UF, +1, u_pos0), (UFC, -1, np.conj(u_pos0)),
-             (XS, +1, u_pos0), (XSC, -1, np.conj(u_pos0)),
-             (XQ, +1, xq0), (XQC, -1, np.conj(xq0)),
-             (DELTA, 0, delta0),
-             (XSD, 0, s_ref_c), (XSDC, 0, s_ref))
+    seeds = ((IC, +1, s_ref_c), (XCP, 0, xcp0), (UF, +1, u_pos0), (XS, +1, u_pos0),
+             (XQ, +1, xq0), (DELTA, 0, delta0), (XSD, 0, s_ref_c))
     shared = dict(n_inputs=2, n_outputs=2, omega1=om1,
                   input_fn=_pair_waveform(nn["u_ga"], nn["u_gbeta"], om1))
     closed = SystemModel(
-        n_states=18, dynamics=cl_dynamics, **jacobians(cl_dynamics), **_current_output(18),
+        n_states=18, dynamics=cl_dynamics, output=_current_output,
+        **jacobians(cl_dynamics, _current_output),
         state_labels=CASE2_LABELS, conjugate_pairs=pairs + ((IG, IGC),),
-        spectral_seeds=seeds + ((IG, +1, s_ref_c), (IGC, -1, s_ref)),
-        name="case2", **shared)
+        spectral_seeds=seeds + ((IG, +1, s_ref_c),), name="case2", **shared)
     open_loop = SystemModel(
-        n_states=16, dynamics=ol_dynamics, output=ol_output, **jacobians(ol_dynamics),
-        out_jac_state=_const_jac(ol_c), out_jac_input=_const_jac(ol_d),
+        n_states=16, dynamics=ol_dynamics, output=ol_output,
+        **jacobians(ol_dynamics, ol_output),
         state_labels=CASE2_LABELS[:16], conjugate_pairs=pairs, spectral_seeds=seeds,
         name="case2_open", **shared)
     return {"closed_loop": closed, "open_loop": open_loop}

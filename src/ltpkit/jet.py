@@ -72,22 +72,25 @@ class Jet:
         return Jet(e, _scaled(self.der, e))
 
 
-def jacobians(dynamics) -> dict:
-    """``jac_state`` and ``jac_input`` of ``dynamics``, as keyword arguments of
-    :class:`ltpkit.model.SystemModel`.  ``dynamics`` gets the state and input
-    as lists of columns, one seeded with jets, and returns its rows as a list.
-    Each Jacobian takes an ``(n,)`` state or an ``(M, n)`` batch and returns a
-    fresh C-ordered array; a row that depends on no seed is zero."""
+def jacobians(dynamics, output) -> dict:
+    """The four Jacobians of ``dynamics`` and ``output`` by state and input, as
+    keyword arguments of :class:`ltpkit.model.SystemModel`.  Both functions
+    get the state and input as lists of columns, one seeded with jets, and
+    return their rows as a list.  Each Jacobian takes an ``(n,)`` state or an
+    ``(M, n)`` batch and returns a fresh C-ordered array; a row that depends
+    on no seed is zero."""
 
-    def jacobian(t, x, u, seed):
+    def jacobian(fn, seed, t, x, u):
         cols = [np.asarray(v, dtype=complex) for v in (x, u)]
         cols = [v.tolist() if v.ndim == 1 else list(v.T) for v in cols]
         cols[seed] = [Jet(v, {k: ONE}) for k, v in enumerate(cols[seed])]
-        rows = dynamics(t, *cols)
+        rows = fn(t, *cols)
         out = np.zeros(np.shape(x)[:-1] + (len(rows), len(cols[seed])), dtype=complex)
         for i, row in enumerate(rows):
             for k, d in (row.der.items() if type(row) is Jet else ()):
                 out[..., i, k] = d
         return out
 
-    return {"jac_state": partial(jacobian, seed=0), "jac_input": partial(jacobian, seed=1)}
+    return {name: partial(jacobian, fn, seed) for name, fn, seed in (
+        ("jac_state", dynamics, 0), ("jac_input", dynamics, 1),
+        ("out_jac_state", output, 0), ("out_jac_input", output, 1))}

@@ -12,7 +12,7 @@ sequence; one that wants numpy semantics starts with ``x = np.asarray(x)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -36,8 +36,10 @@ class SystemModel:
     input_fn : exogenous drive u(t), shape (m,) per time.
     conjugate_pairs : index pairs (i, j) with x[j] ≡ conj(x[i]); real-valued
         states appear in no pair.
-    spectral_seeds : (state, harmonic, value) triples materialized by
-        ``initial_guess``.
+    spectral_seeds : (state, harmonic, value) triples, one per conjugate
+        pair, materialized by ``initial_guess`` with their conjugates.
+    partner : set from the pairs: σ, the index of each state's conjugate
+        partner (the state itself when unpaired).
     """
 
     n_states: int
@@ -55,6 +57,7 @@ class SystemModel:
     conjugate_pairs: tuple = ()
     spectral_seeds: tuple = ()
     name: str = "model"
+    partner: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.state_labels and len(self.state_labels) != self.n_states:
@@ -62,9 +65,11 @@ class SystemModel:
         for i, j in self.conjugate_pairs:
             if not (0 <= i < self.n_states and 0 <= j < self.n_states):
                 raise UsageError(f"conjugate pair ({i}, {j}) out of range")
-        paired = [k for pair in self.conjugate_pairs for k in set(pair)]
-        if len(paired) != len(set(paired)):
+        swap = {i: j for pair in self.conjugate_pairs for i, j in (pair, pair[::-1])}
+        if len(swap) != sum(len(set(pair)) for pair in self.conjugate_pairs):
             raise UsageError("a state appears in more than one conjugate pair")
+        object.__setattr__(self, "partner",
+                           tuple(int(swap.get(k, k)) for k in range(self.n_states)))
 
     @property
     def period(self) -> float:

@@ -292,12 +292,8 @@ def kicked_response(model: SystemModel, x0, onset: float, t_end: float,
     if leg1.diverged:
         return leg1
     x_kick = leg1.states[-1].copy()
-    x_kick[KICK_STATE] += KICK
-    for a, b in model.conjugate_pairs:
-        if a == KICK_STATE:
-            x_kick[b] += KICK
-        elif b == KICK_STATE:
-            x_kick[a] += KICK
+    for k in {KICK_STATE, model.partner[KICK_STATE]}:
+        x_kick[k] += KICK
     leg2 = integrate(model, x_kick, (onset, t_end), step)
     return Trajectory(
         times=np.concatenate([leg1.times[:-1], leg2.times]),

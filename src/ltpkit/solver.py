@@ -14,10 +14,11 @@ input waveform is sampled once and held fixed.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 
 from .analysis import HssMatrices
 from .errors import (
@@ -90,17 +91,22 @@ def residual_norm(delta: np.ndarray) -> float:
 def initial_guess(model: SystemModel, config: SolverConfig) -> np.ndarray:
     """Materialize the model's reference seeds into a starting spectrum.
 
-    Current-type rotating-frame states carry their setpoints at harmonic +1
-    (conjugate partners at -1); controller and synchronization states start
-    at zero.  The seed triples are attached by the case builders.
+    A seed (i, k, v) writes v at harmonic k of state i and conj(v) at
+    harmonic −k of its partner σ(i) (``model.partner``): one seed per pair
+    gives a conjugate-consistent guess, and seeds that write one (state,
+    harmonic) twice are refused.  The case builders attach the seeds.
     """
-    guess = np.zeros((2 * config.n_harmonics + 1, model.n_states), dtype=complex)
-    for state, harmonic, value in model.spectral_seeds:
-        if abs(harmonic) > config.n_harmonics:
-            raise UsageError(
-                f"seed harmonic {harmonic} outside truncation N={config.n_harmonics}"
-            )
-        guess[harmonic + config.n_harmonics, state] = value
+    big_n = config.n_harmonics
+    guess = np.zeros((2 * big_n + 1, model.n_states), dtype=complex)
+    written = [e for i, k, _ in model.spectral_seeds for e in {(i, k), (model.partner[i], -k)}]
+    if len(written) != len(set(written)):
+        raise UsageError("spectral seeds write one (state, harmonic) twice")
+    for state, k, value in model.spectral_seeds:
+        if abs(k) > big_n:
+            raise UsageError(f"seed harmonic {k} outside truncation N={big_n}")
+        # the partner first: an unpaired state at harmonic 0 keeps v itself
+        guess[big_n - k, model.partner[state]] = np.conj(value)
+        guess[big_n + k, state] = value
     return guess
 
 
@@ -133,7 +139,10 @@ def newton_step(
     lhs = -hss.stability_matrix()
     del hss  # frees H, so only -H and its LU are alive across the factorization
 
-    lu, piv = lu_factor(lhs, check_finite=False)
+    # an exactly singular matrix warns; the condition guard below reports it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(lhs, check_finite=False)
     anorm = float(np.max(np.abs(lhs).sum(axis=0)))
     rcond, info = lapack.zgecon(lu, anorm, norm="1")
     cond_est = np.inf if rcond == 0.0 else 1.0 / float(rcond)

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from ltpkit import ModeSet, build_case1, build_case2, solve_pss
-from ltpkit.analysis import _similar_form, interior_modes, weakest_mode
+from ltpkit.analysis import _similar_form, _sort_modes, interior_modes, weakest_mode
 
 UNBALANCED = {"u_gbeta_mag": 0.5, "u_gbeta_deg": -90.0}
 
@@ -83,7 +83,7 @@ def dense_eigenvalues(hss):
     if hss.real_form:
         w = np.ascontiguousarray(w.real)
     eigs = scipy.linalg.eigvals(w)
-    return eigs[np.lexsort((eigs.imag, -eigs.real))]
+    return _sort_modes(eigs)
 
 
 def dense_mode_set(hss):

@@ -68,6 +68,18 @@ class TestEigenvalues:
         expect = np.array([-3.0 - 1j * OM1, -3.0 + 0j, -3.0 + 1j * OM1])
         assert np.allclose(eigs, expect, atol=1e-9)
 
+    def test_nearly_tied_real_parts_sort_by_imag(self):
+        # real parts 1e-15 apart, the larger one at the larger Im: one tie
+        # run, read in ascending Im, whatever round-off does to the gap
+        hss = lti_hss(np.diag([-2.0 + 3.0j, -2.0 - 1e-15 - 3.0j]), n_harmonics=1)
+        eigs = hss_eigenvalues(hss)
+        assert np.ptp(eigs.real) < 1e-12
+        assert np.all(np.diff(eigs.imag) > 0.0)
+        # real parts further apart than the tie tolerance keep their order
+        eigs = hss_eigenvalues(lti_hss(np.diag([-2.0 + 3.0j, -2.1 - 3.0j]), n_harmonics=1))
+        assert np.max(np.abs(eigs.real[:3] + 2.0)) < 1e-12
+        assert np.all(np.diff(eigs.imag[:3]) > 0.0) and np.all(np.diff(eigs.imag[3:]) > 0.0)
+
     def test_sorted_by_descending_real_part(self, case1_balanced):
         _, result = case1_balanced
         eigs = hss_eigenvalues(result.hss)

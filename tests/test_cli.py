@@ -399,6 +399,21 @@ class TestSolverFailure:
         if command == "solve":
             assert isinstance(report["elapsed_s"], float)
 
+    def test_exactly_singular_matrix_prints_one_line(self, tmp_path):
+        # an exact zero pivot: scipy's LinAlgWarning must not reach stderr
+        # beside the one "error: ..." line
+        import ltpkit
+
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ltpkit.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ltpkit", "eig", "--set", "alpha_pll=1e-300",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: iteration matrix numerically singular at iteration 1 (cond ~ inf)"]
+
     @staticmethod
     def solver_error(kind):
         """A solver error populated as ``solve_pss`` raises it: two Newton

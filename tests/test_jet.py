@@ -1,5 +1,6 @@
 """Forward-mode jets: each operation against its closed-form derivative, and
-the Jacobians that ``jacobians`` derives from a small ``dynamics``."""
+the Jacobians that ``jacobians`` derives from a small ``dynamics`` and
+``output``."""
 
 import numpy as np
 import pytest
@@ -85,6 +86,12 @@ def small_dynamics(t, x, u):
             x[1] / 4.0]
 
 
+def small_output(t, x, u):
+    """Two rows with known Jacobians: ∂g/∂x = [[1, 0], [u0, 0]] and
+    ∂g/∂u = [[0, 0], [x0, 0]]."""
+    return [x[0], x[0] * u[0]]
+
+
 @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
 def test_jacobians_of_a_known_function_exactly(batch):
     x = np.stack([XV, YV], axis=-1)
@@ -101,10 +108,17 @@ def test_jacobians_of_a_known_function_exactly(batch):
                                np.stack([zero, -2.0 * x1], -1),
                                np.stack([u1, u0], -1),
                                np.stack([zero, zero], -1)], -2)
-    jac = jacobians(small_dynamics)
-    for name, expected in (("jac_state", expected_state), ("jac_input", expected_input)):
+    expected_out_state = np.stack([np.stack([zero + 1.0, zero], -1),
+                                   np.stack([u0, zero], -1)], -2)
+    expected_out_input = np.stack([np.stack([zero, zero], -1),
+                                   np.stack([x0, zero], -1)], -2)
+    jac = jacobians(small_dynamics, small_output)
+    assert set(jac) == {"jac_state", "jac_input", "out_jac_state", "out_jac_input"}
+    for name, expected in (("jac_state", expected_state), ("jac_input", expected_input),
+                           ("out_jac_state", expected_out_state),
+                           ("out_jac_input", expected_out_input)):
         result = jac[name](0.0, x, u)
-        assert result.shape == np.shape(x)[:-1] + (4, 2), name
+        assert result.shape == np.shape(x)[:-1] + expected.shape[-2:], name
         assert result.dtype == complex
         assert result.flags.c_contiguous
         assert np.array_equal(result, expected), name
@@ -113,7 +127,10 @@ def test_jacobians_of_a_known_function_exactly(batch):
 def test_rows_without_seeded_variables_are_zero():
     # rows that are a constant, a plain input column or a product of input
     # columns carry no derivative by the state
-    jac_state = jacobians(lambda t, x, u: [2.0 * x[0], 7.0, u[0], u[0] * u[1]])["jac_state"]
+    def rows(t, x, u):
+        return [2.0 * x[0], 7.0, u[0], u[0] * u[1]]
+
+    jac_state = jacobians(rows, rows)["jac_state"]
     x = np.ones((M, 1), dtype=complex)
     u = np.stack([XV, YV], axis=-1)
     result = jac_state(0.0, x, u)

@@ -1,5 +1,7 @@
 """SystemModel contract: conjugate closure, Jacobian agreement, LTI wrapper."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,18 @@ class TestValidation:
             SystemModel(conjugate_pairs=((0, 5),), **kwargs)
         with pytest.raises(UsageError, match="more than one conjugate pair"):
             SystemModel(conjugate_pairs=((0, 1), (1, 1)), **kwargs)
+
+    def test_partner_swaps_each_pair(self):
+        model = build_case2()["closed_loop"]
+        sigma = model.partner
+        for i, j in model.conjugate_pairs:
+            assert (sigma[i], sigma[j]) == (j, i)
+        paired = {k for pair in model.conjugate_pairs for k in pair}
+        assert [k for k in range(model.n_states) if sigma[k] == k] == sorted(
+            set(range(model.n_states)) - paired)
+        # computed from the pairs, not set: a replaced model recomputes it
+        unpaired = dataclasses.replace(model, conjugate_pairs=())
+        assert unpaired.partner == tuple(range(model.n_states))
 
 
 class TestInputPeriodicity:

@@ -1,5 +1,7 @@
 """Newton PSS solver: exactness on linear systems, convergence traits, residuals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,44 @@ class TestInitialGuess:
         n = SolverConfig().n_harmonics
         assert abs(guess[n + 1, ic]) == pytest.approx(0.5, rel=1e-6)
         assert conjugate_defect(guess, model.conjugate_pairs) < 1e-14
+
+    @pytest.mark.parametrize("builder, seeds", [(build_case1, (3, 3)),
+                                                (build_case2, (8, 7))])
+    def test_one_seed_per_pair_writes_the_partner(self, builder, seeds):
+        models = builder()
+        config = SolverConfig(n_harmonics=2)
+        n = config.n_harmonics
+        for model, count in zip((models["closed_loop"], models["open_loop"]), seeds):
+            assert len(model.spectral_seeds) == count
+            guess = initial_guess(model, config)
+            assert conjugate_defect(guess, model.conjugate_pairs) == 0.0
+            named = np.zeros(guess.shape, dtype=bool)
+            for state, k, value in model.spectral_seeds:
+                assert guess[n + k, state] == value
+                assert guess[n - k, model.partner[state]] == np.conj(value)
+                named[n + k, state] = named[n - k, model.partner[state]] = True
+            # every entry the seeds do not name or mirror stays zero
+            assert not np.any(guess[~named])
+
+    def test_unpaired_state_mirrors_onto_itself(self):
+        # an unpaired state is real: its harmonic −k is conj of harmonic k
+        model = dataclasses.replace(linear_model(np.array([[-3.0]])),
+                                    spectral_seeds=((0, 1, 0.5 + 2j),))
+        guess = initial_guess(model, SolverConfig(n_harmonics=2))
+        assert guess[3, 0] == 0.5 + 2j
+        assert guess[1, 0] == 0.5 - 2j
+
+    def test_seed_writing_an_entry_twice_refused(self):
+        model = build_case1()["closed_loop"]
+        ic, icc = 0, 1
+        value = model.spectral_seeds[0][2]
+        assert model.spectral_seeds[0][:2] == (ic, +1)
+        # the partner's seed, as models listed it before: the guess writes it
+        for extra in ((icc, -1, np.conj(value)), (ic, +1, value)):
+            twice = dataclasses.replace(
+                model, spectral_seeds=model.spectral_seeds + (extra,))
+            with pytest.raises(UsageError, match="twice"):
+                initial_guess(twice, SolverConfig())
 
     def test_no_seeds_gives_zeros(self):
         model = forced_lti()
@@ -261,6 +301,15 @@ class TestFailureModes:
         assert err.value.iteration == 1
         assert err.value.residual_history == []
         assert "at iteration 1" in str(err.value)
+
+    def test_exactly_singular_matrix_raises_singular(self):
+        # an exact zero pivot makes lu_factor warn (an error under this
+        # suite's warning filter); the condition guard must report it instead
+        model = build_case1({"alpha_pll": 1e-300})["closed_loop"]
+        with pytest.raises(SingularIterationMatrix) as err:
+            solve_pss(model)
+        assert err.value.cond == np.inf
+        assert err.value.iteration == 1
 
     def test_divergence_carries_completed_steps(self):
         model = diverging_after(build_case2()["closed_loop"], 3)
