@@ -83,7 +83,14 @@ class TestEigenvalues:
     def test_sorted_by_descending_real_part(self, case1_balanced):
         _, result = case1_balanced
         eigs = hss_eigenvalues(result.hss)
-        assert np.all(np.diff(eigs.real) <= 1e-12)
+        # real parts descend, except inside a run tied within
+        # 1e-9·(1 + |Re|): that run reads in ascending Im, so round-off in
+        # its real parts may rise from one row to the next
+        tol = 1e-9 * (1.0 + np.abs(eigs.real[:-1]))
+        step = np.diff(eigs.real)
+        tied = np.abs(step) <= tol
+        assert np.all((step < 0.0) | tied)
+        assert np.all(np.diff(eigs.imag)[tied] >= 0.0)
 
     def test_hss_dimensions(self, case1_balanced, case2_default):
         assert case1_balanced[1].hss.stability_matrix().shape == (54, 54)    # (2*4+1) * 6
