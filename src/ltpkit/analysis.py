@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .errors import SingularAtFrequency, UsageError
 from .model import SystemModel
 from .spectral import build_nblk, build_toeplitz
@@ -164,7 +164,7 @@ class HssMatrices:
         returns exact conjugate pairs.  Otherwise (complex LTI models, for
         instance) W_b itself is solved.
         """
-        eigs = np.concatenate([scipy.linalg.eigvals(w_b)
+        eigs = np.concatenate([_lapack.eigvals(w_b)
                                for _, _, w_b in self._similar[0]])
         return _read_only(_sort_modes(eigs))
 
@@ -346,7 +346,10 @@ def harmonic_transfer_function(hss: HssMatrices, s: complex) -> np.ndarray:
     lhs = -hss.stability_matrix()
     idx = np.arange(lhs.shape[0])
     lhs[idx, idx] += s
-    sol = scipy.linalg.solve(lhs, hss.b_full, check_finite=False)
+    lu, piv, zero_pivot = _lapack.lu_factor(lhs)
+    if zero_pivot:
+        raise SingularAtFrequency(s, dist)
+    sol = _lapack.lu_solve((lu, piv), hss.b_full)
     return hss.c_full @ sol + hss.d_full
 
 
@@ -410,7 +413,7 @@ def frequency_scan(
     for block, cols, w_b in hss._similar[0]:
         if not touched[block].any():
             continue
-        tri, q = scipy.linalg.schur(w_b, output="real" if hss.real_form else "complex")
+        tri, q = _lapack.schur(w_b, output="real" if hss.real_form else "complex")
         sizes, poles = _diagonal_blocks(tri)
         factors.append((tri, sizes, poles, q.conj().T @ b_t[cols], c_t[:, cols] @ q))
     poles = np.concatenate([f[2] for f in factors] + [np.empty(0, dtype=complex)])

@@ -8,18 +8,19 @@ state-space of that iterate and solves the linear update
 
 where N_blk - A_toeplitz is the negated HSS stability matrix of the iterate
 (:meth:`HssMatrices.stability_matrix`).  No time stepping is involved; the
-input waveform is sampled once and held fixed.
+input waveform is sampled once and held fixed.  The update comes from an LU
+factorization with partial pivoting, through the LAPACK gateway
+:mod:`ltpkit._lapack` (scipy's compiled routines, without ``scipy.linalg``).
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 
+from ._lapack import lu_factor, lu_solve, zgecon
 from .analysis import HssMatrices
 from .errors import (
     DivergedTrajectory,
@@ -129,7 +130,10 @@ def newton_step(
     """One Newton update with the input sampled on ``grid`` as ``u_samples``.
 
     Returns ``(delta, step_norm)`` where ``delta`` solves
-    (N_blk - A) delta = F - N_blk X at the supplied iterate.
+    (N_blk - A) delta = F - N_blk X at the supplied iterate.  Raises
+    :class:`SingularIterationMatrix` when the LU meets an exactly zero pivot
+    (condition ∞) or when LAPACK's 1-norm condition estimate (``zgecon``)
+    exceeds ``config.cond_limit``.
     """
     big_n = x_spec.shape[0] // 2
 
@@ -139,17 +143,16 @@ def newton_step(
     lhs = -hss.stability_matrix()
     del hss  # frees H, so only -H and its LU are alive across the factorization
 
-    # an exactly singular matrix warns; the condition guard below reports it
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(lhs, check_finite=False)
+    lu, piv, zero_pivot = lu_factor(lhs)
+    if zero_pivot:
+        raise SingularIterationMatrix(np.inf)
     anorm = float(np.max(np.abs(lhs).sum(axis=0)))
-    rcond, info = lapack.zgecon(lu, anorm, norm="1")
+    rcond, _ = zgecon(lu, anorm, norm="1")
     cond_est = np.inf if rcond == 0.0 else 1.0 / float(rcond)
     if not np.isfinite(cond_est) or cond_est > config.cond_limit:
         raise SingularIterationMatrix(cond_est)
 
-    delta = lu_solve((lu, piv), rhs, check_finite=False).reshape(x_spec.shape)
+    delta = lu_solve((lu, piv), rhs).reshape(x_spec.shape)
     return delta, residual_norm(delta)
 
 

@@ -23,6 +23,7 @@ from ltpkit import (
     mode_set,
     solve_pss,
 )
+from ltpkit import _lapack
 from ltpkit.analysis import (
     REAL_FORM_TOL,
     harmonic_transfer_function,
@@ -158,13 +159,13 @@ class TestRealForm:
         # one real eigen-solve per invariant block, run once for every read
         hss = lti_hss([[-30.0, 10.0], [0.0, -80.0]], n_harmonics=2)
         calls = []
-        eigvals = scipy.linalg.eigvals
+        eigvals = _lapack.eigvals
 
         def counted(a, *args, **kwargs):
             calls.append((a.shape[0], a.dtype))
             return eigvals(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigvals", counted)
+        monkeypatch.setattr(_lapack, "eigvals", counted)
         for f_hz in (3.0, 11.0, 90.0):
             harmonic_transfer_function(hss, 2j * np.pi * f_hz)
         mode_set(hss)
@@ -409,7 +410,7 @@ class TestFrequencyScan:
                          if np.max(b[block]) > REAL_FORM_TOL * np.max(b))
         assert 0 < sum(touched) < hss.stability_matrix().shape[0]
         schur_dtypes, sizes, eig_calls = [], [], []
-        schur, eigvals = scipy.linalg.schur, scipy.linalg.eigvals
+        schur, eigvals = _lapack.schur, _lapack.eigvals
 
         def counted_schur(a, *args, **kwargs):
             tri, q = schur(a, *args, **kwargs)
@@ -421,8 +422,8 @@ class TestFrequencyScan:
             eig_calls.append(1)
             return eigvals(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
-        monkeypatch.setattr(scipy.linalg, "eigvals", counted_eigvals)
+        monkeypatch.setattr(_lapack, "schur", counted_schur)
+        monkeypatch.setattr(_lapack, "eigvals", counted_eigvals)
         assert hss.real_form
         assert eig_calls == []
         scan = frequency_scan(hss, np.geomspace(1.0, 2500.0, 50),

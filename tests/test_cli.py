@@ -400,8 +400,8 @@ class TestSolverFailure:
             assert isinstance(report["elapsed_s"], float)
 
     def test_exactly_singular_matrix_prints_one_line(self, tmp_path):
-        # an exact zero pivot: scipy's LinAlgWarning must not reach stderr
-        # beside the one "error: ..." line
+        # an exact zero pivot: nothing but the one "error: ..." line reaches
+        # stderr
         import ltpkit
 
         env = dict(os.environ,
@@ -519,6 +519,29 @@ MALFORMED_CONFIGS = {
     "frequency_count_cap": ("impedance", {"analysis": {"frequencies_hz": {
         "start": 5, "stop": 2000, "count": cli.MAX_GRID_COUNT + 1}}}),
 }
+
+
+class TestImportPath:
+    def test_commands_leave_scipy_linalg_unloaded(self, tmp_path):
+        # scipy's LAPACK is reached without running scipy.linalg's package
+        # import, which costs more than the rest of `import ltpkit.cli`
+        import ltpkit
+
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ltpkit.__file__).resolve().parents[1]))
+        commands = [["eig", "--case", "case1", "--out", str(tmp_path / "eig")],
+                    ["impedance", "--case", "case2", "--out", str(tmp_path / "scan")]]
+        script = (
+            "import json, sys\n"
+            "import ltpkit.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert ltpkit.cli.main(argv) == 0, argv\n"
+            "sys.exit('scipy.linalg' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "eig" / "eigenvalues.csv").exists()
+        assert (tmp_path / "scan" / "scan.csv").exists()
 
 
 class TestWriteCsv:

@@ -303,8 +303,8 @@ class TestFailureModes:
         assert "at iteration 1" in str(err.value)
 
     def test_exactly_singular_matrix_raises_singular(self):
-        # an exact zero pivot makes lu_factor warn (an error under this
-        # suite's warning filter); the condition guard must report it instead
+        # an exact zero pivot (getrf's info > 0) is reported as singular,
+        # with no warning (an error under this suite's warning filter)
         model = build_case1({"alpha_pll": 1e-300})["closed_loop"]
         with pytest.raises(SingularIterationMatrix) as err:
             solve_pss(model)
