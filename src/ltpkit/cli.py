@@ -443,7 +443,7 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
     onset = oracle_cfg["perturbation"]["onset_periods"] * period
     # the solve's verdict picks the oracle run, so refuse a grid that either
     # run would refuse before doing any of the work
-    grid_steps(step, horizon, period)
+    n_steps, p, _ = grid_steps(step, horizon, period)
     grid_steps(step, onset + horizon, period, onset)
     result = _solve(model, config, partial)
     labels = _labels(model)
@@ -462,8 +462,10 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
         # solution is invariant, so any drift over the horizon exposes an
         # inconsistent solve (cold-start settling would instead measure the
         # system's own transient, which for weakly damped cases outlasts any
-        # reasonable horizon)
-        traj = integrate(model, result.waveforms[0], horizon, step)
+        # reasonable horizon); keep one period and the samples after the
+        # last whole one, which hold the last phase-aligned period
+        traj = integrate(model, result.waveforms[0], horizon, step,
+                         keep=p + (n_steps + 1) % p)
         report["oracle_diverged"] = traj.diverged
         if traj.diverged:
             report["rms_error"] = None

@@ -19,7 +19,9 @@ from .model import SystemModel
 
 DIVERGENCE_LIMIT = 1e9
 FLOOR_RATE = -1e6
-# 70 times the 14,000 RK4 steps of a verify run; 18 states then take 0.35 GB
+# 70 times the 14,000 RK4 steps of a verify run.  verify's on-orbit run keeps
+# one period of samples at any length; its kicked run keeps the post-onset
+# samples, which at the cap take 0.29 GB for 18 states
 MAX_STEPS = 1_000_000
 # the verify kick: KICK is added to state KICK_STATE and to its conjugate
 # partner, which keeps the kicked state real-valued in the phase domain
@@ -79,59 +81,31 @@ def grid_steps(step: float, span: float, period: float | None = None,
     return n_steps, p, k_on
 
 
-def _row_lists(values, chunk=4096):
-    """The rows of the 2-D array ``values`` as lists, ``chunk`` rows converted
-    at a time, so a long input never exists whole as Python objects."""
-    for i in range(0, len(values), chunk):
-        yield from values[i:i + chunk].tolist()
+def _input_rows(model: SystemModel, t0: float, step: float, count: int,
+                chunk: int = 1024):
+    """The inputs at the ``count`` half-step times ``t0 + step/2·i`` as lists,
+    ``chunk`` samples evaluated and converted at a time, so a long run never
+    holds all of its inputs."""
+    for i in range(0, count, chunk):
+        t = t0 + 0.5 * step * np.arange(i, min(i + chunk, count))
+        yield from np.asarray(model.input_fn(t), dtype=complex).tolist()
 
 
-def integrate(model: SystemModel, x0, t_span, step: float) -> Trajectory:
-    """Fixed-step RK4 integration of ``model`` from ``x0`` over ``t_span``.
+def _rk4(model: SystemModel, x0: np.ndarray, t0: float, step: float,
+         n_steps: int, out: np.ndarray) -> int:
+    """Run ``n_steps`` RK4 steps from ``x0`` at ``t0`` and write the last
+    ``len(out)`` samples into ``out``; return how many samples were reached
+    (``n_steps + 1`` unless the state diverged).
 
-    The state stays a list of Python ``complex`` through the whole loop:
-    ``dynamics`` gets the state and the input as lists at a Python-float time
-    and may return any length-n sequence; an array it returns becomes a list,
-    so no stage runs on numpy scalars.  Each stage state is ``x + h·k``
-    and the update ``x + h/6·(k1 + 2k2 + 2k3 + k4)``, entry by entry in that
-    order, the same IEEE arithmetic as the array recursion.  The accepted
-    steps go into a preallocated array.
-
-    Parameters
-    ----------
-    model : SystemModel
-        Model providing ``dynamics`` and ``input_fn``.
-    x0 : array_like
-        Initial state, shape ``(n_states,)``.
-    t_span : float or (float, float)
-        End time (start 0) or explicit ``(t0, t1)``; must be an integer
-        number of steps.
-    step : float
-        Step size in seconds.
-
-    Returns
-    -------
-    Trajectory
-        Full trajectory, or a flagged partial one if the state left the
-        finite range (``diverged=True``): an entry of modulus over
-        ``DIVERGENCE_LIMIT``, inf or NaN, or an arithmetic error inside a
-        step, where Python scalars raise instead of giving inf or NaN.
+    Sample ``j`` goes to row ``(j − first) mod len(out)``, ``first`` being the
+    first sample of the window: the window lands in order, and a run that
+    diverges before its window ends still holds its latest samples.
     """
-    if np.ndim(t_span) == 0:
-        t0, t1 = 0.0, float(t_span)
-    else:
-        t0, t1 = (float(v) for v in t_span)
-    n_steps = grid_steps(step, t1 - t0)[0]
-    x0 = np.asarray(x0, dtype=complex)
-    if x0.shape != (model.n_states,):
-        raise UsageError(f"x0 must have shape ({model.n_states},), got {x0.shape}")
-
-    times = t0 + step * np.arange(n_steps + 1)
-    u_half = _row_lists(np.asarray(
-        model.input_fn(t0 + 0.5 * step * np.arange(2 * n_steps + 1)), dtype=complex))
-    states = np.empty((n_steps + 1, model.n_states), dtype=complex)
-    states[0] = x0
+    keep = out.shape[0]
+    first = n_steps + 1 - keep
+    out[-first % keep] = x0
     x = x0.tolist()
+    u_half = _input_rows(model, t0, step, 2 * n_steps + 1)
     u1 = next(u_half)
 
     def f(t, x, u):
@@ -140,7 +114,8 @@ def integrate(model: SystemModel, x0, t_span, step: float) -> Trajectory:
 
     half, sixth = 0.5 * step, step / 6.0
     for k in range(n_steps):
-        # a Python float, bit-equal to times[k], keeps a model's scalar path
+        # a Python float, bit-equal to the sample time t0 + step·k, keeps a
+        # model's scalar path
         t = t0 + step * k
         u0, um, u1 = u1, next(u_half), next(u_half)
         try:
@@ -159,10 +134,72 @@ def integrate(model: SystemModel, x0, t_span, step: float) -> Trajectory:
             # abs() overflowing, a division by a rotation that underflowed to 0
             bounded = False
         if not bounded:
-            return Trajectory(times=times[:k + 1], states=states[:k + 1], step=step,
-                              diverged=True)
-        states[k + 1] = x
-    return Trajectory(times=times, states=states, step=step)
+            return k + 1
+        out[(k + 1 - first) % keep] = x
+    return n_steps + 1
+
+
+def integrate(model: SystemModel, x0, t_span, step: float,
+              keep: int | None = None) -> Trajectory:
+    """Fixed-step RK4 integration of ``model`` from ``x0`` over ``t_span``.
+
+    The state stays a list of Python ``complex`` through the whole loop:
+    ``dynamics`` gets the state and the input as lists at a Python-float time
+    and may return any length-n sequence; an array it returns becomes a list,
+    so no stage runs on numpy scalars.  Each stage state is ``x + h·k``
+    and the update ``x + h/6·(k1 + 2k2 + 2k3 + k4)``, entry by entry in that
+    order, the same IEEE arithmetic as the array recursion.  Only the kept
+    samples are stored, in a preallocated array, and the inputs are drawn a
+    chunk at a time, so the memory a run holds does not grow with its length
+    when ``keep`` is given.
+
+    Parameters
+    ----------
+    model : SystemModel
+        Model providing ``dynamics`` and ``input_fn``.
+    x0 : array_like
+        Initial state, shape ``(n_states,)``.
+    t_span : float or (float, float)
+        End time (start 0) or explicit ``(t0, t1)``; must be an integer
+        number of steps.
+    step : float
+        Step size in seconds.
+    keep : int, optional
+        Keep only the last ``keep`` samples (at least 1); all of them by
+        default.  The kept samples are bit-identical to the same rows of the
+        full run.
+
+    Returns
+    -------
+    Trajectory
+        The kept samples, or a flagged partial trajectory if the state left
+        the finite range (``diverged=True``): an entry of modulus over
+        ``DIVERGENCE_LIMIT``, inf or NaN, or an arithmetic error inside a
+        step, where Python scalars raise instead of giving inf or NaN.  A
+        partial trajectory holds the last ``keep`` samples reached, ending at
+        the last accepted state.
+    """
+    if np.ndim(t_span) == 0:
+        t0, t1 = 0.0, float(t_span)
+    else:
+        t0, t1 = (float(v) for v in t_span)
+    n_steps = grid_steps(step, t1 - t0)[0]
+    x0 = np.asarray(x0, dtype=complex)
+    if x0.shape != (model.n_states,):
+        raise UsageError(f"x0 must have shape ({model.n_states},), got {x0.shape}")
+    if keep is not None and keep < 1:
+        raise UsageError(f"keep must be at least 1, got {keep!r}")
+    keep = n_steps + 1 if keep is None else min(keep, n_steps + 1)
+
+    first = n_steps + 1 - keep
+    states = np.empty((keep, model.n_states), dtype=complex)
+    reached = _rk4(model, x0, t0, step, n_steps, states)
+    samples = np.arange(max(reached - keep, 0), reached)
+    # a run that diverged before its window ends left its rows out of order
+    states = (states[:reached - first] if samples[0] >= first
+              else states[(samples - first) % keep])
+    return Trajectory(times=t0 + step * samples, states=states, step=step,
+                      diverged=reached <= n_steps)
 
 
 def last_period(traj: Trajectory, period: float):
@@ -285,18 +322,28 @@ def kicked_response(model: SystemModel, x0, onset: float, t_end: float,
                     step: float) -> Trajectory:
     """Integrate, apply the additive kick ``KICK`` to state ``KICK_STATE``
     and to its conjugate partner (when the model declares one) at ``onset``,
-    continue."""
+    continue.
+
+    Returns the samples from one model period before the onset (from 0 for an
+    earlier onset) to ``t_end``, which is what ``growth_rate_fit`` reads: the
+    reference period and the kicked leg, in one preallocated array that the
+    kicked leg is integrated into.  The sample at ``onset`` is the kicked
+    state.  A run that diverges before the onset returns its last period of
+    samples up to the last accepted state.
+    """
     if not 0.0 < onset < t_end:
         raise UsageError("onset must fall inside (0, t_end)")
-    leg1 = integrate(model, x0, (0.0, onset), step)
-    if leg1.diverged:
-        return leg1
-    x_kick = leg1.states[-1].copy()
+    n_post = grid_steps(step, t_end - onset)[0]
+    pre = integrate(model, x0, (0.0, onset), step,
+                    keep=grid_steps(step, model.period)[0] + 1)
+    if pre.diverged:
+        return pre
+    m = pre.states.shape[0] - 1
+    states = np.empty((m + 1 + n_post, model.n_states), dtype=complex)
+    states[:m + 1] = pre.states
     for k in {KICK_STATE, model.partner[KICK_STATE]}:
-        x_kick[k] += KICK
-    leg2 = integrate(model, x_kick, (onset, t_end), step)
+        states[m, k] += KICK
+    reached = _rk4(model, states[m].copy(), float(onset), step, n_post, states[m:])
     return Trajectory(
-        times=np.concatenate([leg1.times[:-1], leg2.times]),
-        states=np.concatenate([leg1.states[:-1], leg2.states]),
-        step=step, diverged=leg2.diverged)
-
+        times=np.concatenate([pre.times[:-1], float(onset) + step * np.arange(reached)]),
+        states=states[:m + reached], step=step, diverged=reached <= n_post)

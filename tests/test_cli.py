@@ -331,6 +331,17 @@ class TestVerify:
         assert report["pass"] is True
         assert rc == 0
 
+    def test_fractional_horizon_compares_last_aligned_period(self, tmp_path):
+        # the on-orbit run keeps only its tail; over 25.75 periods that tail
+        # must still reach back to the last period starting at t mod T = 0
+        cfg = tmp_path / "h.json"
+        cfg.write_text(json.dumps({"oracle": {"horizon_periods": 25.75}}))
+        rc = main(["verify", "--case", "case1", "--config", str(cfg),
+                   "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert rc == 0
+        assert report["pass"] is True
+
     @pytest.mark.parametrize("case", ["case1", "case2"])
     def test_fundamental_follows_f_base(self, case, tmp_path):
         # solver grid, HSS and oracle all take the period from the model

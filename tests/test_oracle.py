@@ -1,6 +1,7 @@
 """Time-domain RK4 oracle: integration accuracy, period tools, growth fitting."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,10 +11,33 @@ from conftest import diverging_after
 from ltpkit import Trajectory, UsageError, integrate
 from ltpkit.model import linear_model
 from ltpkit.oracle import DIVERGENCE_LIMIT, KICK, KICK_STATE, MAX_STEPS, \
-    compare_waveforms, growth_rate_fit, kicked_response, last_period
+    compare_waveforms, grid_steps, growth_rate_fit, kicked_response, last_period
 
 OM1 = 2.0 * np.pi * 50.0
 T1 = 0.02
+
+
+class TestGridSteps:
+    def test_counts(self):
+        assert grid_steps(5e-5, 0.7, 0.02, 0.2) == (14000, 400, 4000)
+        assert grid_steps(1e-3, 1.0) == (1000, 0, 0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((np.nan, 1.0), "must be positive"),
+        ((0.0, 1.0), "must be positive"),
+        ((-1e-3, 1.0), "must be positive"),
+        ((1e-3, 0.0105), r"time span/step = .* not a whole number"),
+        ((1e-3, 1.0, 1e-3), r"period/step = .* at least 2 steps"),
+        ((1e-3, 1.0, 0.02, 0.01), r"onset/step = .* at least 20 steps"),
+        ((1e-3, 0.07, 0.02, 0.02), "three post-onset periods"),
+        ((1e-3, 0.01, 0.02), "shorter than one period"),
+        ((1e-3, MAX_STEPS * 1e-3 + 1e-3), "exceed the limit"),
+    ], ids=["nan_step", "zero_step", "negative_step", "fractional_span",
+            "period_under_2_steps", "onset_under_a_period",
+            "under_3_post_onset_periods", "span_under_a_period", "over_max_steps"])
+    def test_each_rule_refuses(self, args, message):
+        with pytest.raises(UsageError, match=message):
+            grid_steps(*args)
 
 
 class TestIntegrate:
@@ -184,6 +208,62 @@ class TestIntegrate:
         assert traj.states[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-9)
 
 
+class TestKeep:
+    @pytest.fixture(params=["linear", "case1", "case2"])
+    def run(self, request, case1_balanced, case2_default):
+        if request.param == "linear":
+            model = linear_model(
+                np.array([[-1.0, 0.5j], [-30.0, -2.0]]),
+                input_fn=lambda t: np.stack([np.cos(OM1 * t), np.sin(OM1 * t)], axis=-1)
+                + 0j)
+            return model, np.array([1.0, 0.5j])
+        model, result = case1_balanced if request.param == "case1" else case2_default
+        return model, result.waveforms[0]
+
+    def test_equals_tail_of_full_run(self, run):
+        # 1,250 steps read 2,501 inputs, drawn in three chunks of up to 1,024
+        model, x0 = run
+        h, n = 5e-5, 1250
+        full = integrate(model, x0, (0.01, 0.01 + n * h), h)
+        for keep in (1, 401, 1250, n + 1, n + 7):
+            traj = integrate(model, x0, (0.01, 0.01 + n * h), h, keep=keep)
+            assert not traj.diverged
+            assert np.array_equal(traj.times, full.times[-keep:])
+            assert np.array_equal(traj.states, full.states[-keep:])
+
+    @pytest.mark.parametrize("keep", [1, 4, 150, 250, 400, 1001])
+    def test_divergence_keeps_only_reached_rows(self, keep):
+        # the NaN arrives in step 201 of 1,000, before every window but the
+        # whole run's: the run returns the last samples it reached, never an
+        # unwritten row
+        base = linear_model(np.array([[-1.0, 0.5], [0.0, -2.0]]))
+        full = integrate(diverging_after(base, 4 * 200 + 1), [1.0, 1.0], 1.0, 1e-3)
+        traj = integrate(diverging_after(base, 4 * 200 + 1), [1.0, 1.0], 1.0, 1e-3,
+                         keep=keep)
+        assert full.diverged and traj.diverged
+        assert full.states.shape == (201, 2)
+        assert np.array_equal(traj.times, full.times[-keep:])
+        assert np.array_equal(traj.states, full.states[-keep:])
+
+    def test_keep_must_be_positive(self):
+        model = linear_model(np.array([[-1.0]]))
+        with pytest.raises(UsageError, match="keep"):
+            integrate(model, [1.0], 1.0, 1e-3, keep=0)
+
+    def test_long_run_memory_bounded(self, case1_balanced):
+        # 50 periods on the orbit, keeping one period and one sample: no array
+        # grows with the run (storing every state takes 1.9 MB here)
+        model, result = case1_balanced
+        tracemalloc.start()
+        try:
+            traj = integrate(model, result.waveforms[0], 50 * T1, 5e-5, keep=401)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (401, 6)
+        assert peak < 1e6
+
+
 class TestLastPeriod:
     def test_exact_periodic_signal(self):
         h = 5e-5
@@ -296,6 +376,47 @@ class TestKickedResponse:
         model, result = case1_balanced
         with pytest.raises(UsageError):
             kicked_response(model, result.waveforms[0], 0.0, 0.02, 5e-5)
+
+    @staticmethod
+    def _two_legs(model, x0, onset, t_end, h):
+        """The kicked run as two integrations joined at the onset."""
+        leg1 = integrate(model, x0, (0.0, onset), h)
+        if leg1.diverged:
+            return leg1
+        x_kick = leg1.states[-1].copy()
+        for k in {KICK_STATE, model.partner[KICK_STATE]}:
+            x_kick[k] += KICK
+        leg2 = integrate(model, x_kick, (onset, t_end), h)
+        return Trajectory(times=np.concatenate([leg1.times[:-1], leg2.times]),
+                          states=np.concatenate([leg1.states[:-1], leg2.states]),
+                          step=h, diverged=leg2.diverged)
+
+    @pytest.mark.parametrize("which, onset, t_end, h", [
+        ("case1", 2 * T1, 5 * T1, 5e-5),
+        ("case1", 0.5 * T1, 3 * T1, 5e-5),       # onset inside the first period
+        ("growing", 0.1, 1.0, 1e-3),             # diverges after the kick
+        ("growing", 0.6, 1.0, 1e-3),             # diverges before the onset
+    ], ids=["case1", "case1_early_onset", "diverges_after_onset",
+            "diverges_before_onset"])
+    def test_equals_two_leg_run_from_one_period_before_onset(
+            self, which, onset, t_end, h, case1_balanced):
+        if which == "case1":
+            model, result = case1_balanced
+            x0 = result.waveforms[0]
+        else:
+            model, x0 = linear_model(np.array([[50.0]], dtype=complex)), [1.0]
+        p = round(model.period / h)
+        ref = self._two_legs(model, x0, onset, t_end, h)
+        traj = kicked_response(model, x0, onset, t_end, h)
+        if ref.diverged and ref.times[-1] < onset:
+            start = max(ref.times.shape[0] - p - 1, 0)
+        else:
+            start = max(round(onset / h) - p, 0)
+        assert traj.diverged == ref.diverged == (which == "growing")
+        assert np.array_equal(traj.times, ref.times[start:])
+        assert np.array_equal(traj.states, ref.states[start:])
+        if onset >= T1 and not ref.diverged:
+            assert growth_rate_fit(traj, 0, onset, T1) == growth_rate_fit(ref, 0, onset, T1)
 
 
 class TestSettling:
