@@ -18,7 +18,7 @@ import numpy as np
 from . import _lapack
 from .errors import SingularAtFrequency, UsageError
 from .model import SystemModel
-from .spectral import build_nblk, build_toeplitz
+from .spectral import BlockToeplitz, build_nblk, jacobian_harmonics
 
 
 # an HTF probe closer than this many ω₁ to an HSS eigenvalue is singular
@@ -39,8 +39,9 @@ class HssMatrices:
     """Harmonic state-space of a periodic orbit.
 
     Holds the orbit samples (t, x(t), u(t)) on the one-period grid and the
-    model.  Each dense operator is built from its Jacobian on first read, at
-    most once per object, and is read-only.
+    model.  Each dense operator is built from its Jacobian's harmonics
+    (:func:`ltpkit.spectral.jacobian_harmonics`) on first read, at most once
+    per object, and is read-only.
     """
 
     model: SystemModel
@@ -51,8 +52,9 @@ class HssMatrices:
 
     def _full(self, jacobian) -> np.ndarray:
         """Dense block-Toeplitz form of ``jacobian`` along the orbit."""
-        samples = jacobian(self.times, self.states, self.inputs)
-        return build_toeplitz(samples, self.n_harmonics).full()
+        blocks = jacobian_harmonics(jacobian, self.times, self.states, self.inputs,
+                                    2 * self.n_harmonics)
+        return BlockToeplitz(blocks, self.n_harmonics).full()
 
     @cached_property
     def nblk(self) -> np.ndarray:

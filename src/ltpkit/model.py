@@ -32,7 +32,9 @@ class SystemModel:
         oracle all take the period 2π/omega1 from it.
     dynamics, output : f(t, x, u) and g(t, x, u).
     jac_state, jac_input : ∂f/∂x (n×n) and ∂f/∂u (n×m) along a trajectory.
-    out_jac_state, out_jac_input : ∂g/∂x (p×n) and ∂g/∂u (p×m).
+    out_jac_state, out_jac_input : ∂g/∂x (p×n) and ∂g/∂u (p×m).  A Jacobian
+        with a ``harmonics`` attribute gives the HSS its harmonics directly
+        (:func:`ltpkit.spectral.jacobian_harmonics`); any other is sampled.
     input_fn : exogenous drive u(t), shape (m,) per time.
     conjugate_pairs : index pairs (i, j) with x[j] ≡ conj(x[i]); real-valued
         states appear in no pair.

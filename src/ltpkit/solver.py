@@ -64,7 +64,7 @@ class SolverConfig:
     def grid(self, model: SystemModel) -> HarmonicGrid:
         """One fundamental period of ``model``, sampled every ``step``."""
         grid = HarmonicGrid(model.period, self.step)
-        # build_toeplitz expands the Jacobians to order 2N; checked here,
+        # the HSS expands the Jacobians to order 2N; checked here,
         # before anything is sized by N
         need = min_samples(2 * self.n_harmonics)
         if grid.n_samples < need:

@@ -1,11 +1,17 @@
-"""Forward-mode jets: each operation against its closed-form derivative, and
-the Jacobians that ``jacobians`` derives from a small ``dynamics`` and
-``output``."""
+"""Forward-mode jets: each operation against its closed-form derivative, the
+Jacobians that ``jacobians`` derives from a small ``dynamics`` and
+``output``, and their harmonics against the transformed samples."""
+
+import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
+from ltpkit import UsageError, build_case1, build_case2, mode_set, solve_pss
+from ltpkit.analysis import HssMatrices
 from ltpkit.jet import Jet, jacobians
+from ltpkit.spectral import jacobian_harmonics, min_samples, samples_to_spectrum
 
 M = 5
 XV = np.linspace(0.5, 1.5, M) + 0.3j
@@ -137,3 +143,120 @@ def test_rows_without_seeded_variables_are_zero():
     assert result.shape == (M, 4, 1)
     assert np.all(result[:, 0, 0] == 2.0)
     assert not np.any(result[:, 1:])
+
+
+JACOBIANS = ("jac_state", "jac_input", "out_jac_state", "out_jac_input")
+# per case: default, unbalanced and asymmetric operating points
+POINTS = {
+    "case1": (build_case1, {"default": {}, "unbalanced": {"u_gbeta_mag": 0.3},
+                            "asymmetric": {"k_sym_c": 1.4}}),
+    "case2": (build_case2, {"default": {}, "unbalanced": {"k_sym_g": 2.2},
+                            "asymmetric": {"k_sym_c": 1.4}}),
+}
+ORBITS = [(case, variant, point) for case in POINTS
+          for variant in ("closed_loop", "open_loop") for point in POINTS[case][1]]
+
+
+@functools.lru_cache(maxsize=None)
+def orbit(case, variant, point):
+    """A built-in model and its solved HSS (t, x(t), u(t) on the grid)."""
+    build, points = POINTS[case]
+    model = build(dict(points[point]))[variant]
+    return model, solve_pss(model).hss
+
+
+@pytest.mark.parametrize("case, variant, point", ORBITS)
+class TestHarmonics:
+    """``harmonics`` of every jets Jacobian at 2N, against
+    ``samples_to_spectrum`` of its dense samples."""
+
+    def test_equal_the_transformed_samples(self, case, variant, point):
+        model, hss = orbit(case, variant, point)
+        order = 2 * hss.n_harmonics
+        for name in JACOBIANS:
+            jac = getattr(model, name)
+            got = jac.harmonics(hss.times, hss.states, hss.inputs, order)
+            want = samples_to_spectrum(jac(hss.times, hss.states, hss.inputs), order)
+            assert got.shape == want.shape and got.dtype == complex, name
+            assert np.max(np.abs(got - want), initial=0.0) \
+                <= 4e-15 * np.max(np.abs(want), initial=0.0), name
+
+    def test_constant_entries_are_exact(self, case, variant, point):
+        # an entry with one value at every sample, zero included, is that
+        # value at harmonic 0 and exactly zero at every other harmonic
+        model, hss = orbit(case, variant, point)
+        order = 2 * hss.n_harmonics
+        for name in JACOBIANS:
+            jac = getattr(model, name)
+            samples = jac(hss.times, hss.states, hss.inputs)
+            constant = np.all(samples == samples[0], axis=0)
+            got = jac.harmonics(hss.times, hss.states, hss.inputs, order)
+            assert np.array_equal(got[order][constant], samples[0][constant]), name
+            assert not np.any(np.delete(got, order, axis=0)[:, constant]), name
+
+    def test_too_few_samples_refused_like_the_samples_path(self, case, variant, point):
+        model, hss = orbit(case, variant, point)
+        order = 2 * hss.n_harmonics
+        m = min_samples(order) - 1
+        t, x, u = hss.times[:m], hss.states[:m], hss.inputs[:m]
+        for name in JACOBIANS:
+            jac = getattr(model, name)
+            with pytest.raises(UsageError) as dense:
+                samples_to_spectrum(jac(t, x, u), order)
+            with pytest.raises(UsageError) as direct:
+                jac.harmonics(t, x, u, order)
+            with pytest.raises(UsageError) as fallback:
+                jacobian_harmonics(lambda *a: jac(*a), t, x, u, order)
+            assert str(direct.value) == str(dense.value) == str(fallback.value), name
+
+
+def traced(model, calls):
+    """``model`` with each callable wrapped as a span tracer wraps it: a
+    ``functools.wraps`` wrapper that counts its calls, put in place by
+    ``dataclasses.replace``."""
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ("dynamics",) + JACOBIANS
+    return dataclasses.replace(model, **{n: wrap(n, getattr(model, n)) for n in names})
+
+
+@pytest.mark.parametrize("case", ["case1", "case2"])
+class TestWrappedJacobians:
+    def test_wrapper_keeps_harmonics_and_bits(self, case):
+        model, _ = orbit(case, "closed_loop", "unbalanced")
+        calls = dict.fromkeys(("dynamics",) + JACOBIANS, 0)
+        wrapped = traced(model, calls)
+        for name in JACOBIANS:
+            assert getattr(wrapped, name).harmonics is getattr(model, name).harmonics
+        result = solve_pss(wrapped)
+        assert calls["dynamics"] > 0
+        # the HSS reads the harmonics, which bypass the counted call
+        assert calls["jac_state"] == 0
+        plain = solve_pss(model)
+        assert np.array_equal(result.spectrum, plain.spectrum)
+        assert np.array_equal(result.hss.eigenvalues, plain.hss.eigenvalues)
+        assert np.array_equal(result.hss.b_full, plain.hss.b_full)
+
+    def test_plain_closures_take_the_samples_path(self, case):
+        model, hss = orbit(case, "closed_loop", "unbalanced")
+
+        def closure(jac):
+            return lambda t, x, u: jac(t, x, u)
+
+        plain = dataclasses.replace(
+            model, **{name: closure(getattr(model, name)) for name in JACOBIANS})
+        assert not hasattr(plain.jac_state, "harmonics")
+        sampled = HssMatrices(plain, hss.times, hss.states, hss.inputs, hss.n_harmonics)
+        for attr in ("_stability", "b_full", "c_full", "d_full"):
+            want, got = getattr(hss, attr), getattr(sampled, attr)
+            assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want)), attr
+        # one weakest mode to round-off; the blocks and real form are the same
+        assert [b.tolist() for b in sampled.blocks] == [b.tolist() for b in hss.blocks]
+        assert sampled.real_form == hss.real_form
+        assert abs(mode_set(sampled).weakest - mode_set(hss).weakest) \
+            <= 1e-10 * abs(mode_set(hss).weakest)
