@@ -95,19 +95,14 @@ def eigvals(a: np.ndarray) -> np.ndarray:
     return w
 
 
-def schur(a: np.ndarray, output: str = "real"):
-    """Schur form ``(T, Z)`` of the finite square matrix ``a``, unsorted.
-
-    ``output="complex"`` casts a real ``a`` to complex first, giving a
-    triangular T; otherwise a real ``a`` gives the quasi-triangular real form.
+def schur(a: np.ndarray):
+    """Schur form ``(T, Z)`` of the finite square matrix ``a``, unsorted: the
+    quasi-triangular real form for a real ``a``, triangular for a complex one.
     """
     a = np.asarray_chkfinite(a)
-    overwrite_a = False
-    if output == "complex" and not np.iscomplexobj(a):
-        a, overwrite_a = a.astype(complex), True   # a private copy
     gees = _routine("gees", a)
     lwork = gees(lambda x: None, a, lwork=-1)[-2][0].real.astype(np.int_)
-    result = gees(lambda x, y=None: None, a, lwork=lwork, overwrite_a=overwrite_a,
+    result = gees(lambda x, y=None: None, a, lwork=lwork, overwrite_a=False,
                   sort_t=0)
     _check(result[-1], "gees")
     return result[0], result[-3]

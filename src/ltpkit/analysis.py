@@ -384,15 +384,12 @@ def frequency_scan(
     of :attr:`HssMatrices.eigenvalues`, and only on the blocks that the
     single l = 0 input column b touches (an entry above ``REAL_FORM_TOL``
     of max|b|): the others contribute nothing to the entry.  Each touched
-    W_b is reduced to Schur form Q R Qᴴ (Laub 1981, IEEE TAC 26(2)): real
-    quasi-triangular R and real Q when :attr:`HssMatrices.real_form` holds
-    (Golub & Van Loan, Matrix Computations, §7.4), complex triangular
-    otherwise.  b enters as Qᴴ T_bᴴ b_b and the three reported output rows c
-    as c_b T_b Q.  All probes then share one O(dim_b²) back-substitution of
-    (sI − R) z = Qᴴ T_bᴴ b_b, with a closed-form solve per 2×2 diagonal
-    block of R, and the blocks' output rows are summed.  The poles behind
-    the singular guard are the eigenvalues of the touched blocks: a pole in
-    an untouched block cannot reach the entry.
+    W_b = Q R Qᴴ with R triangular (Laub 1981, IEEE TAC 26(2);
+    :func:`_triangular_schur`), so all probes share one O(dim_b²)
+    back-substitution of (sI − R) z = Qᴴ T_bᴴ b_b, read out through the
+    three reported output rows c_b T_b Q and summed over the blocks.  The
+    poles behind the singular guard are diag(R) of the touched blocks: a
+    pole in an untouched block cannot reach the entry.
     """
     if hss.n_harmonics < 2:
         raise UsageError("need n_harmonics >= 2 to expose the ±2 coupling blocks")
@@ -415,61 +412,47 @@ def frequency_scan(
     for block, cols, w_b in hss._similar[0]:
         if not touched[block].any():
             continue
-        tri, q = _lapack.schur(w_b, output="real" if hss.real_form else "complex")
-        sizes, poles = _diagonal_blocks(tri)
-        factors.append((tri, sizes, poles, q.conj().T @ b_t[cols], c_t[:, cols] @ q))
-    poles = np.concatenate([f[2] for f in factors] + [np.empty(0, dtype=complex)])
+        tri, q = _triangular_schur(*_lapack.schur(w_b))
+        factors.append((tri, q.conj().T @ b_t[cols], c_t[:, cols] @ q))
+    poles = np.concatenate([np.diag(f[0]) for f in factors] + [np.empty(0, dtype=complex)])
     dist = np.min(np.abs(poles[:, None] - s), axis=0, initial=np.inf)
     singular = dist < _SINGULAR_GUARD * hss.model.omega1
     s_ok = s[~singular]
 
     h = np.full((len(rows), freqs.size), complex(np.nan, np.nan))
     h[:, ~singular] = hss.d_full[rows, col][:, None]
-    for tri, sizes, poles, y, c in factors:
-        h[:, ~singular] += c @ _back_substitute(tri, sizes, poles, y, s_ok)
+    for tri, y, c in factors:
+        z = np.empty((y.size, s_ok.size), dtype=complex)
+        for i in range(y.size - 1, -1, -1):
+            z[i] = (y[i] + tri[i, i + 1:] @ z[i + 1:]) / (s_ok - tri[i, i])
+        h[:, ~singular] += c @ z
     diag, mplus, mminus = h
     return ScanResult(freqs, diag, mplus, mminus, singular)
 
 
-def _back_substitute(tri: np.ndarray, sizes: np.ndarray, poles: np.ndarray,
-                     y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """z with (s I − R) z = y for each probe s, by back-substitution on the
-    (quasi-)triangular R = ``tri`` with blocks ``sizes`` and ``poles`` (see
-    :func:`_diagonal_blocks`); one column of z per probe."""
-    z = np.empty((poles.size, s.size), dtype=complex)
-    # a real R multiplies the real and imaginary parts of z as one real matrix
-    z_parts = z.view(float) if tri.dtype == float else z
-    for i in np.flatnonzero(sizes)[::-1]:
-        j = i + sizes[i]
-        rhs = y[i:j, None] + (tri[i:j, j:] @ z_parts[j:]).view(complex)
-        if j == i + 1:
-            z[i] = rhs[0] / (s - poles[i])
-            continue
-        # (sI − B) z = rhs for the 2×2 block B, whose determinant is
-        # (s − λ₁)(s − λ₂) over its two eigenvalues
-        (b11, b12), (b21, b22) = tri[i:j, i:j]
-        det = (s - poles[i]) * (s - poles[i + 1])
-        z[i] = ((s - b22) * rhs[0] + b12 * rhs[1]) / det
-        z[i + 1] = (b21 * rhs[0] + (s - b11) * rhs[1]) / det
-    return z
+def _triangular_schur(tri: np.ndarray, q: np.ndarray) -> tuple:
+    """Schur pair (R, Q) with R complex triangular, from LAPACK's real or
+    complex one (Golub & Van Loan, Matrix Computations, §7.4).
 
-
-def _diagonal_blocks(tri: np.ndarray) -> tuple:
-    """Diagonal blocks of a (quasi-)triangular Schur factor and its poles.
-
-    Returns the block size at each block's first row (1 or 2; 0 on the
-    second row of a 2×2 block) and the eigenvalues in diagonal order.  A
-    2×2 block of the real Schur form, standardized by LAPACK to
-    [[a, b], [c, a]] with bc < 0, holds the conjugate pair a ± i√(−bc).
+    A 2×2 diagonal block B of the real form, standardized by LAPACK to
+    [[a, b], [c, a]] with bc < 0, holds the pair λ = a ± i√(−bc); the Givens
+    rotation G with Gᴴe₁ along B's eigenvector (λ − a, c), Im λ > 0, makes
+    G B Gᴴ triangular.  The blocks are disjoint, so all rotations apply at
+    once: R ← G R Gᴴ, Q ← Q Gᴴ, and the cleared subdiagonal is an exact 0.
     """
+    if np.iscomplexobj(tri):
+        return tri, q
     first = np.flatnonzero(np.diag(tri, -1))
     second = first + 1
-    sizes = np.ones(tri.shape[0], dtype=int)
-    sizes[first], sizes[second] = 2, 0
-    a, b = tri[first, first], tri[first, second]
-    c, d = tri[second, first], tri[second, second]
-    mean = 0.5 * (a + d)
-    root = np.sqrt((0.25 * (a - d) ** 2 + b * c).astype(complex))
-    poles = np.diag(tri).astype(complex)
-    poles[first], poles[second] = mean + root, mean - root
-    return sizes, poles
+    above, below = tri[first, second], tri[second, first]
+    root = np.sqrt(-above * below)   # λ − B₂₂ = i·root
+    norm = np.hypot(root, below)
+    cos, sin = 1j * root / norm, below / norm
+    tri, q = tri.astype(complex), q.astype(complex)
+    # G R updates the columns of Rᵀ as R Gᴴ does those of R, with cos conjugated
+    for m, c in ((tri.T, cos.conj()), (tri, cos), (q, cos)):
+        left, right = m[:, first], m[:, second]
+        m[:, first] = left * c + right * sin
+        m[:, second] = right * c.conj() - left * sin
+    tri[second, first] = 0.0
+    return tri, q

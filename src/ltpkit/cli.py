@@ -321,7 +321,10 @@ _EMPTY = np.empty(0)
 
 def _model(config: dict):
     """The configured case variant."""
-    return _builder_for(config["case"])(config["set"])[config["variant"]]
+    models, variant = _builder_for(config["case"])(config["set"]), config["variant"]
+    if variant not in models:
+        raise UsageError(f"model file {config['case']} defines no {variant!r} variant")
+    return models[variant]
 
 
 def _solve(model, config: dict, write_partial):

@@ -209,11 +209,14 @@ def run_sweep(case_builder, spec: SweepSpec, workers: int = 1) -> SweepResult:
     if n_rows * n_cols > MAX_SWEEP_CELLS:
         raise UsageError(f"{n_rows}x{n_cols} sweep cells exceed the limit "
                          f"of {MAX_SWEEP_CELLS}")
-    # fail fast on unresolvable parameter names
+    # fail fast on unresolvable parameter names and a missing variant
     probe = dict(spec.base_params)
     probe[spec.axis1.name] = spec.axis1.values[0]
     probe[spec.axis2.name] = spec.axis2.values[0]
-    case_builder(probe)
+    if spec.variant not in case_builder(probe):
+        code = getattr(case_builder, "__code__", None)
+        source = code.co_filename if code else repr(case_builder)
+        raise UsageError(f"model file {source} defines no {spec.variant!r} variant")
 
     re_w = np.full((n_rows, n_cols), np.nan)
     im_w = np.full((n_rows, n_cols), np.nan)

@@ -26,6 +26,7 @@ from ltpkit import (
 from ltpkit import _lapack
 from ltpkit.analysis import (
     REAL_FORM_TOL,
+    _triangular_schur,
     harmonic_transfer_function,
     hss_eigenvalues,
     interior_modes,
@@ -500,6 +501,50 @@ class TestFrequencyScan:
         assert abs(htf_block(h, -2, 0, hss)[0, 0]) < 1e-10
 
 
+def touched_blocks(hss):
+    """The similar forms W_b of the blocks that the scan's l = 0 input column
+    touches, as :func:`frequency_scan` selects them."""
+    b = np.abs(hss.b_full[:, hss.n_harmonics * hss.model.n_inputs])
+    return [w_b for block, _, w_b in hss._similar[0]
+            if np.max(b[block]) > REAL_FORM_TOL * np.max(b)]
+
+
+class TestTriangularSchur:
+    @pytest.fixture(scope="class")
+    def matrices(self):
+        hss = solve_pss(build_case2({"u_gbeta_mag": 0.7})["open_loop"]).hss
+        assert hss.real_form
+        return [np.random.default_rng(31).standard_normal((40, 40))] + touched_blocks(hss)
+
+    def test_rotation_gives_triangular_schur_pair(self, matrices):
+        pairs = []
+        for w in matrices:
+            real_tri, real_q = _lapack.schur(w)
+            first = np.flatnonzero(np.diag(real_tri, -1))
+            pairs.append(first.size)
+            tri, q = _triangular_schur(real_tri, real_q)
+            scale = np.max(np.abs(w))
+            assert not np.tril(tri, -1).any()
+            assert np.max(np.abs(q.conj().T @ q - np.eye(len(w)))) <= 1e-13
+            assert np.max(np.abs(q @ tri @ q.conj().T - w)) <= 1e-13 * scale
+            # each standardized 2×2 block [[a, b], [c, a]] holds a ± i√(−bc)
+            a, b, c = (real_tri[first, first], real_tri[first, first + 1],
+                       real_tri[first + 1, first])
+            assert np.array_equal(a, real_tri[first + 1, first + 1])
+            poles = np.diag(real_tri).astype(complex)
+            poles[first], poles[first + 1] = a + 1j * np.sqrt(-b * c), a - 1j * np.sqrt(-b * c)
+            assert np.max(np.abs(np.diag(tri) - poles)) <= 1e-14 * scale
+            alone = np.setdiff1d(np.arange(len(w)), np.concatenate((first, first + 1)))
+            assert np.array_equal(np.diag(tri)[alone], np.diag(real_tri)[alone])
+        assert pairs[0] >= 5 and sum(pairs[1:]) >= 5
+
+    def test_complex_schur_pair_kept(self):
+        w = np.random.default_rng(31).standard_normal((6, 6)) * (1.0 + 1j)
+        tri, q = _lapack.schur(w)
+        kept = _triangular_schur(tri, q)
+        assert kept[0] is tri and kept[1] is q
+
+
 @st.composite
 def stable_lti_scans(draw, real=False):
     """Random stable LTI system (real ``a`` when ``real``), truncation order,
@@ -545,7 +590,7 @@ class TestScanProperties:
     @given(stable_lti_scans(real=True))
     def test_real_lti_scan_is_resolvent_entry(self, case):
         # a real model passes the real-form gate: the scan back-substitutes
-        # on the real Schur form, through 1×1 and 2×2 diagonal blocks
+        # on the real Schur form rotated to triangular, 2×2 blocks included
         a, n_harmonics, output_index, input_index, freqs = case
         hss = lti_hss(a, n_harmonics=n_harmonics)
         assert hss.real_form

@@ -718,6 +718,23 @@ class TestConfigHandling:
         assert capsys.readouterr().err == \
             f"error: sweep axis1: missing key {missing!r}\n"
 
+    @pytest.mark.parametrize("command", ["solve", "eig", "verify", "sweep"])
+    def test_model_file_missing_variant(self, command, tmp_path, capsys):
+        # the file builds only the open loop; these commands ask for the closed
+        model = tmp_path / "model.py"
+        model.write_text(MODEL_FILE.replace(
+            "return build_case1(overrides)",
+            'return {"open_loop": build_case1(overrides)["open_loop"]}'))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {
+            "axis1": {"name": "alpha_pll", "values": [30.0]},
+            "axis2": {"name": "u_gbeta_mag", "values": [0.0]}}}))
+        rc = main([command, "--case", str(model), "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: model file {model} defines no 'closed_loop' variant\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["solve", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)])
