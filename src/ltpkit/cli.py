@@ -112,27 +112,29 @@ def _merge(section: str, defaults: dict, given: dict | None) -> dict:
 
 
 def _resolve_grid(section: str, spec, default_count: int) -> list:
-    """A finite numeric grid given either as an explicit list or
-    start/stop/count."""
-    if isinstance(spec, (list, tuple)):
-        return [_typed(section, v, float) for v in spec]
-    if not isinstance(spec, dict):
+    """A finite numeric grid of 1 to ``MAX_GRID_COUNT`` values, given either
+    as an explicit list or start/stop/count."""
+    if isinstance(spec, dict):
+        unknown = set(spec) - {"start", "stop", "count", "spacing"}
+        if unknown:
+            raise UsageError(f"unknown {section} key {sorted(unknown)[0]!r}")
+        for key in ("start", "stop"):
+            if key not in spec:
+                raise UsageError(f"{section}: missing key {key!r}")
+        start = _typed(f"{section} start", spec["start"], float)
+        stop = _typed(f"{section} stop", spec["stop"], float)
+        count = _typed(f"{section} count", spec.get("count", default_count), int)
+        spacing = spec.get("spacing", "linear")
+    elif isinstance(spec, (list, tuple)):
+        count = len(spec)
+    else:
         raise UsageError(f"{section}: expected a list or start/stop spec")
-    allowed = {"start", "stop", "count", "spacing"}
-    unknown = set(spec) - allowed
-    if unknown:
-        raise UsageError(f"unknown {section} key {sorted(unknown)[0]!r}")
-    for key in ("start", "stop"):
-        if key not in spec:
-            raise UsageError(f"{section}: missing key {key!r}")
-    start = _typed(f"{section} start", spec["start"], float)
-    stop = _typed(f"{section} stop", spec["stop"], float)
-    count = _typed(f"{section} count", spec.get("count", default_count), int)
-    spacing = spec.get("spacing", "linear")
     if count < 1:
         raise UsageError(f"{section}: count must be >= 1")
     if count > MAX_GRID_COUNT:
         raise UsageError(f"{section}: count {count} exceeds the limit of {MAX_GRID_COUNT}")
+    if not isinstance(spec, dict):
+        return [_typed(section, v, float) for v in spec]
     if spacing == "log":
         if start <= 0 or stop <= 0:
             raise UsageError(f"{section}: log spacing needs positive bounds")
@@ -445,9 +447,13 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
     horizon = oracle_cfg["horizon_periods"] * period
     onset = oracle_cfg["perturbation"]["onset_periods"] * period
     # the solve's verdict picks the oracle run, so refuse a grid that either
-    # run would refuse before doing any of the work
+    # run would refuse, and a tolerance no comparison can meet, before doing
+    # any of the work
     n_steps, p, _ = grid_steps(step, horizon, period)
     grid_steps(step, onset + horizon, period, onset)
+    if not oracle_cfg["tolerance_rms"] > 0:
+        raise UsageError(f"oracle tolerance_rms must be positive, "
+                         f"got {oracle_cfg['tolerance_rms']!r}")
     result = _solve(model, config, partial)
     labels = _labels(model)
     modes = mode_set(result.hss)
@@ -474,8 +480,10 @@ def cmd_verify(config: dict, out: Path, workers: int) -> int:
             report["rms_error"] = None
             passed = False
         else:
-            cmp = compare_waveforms((result.grid.times, result.waveforms),
-                                    last_period(traj, period))
+            # the PSS is a truncated Fourier series: evaluate it at the
+            # oracle's own p samples of the period
+            cmp = compare_waveforms(spectrum_to_samples(result.spectrum, p),
+                                    last_period(traj, period)[1])
             report["rms_error"] = {lab: float(v) for lab, v
                                    in zip(labels, cmp["rms_error"])}
             report["max_error"] = {lab: float(v) for lab, v

@@ -221,44 +221,19 @@ def last_period(traj: Trajectory, period: float):
     return traj.times[start:start + p], traj.states[start:start + p]
 
 
-def _fourier_resample(values: np.ndarray, m: int) -> np.ndarray:
-    """Resample a periodic complex waveform to ``m`` samples by truncated DFT."""
-    mb = values.shape[0]
-    if mb == m:
-        return values
-    spec = np.fft.fft(values, axis=0)
-    keep = (min(m, mb) - 1) // 2
-    out = np.zeros((m,) + values.shape[1:], dtype=complex)
-    out[:keep + 1] = spec[:keep + 1]
-    if keep > 0:
-        out[-keep:] = spec[-keep:]
-    return np.fft.ifft(out, axis=0) * (m / mb)
-
-
-def compare_waveforms(a, b) -> dict:
-    """Per-state deviation between two one-period waveforms.
-
-    Parameters
-    ----------
-    a, b : (times, states) tuples
-        Same period; if sample counts differ, ``b`` is resampled onto ``a``'s
-        grid by truncated Fourier interpolation.
+def compare_waveforms(expected, got) -> dict:
+    """Per-state deviation between two ``(P, n)`` waveforms sampled at the
+    same ``P`` times.
 
     Returns
     -------
     dict
         ``rms_error`` and ``max_error``: per-state absolute deviation arrays.
     """
-    t_a, x_a = (np.asarray(v) for v in a)
-    t_b, x_b = (np.asarray(v) for v in b)
-    span_a = t_a[-1] - t_a[0] + (t_a[1] - t_a[0])
-    span_b = t_b[-1] - t_b[0] + (t_b[1] - t_b[0])
-    if abs(span_a - span_b) > 1e-9 * span_a:
-        raise UsageError("waveforms cover different period lengths")
-    if x_a.shape[1:] != x_b.shape[1:]:
-        raise UsageError("waveforms have different state counts")
-    x_b = _fourier_resample(x_b, x_a.shape[0])
-    diff = np.abs(x_a - x_b)
+    expected, got = np.asarray(expected), np.asarray(got)
+    if expected.shape != got.shape:
+        raise UsageError(f"waveform shapes differ: {expected.shape} and {got.shape}")
+    diff = np.abs(expected - got)
     return {
         "rms_error": np.sqrt(np.mean(diff**2, axis=0)),
         "max_error": np.max(diff, axis=0),

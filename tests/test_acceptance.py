@@ -39,8 +39,8 @@ def oracle_rms_errors(model, result, horizon_periods=25.0):
     """Per-state (rms_error, allowed) from integrating along the solved orbit."""
     traj = integrate(model, result.waveforms[0], horizon_periods * T1, STEP)
     assert not traj.diverged, "oracle left the computed orbit catastrophically"
-    cmp = compare_waveforms((result.grid.times, result.waveforms),
-                            last_period(traj, T1))
+    states = last_period(traj, T1)[1]
+    cmp = compare_waveforms(spectrum_to_samples(result.spectrum, len(states)), states)
     own_rms = np.sqrt(np.mean(np.abs(result.waveforms) ** 2, axis=0))
     allowed = 0.01 * np.maximum(own_rms, 0.1)
     return cmp["rms_error"], allowed

@@ -16,8 +16,10 @@ import scipy
 import ltpkit.solver
 import ltpkit.sweep
 from ltpkit import (DivergedTrajectory, MaxIterationsExceeded, SingularIterationMatrix,
-                    SolverConfig, cli)
+                    SolverConfig, case_builder, cli, integrate, solve_pss)
 from ltpkit.cli import _write_csv, main
+from ltpkit.oracle import compare_waveforms, last_period
+from ltpkit.spectral import spectrum_to_samples
 
 
 def assert_environment(report, environ):
@@ -342,6 +344,29 @@ class TestVerify:
         assert rc == 0
         assert report["pass"] is True
 
+    @pytest.mark.parametrize("case, solver_step, oracle_step",
+                             [("case1", 1e-4, 5e-5), ("case2", 5e-5, 1e-4)])
+    def test_mismatched_grids_compare_at_oracle_samples(self, case, solver_step,
+                                                        oracle_step, tmp_path):
+        # solver and oracle sample a period 200 and 400 times, either way
+        # round: the PSS series is evaluated at each of the oracle's samples
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solver": {"step": solver_step},
+                                   "oracle": {"step": oracle_step}}))
+        rc = main(["verify", "--case", case, "--config", str(cfg), "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert rc == 0
+        assert report["pass"] is True
+        model = case_builder(case)({})["closed_loop"]
+        result = solve_pss(model, SolverConfig(step=solver_step))
+        p = round(model.period / oracle_step)
+        assert p != result.grid.n_samples
+        traj = integrate(model, result.waveforms[0], 25 * model.period, oracle_step)
+        cmp = compare_waveforms(spectrum_to_samples(result.spectrum, p),
+                                last_period(traj, model.period)[1])
+        for key in ("rms_error", "max_error"):
+            assert [report[key][lab] for lab in model.state_labels] == cmp[key].tolist()
+
     @pytest.mark.parametrize("case", ["case1", "case2"])
     def test_fundamental_follows_f_base(self, case, tmp_path):
         # solver grid, HSS and oracle all take the period from the model
@@ -619,7 +644,11 @@ class TestConfigHandling:
         # a default stable point still needs a grid the kicked run accepts
         ({"horizon_periods": 2}, "three post-onset periods"),
         ({"perturbation": {"onset_periods": 0.5}}, "onset/step"),
-    ], ids=["tiny_step", "fractional_period", "short_horizon", "early_onset"])
+        # a tolerance no comparison can meet
+        ({"tolerance_rms": 0}, "tolerance_rms must be positive"),
+        ({"tolerance_rms": -1}, "tolerance_rms must be positive"),
+    ], ids=["tiny_step", "fractional_period", "short_horizon", "early_onset",
+            "zero_tolerance", "negative_tolerance"])
     def test_bad_oracle_grid_exits_before_solve(self, oracle, message, tmp_path, capsys,
                                                 monkeypatch):
         def no_solve(*args):
@@ -639,7 +668,13 @@ class TestConfigHandling:
          "error: both sweep axes name 'alpha_pll'\n"),
         ("solve", {"solver": {"cond_limit": -5}},
          "error: cond_limit must be >= 1 (got -5.0)\n"),
-    ], ids=["same_axis_names", "cond_limit_below_1"])
+        # an explicit grid list obeys the count rules of start/stop/count
+        ("impedance", {"analysis": {"frequencies_hz": []}},
+         "error: analysis frequencies_hz: count must be >= 1\n"),
+        ("impedance", {"analysis": {"frequencies_hz": [5.0] * (cli.MAX_GRID_COUNT + 1)}},
+         f"error: analysis frequencies_hz: count {cli.MAX_GRID_COUNT + 1} exceeds the "
+         f"limit of {cli.MAX_GRID_COUNT}\n"),
+    ], ids=["same_axis_names", "cond_limit_below_1", "empty_grid_list", "grid_list_cap"])
     def test_config_refused_before_solve(self, command, payload, message, tmp_path, capsys,
                                          monkeypatch):
         # a config no solve could honour is a usage error, not a solver failure
